@@ -327,16 +327,17 @@ class _Runner:
             record["result"] = function_to_doc(g)
             self._maybe_store(cmd, g)
         elif op == "extend":
+            names = cmd.get("as", [])
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ValidationError("extend: 'as' must be a list of names")
             fs = [self.function(n) for n in cmd["fs"]]
             _, refinement, gs = nonforking_extension(
                 fs, self.sub(cmd["c"]), self.sub(cmd["b"]), self.tol
             )
             self._apply_refinement(refinement)
             record["result"] = [function_to_doc(g) for g in gs]
-            names = cmd.get("as")
-            if names:
-                for name, g in zip(names, gs):
-                    self.functions[str(name)] = g
+            for name, g in zip(names, gs):
+                self.functions[name] = g
         elif op == "maharam":
             C = self.sub(cmd["c"])
             _, refinement, selected = maharam_select(

@@ -74,15 +74,11 @@ class SliceProfile:
         return segments[-1][1]
 
     def breakpoints(self) -> tuple[float, ...]:
-        """Interior segment boundaries, merged across all blocks."""
-        cuts: list[float] = []
-        for segments in self.per_block:
-            cum = 0.0
-            for length, _ in segments[:-1]:
-                cum += length
-                if not any(abs(cum - c) <= 1e-12 for c in cuts):
-                    cuts.append(cum)
-        return tuple(sorted(cuts))
+        """Interior segment boundaries, merged across all blocks; boundaries
+        within _CUT_TOL of 0 or 1 are not interior."""
+        return tuple(
+            _merge_cuts(c for segs in self.per_block for c in _cumulative(segs)[:-1])[1:-1]
+        )
 
     def function_at(self, r: float) -> StepFunction:
         """The slice at r as a member of the sublattice."""
@@ -200,6 +196,35 @@ def _cumulative(segs: Sequence[Segment]) -> list[float]:
         cum += length
         cuts.append(cum)
     return cuts
+
+
+# Two r-cuts closer than this are one point of (0,1).  Cuts are running sums
+# of segment lengths, so near-equal ones differ by rounding, not by data.
+_CUT_TOL = 1e-12
+
+
+def _merge_cuts(cuts: Iterable[float]) -> list[float]:
+    """0, the distinct interior cuts in increasing order, then 1.
+
+    Cuts within _CUT_TOL of 0 or 1 are absorbed by them.  Cuts within
+    _CUT_TOL of the smallest cut of their run count as one, represented by
+    the one seen first.
+    """
+    interior = sorted(
+        (c, seen) for seen, c in enumerate(cuts) if c > _CUT_TOL and 1.0 - c > _CUT_TOL
+    )
+    merged = [0.0]
+    anchor = -math.inf
+    first_seen = 0
+    for c, seen in interior:
+        if c - anchor > _CUT_TOL:
+            anchor, first_seen = c, seen
+            merged.append(c)
+        elif seen < first_seen:
+            first_seen = seen
+            merged[-1] = c
+    merged.append(1.0)
+    return merged
 
 
 def _piecewise_pth_power(
@@ -365,6 +390,56 @@ def distance(t1: TypeDatum, t2: TypeDatum, tol: float = DEFAULT_TOL) -> float:
     return total ** (1.0 / p)
 
 
+def _lay_out(
+    C: Sublattice,
+    per_block: Sequence[tuple[Sequence[float], Sequence[tuple[float, ...]]]],
+    fresh: Sequence[tuple[str, float, tuple[float, ...]]],
+    arity: int,
+    tol: float,
+) -> tuple[Space, Refinement, tuple[StepFunction, ...]]:
+    """Lay out `arity` functions on one refinement of C's space.
+
+    per_block[k] is (fractions, value vectors): every cell of block k splits
+    by the fractions, and child j takes vector j scaled by the cell's
+    profile.  fresh lists (id, weight, value vector) cells appended outside
+    C's support.
+    """
+    plan = {}
+    for block, (fractions, _) in zip(C.blocks, per_block):
+        if len(fractions) > 1:
+            for cid in block:
+                plan[cid] = fractions
+    child, refinement = refine_space(
+        C.space, plan, [(fid, weight) for fid, weight, _ in fresh], tol
+    )
+    value_maps: list[dict[str, float]] = [{} for _ in range(arity)]
+    for block, (_, vectors) in zip(C.blocks, per_block):
+        for cid in block:
+            scale = C.profile[cid]
+            for (kid, _), vec in zip(refinement.splitting[cid], vectors):
+                for i in range(arity):
+                    value_maps[i][kid] = vec[i] * scale
+    for fid, _, vec in fresh:
+        for i in range(arity):
+            value_maps[i][fid] = vec[i]
+    return child, refinement, tuple(StepFunction(child, vals) for vals in value_maps)
+
+
+def _orth_cells(
+    space: Space, pos: tuple[float, ...], neg: tuple[float, ...]
+) -> list[tuple[str, float, tuple[float, ...]]]:
+    """Two unit-weight fresh cells carrying the orthogonal parts' norms: pos
+    on the first and -neg on the second, each only when some entry is
+    nonzero."""
+    pos_id, neg_id = fresh_ids(space, 2)
+    cells = []
+    if any(x > 0.0 for x in pos):
+        cells.append((pos_id, 1.0, pos))
+    if any(x > 0.0 for x in neg):
+        cells.append((neg_id, 1.0, tuple(-x for x in neg)))
+    return cells
+
+
 def canonical_realization(
     t: TypeDatum, tol: float = DEFAULT_TOL
 ) -> tuple[Space, Refinement, StepFunction]:
@@ -375,33 +450,13 @@ def canonical_realization(
     fresh unit-weight cells.
     """
     C = t.sublattice
-    space = C.space
-    plan = {}
-    for k, block in enumerate(C.blocks):
-        segments = t.profile.per_block[k]
-        if len(segments) > 1:
-            fractions = tuple(length for length, _ in segments)
-            for cid in block:
-                plan[cid] = fractions
-    fresh = []
-    orth_ids = fresh_ids(space, 2)
-    if t.orth_pos > 0.0:
-        fresh.append((orth_ids[0], 1.0))
-    if t.orth_neg > 0.0:
-        fresh.append((orth_ids[1], 1.0))
-    child, refinement = refine_space(space, plan, fresh, tol)
-    values = {}
-    for k, block in enumerate(C.blocks):
-        segments = t.profile.per_block[k]
-        for cid in block:
-            kids = refinement.splitting[cid]
-            for (kid, _), (_, value) in zip(kids, segments):
-                values[kid] = value * C.profile[cid]
-    if t.orth_pos > 0.0:
-        values[orth_ids[0]] = t.orth_pos
-    if t.orth_neg > 0.0:
-        values[orth_ids[1]] = -t.orth_neg
-    return child, refinement, StepFunction(child, values)
+    per_block = [
+        (tuple(length for length, _ in segs), [(value,) for _, value in segs])
+        for segs in t.profile.per_block
+    ]
+    fresh = _orth_cells(C.space, (t.orth_pos,), (t.orth_neg,))
+    child, refinement, (g,) = _lay_out(C, per_block, fresh, 1, tol)
+    return child, refinement, g
 
 
 def realize_cond_distribution(
@@ -415,36 +470,40 @@ def realize_cond_distribution(
     """
     if not d.sublattice.equals(C, tol):
         raise InvalidDistribution("distribution is over a different sublattice")
-    space = C.space
-    n = d.arity
-    block_atoms = []
-    plan = {}
-    for k, block in enumerate(C.blocks):
-        atoms = sorted(d.per_block[k], key=lambda a: tuple(-x for x in a[0]))
+    per_block = []
+    for k, block_atoms in enumerate(d.per_block):
+        atoms = sorted(block_atoms, key=lambda a: tuple(-x for x in a[0]))
         if not atoms:
             raise InvalidDistribution(f"block {k} carries no mass")
-        block_atoms.append(atoms)
-        if len(atoms) > 1:
-            total = C.nu_block(k)
-            fractions = tuple(mass / total for _, mass in atoms)
-            for cid in block:
-                plan[cid] = fractions
-    orth_cells = list(zip(fresh_ids(space, len(d.orth)), d.orth))
-    fresh = [(fid, mass) for fid, (_, mass) in orth_cells]
-    child, refinement = refine_space(space, plan, fresh, tol)
-    value_maps: list[dict[str, float]] = [{} for _ in range(n)]
-    for k, block in enumerate(C.blocks):
-        atoms = block_atoms[k]
-        for cid in block:
-            kids = refinement.splitting[cid]
-            for (kid, _), (vec, _) in zip(kids, atoms):
-                for i in range(n):
-                    value_maps[i][kid] = vec[i] * C.profile[cid]
-    for fid, (vec, _) in orth_cells:
-        for i in range(n):
-            value_maps[i][fid] = vec[i]
-    gs = tuple(StepFunction(child, vals) for vals in value_maps)
-    return child, refinement, gs
+        total = C.nu_block(k)
+        per_block.append(
+            (tuple(mass / total for _, mass in atoms), [vec for vec, _ in atoms])
+        )
+    fresh = [
+        (fid, mass, vec)
+        for fid, (vec, mass) in zip(fresh_ids(C.space, len(d.orth)), d.orth)
+    ]
+    return _lay_out(C, per_block, fresh, d.arity, tol)
+
+
+def realize_common(
+    t1: TypeDatum, t2: TypeDatum, tol: float = DEFAULT_TOL
+) -> tuple[StepFunction, StepFunction]:
+    """Realize two types over one C on a common refinement, sharing the fresh
+    cells that carry the orthogonal parts; the norm of the difference then
+    attains the type distance."""
+    C = t1.sublattice
+    if not C.equals(t2.sublattice, tol):
+        raise SublatticeMismatch("types live over different sublattices")
+    per_block = []
+    for k, (segs1, segs2) in enumerate(zip(t1.profile.per_block, t2.profile.per_block)):
+        cuts = _merge_cuts(_cumulative(segs1)[:-1] + _cumulative(segs2)[:-1])
+        mids = [(a + b) / 2.0 for a, b in zip(cuts, cuts[1:])]
+        vectors = [(t1.profile.coefficient(k, m), t2.profile.coefficient(k, m)) for m in mids]
+        per_block.append((tuple(b - a for a, b in zip(cuts, cuts[1:])), vectors))
+    fresh = _orth_cells(C.space, (t1.orth_pos, t2.orth_pos), (t1.orth_neg, t2.orth_neg))
+    _, _, (f, g) = _lay_out(C, per_block, fresh, 2, tol)
+    return f, g
 
 
 def maharam_select(
@@ -512,10 +571,5 @@ def lift_type_datum(t: TypeDatum, r: Refinement) -> TypeDatum:
 
 def merged_midpoints(*profiles: SliceProfile) -> tuple[float, ...]:
     """Midpoints of the intervals cut out of (0,1) by all breakpoints."""
-    cuts = [0.0, 1.0]
-    for prof in profiles:
-        for c in prof.breakpoints():
-            if not any(abs(c - x) <= 1e-12 for x in cuts):
-                cuts.append(c)
-    cuts.sort()
+    cuts = _merge_cuts(c for prof in profiles for c in prof.breakpoints())
     return tuple((a + b) / 2.0 for a, b in zip(cuts, cuts[1:]))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +186,27 @@ class TestCliMain:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
         assert main(["run", str(path)]) == 2
+
+    def test_extend_as_string_exit_two(self, tmp_path, capsys):
+        doc = masked_dependence_scenario()
+        doc["commands"] = [{"op": "extend", "fs": ["f"], "c": "C", "b": "B", "as": "gh"}]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 2
+        assert "'as' must be a list of names" in capsys.readouterr().err
+
+    def test_run_path_does_not_load_oracles(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys, lplattice.cli; "
+            "print(sorted({'numpy', 'lplattice.oracles'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as err:

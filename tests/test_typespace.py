@@ -7,6 +7,7 @@ from lplattice import (
     BadR,
     InvalidDistribution,
     Sublattice,
+    SliceProfile,
     SublatticeMismatch,
     TargetOutOfRange,
     band_decompose,
@@ -34,7 +35,8 @@ from lplattice import (
 )
 from lplattice import lift_type_datum
 from lplattice.oracles import random_instance
-from lplattice.verify import masked_dependence_example, pairwise_independence_example, realize_common
+from lplattice.typespace import realize_common
+from lplattice.verify import masked_dependence_example, pairwise_independence_example
 
 
 def one_block_space(n=4, p=1.0):
@@ -141,6 +143,25 @@ class TestSliceProfile:
             assert function_close(s.pos(), spos, 1e-12)
             assert function_close(s.neg(), sneg, 1e-12)
             assert norm(spos.meet(sneg)) <= 1e-12
+
+
+class TestMergedMidpoints:
+    def one_block_profile(self, segments):
+        space, C = one_block_space(2)
+        return SliceProfile(C, (tuple(segments),))
+
+    def test_cuts_closer_than_1e_12_merge(self):
+        c = 0.5 + 4e-13
+        a = self.one_block_profile([(0.5, 2.0), (0.5, 1.0)])
+        b = self.one_block_profile([(c, 3.0), (1.0 - c, 1.0)])
+        # the cut seen first stands for the merged pair
+        assert merged_midpoints(a, b) == (0.25, 0.75)
+        assert merged_midpoints(b, a) == (c / 2.0, (c + 1.0) / 2.0)
+
+    def test_cuts_near_0_and_1_are_absorbed(self):
+        prof = self.one_block_profile([(4e-13, 3.0), (1.0 - 8e-13, 2.0), (4e-13, 1.0)])
+        assert merged_midpoints(prof) == (0.5,)
+        assert prof.breakpoints() == ()
 
 
 class TestTypeDatum:
@@ -315,6 +336,20 @@ class TestCanonicalRealization:
         assert type_datum(g, C.lift(refinement)).equals(lift_type_datum(t, refinement), 1e-9)
 
 
+class TestRealizationsAgree:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_band_function_realizes_alike(self, seed):
+        # for f in C's band, the law of f over C determines its decreasing layout
+        inst = random_instance(seed, 8)
+        C = inst.chain[seed % 3]
+        f, _ = band_decompose(inst.functions[0], C)
+        child1, r1, g = canonical_realization(type_datum(f, C))
+        child2, r2, (h,) = realize_cond_distribution(cond_distribution([f], C), C)
+        assert child1 == child2
+        assert r1.splitting == r2.splitting
+        assert g == h
+
+
 class TestMaharamSelect:
     def test_full_target_selects_everything(self):
         space, C = one_block_space(4, 2.0)
@@ -477,3 +512,10 @@ class TestRealizeCommon:
         t2 = type_datum(inst.functions[1], C)
         f, g = realize_common(t1, t2)
         assert abs(norm(f - g) - distance(t1, t2)) <= 1e-9
+
+    def test_sublattice_mismatch(self):
+        space, C = one_block_space()
+        D = dcl(space, [indicator(space, ["c0"])])
+        f = indicator(space, ["c0", "c1"])
+        with pytest.raises(SublatticeMismatch):
+            realize_common(type_datum(f, C), type_datum(f, D))
