@@ -33,6 +33,41 @@ def close(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
+def tolerance_groups(
+    size: int, columns: Iterable[Sequence[float]], tol: float = DEFAULT_TOL
+) -> list[list[int]]:
+    """Partition of range(size) into groups of keys equal within tol.
+
+    The keys arrive one coordinate at a time: each item of columns holds
+    that coordinate of all size keys, and columns is read only while some
+    group has two members.  Each group is stably sorted on the coordinate
+    and split into runs whose values are close to the run's first, smallest
+    value.  The partition depends only on the keys, not on their order;
+    groups come out in increasing key order.
+    """
+    groups = [list(range(size))] if size else []
+    for column in columns:
+        refined = []
+        for group in groups:
+            if len(group) == 1:
+                refined.append(group)
+                continue
+            group = sorted(group, key=column.__getitem__)
+            first = column[group[0]]
+            run = [group[0]]
+            for i in group[1:]:
+                if not close(first, column[i], tol):
+                    refined.append(run)
+                    first = column[i]
+                    run = []
+                run.append(i)
+            refined.append(run)
+        groups = refined
+        if len(groups) == size:
+            break
+    return groups
+
+
 def _finite(x: float, what: str) -> float:
     x = float(x)
     if not math.isfinite(x):

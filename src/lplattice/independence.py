@@ -220,14 +220,9 @@ def stationarity_check(
 
 
 def _slice_members(f: StepFunction, A: Sublattice, tol: float) -> list[StepFunction]:
-    # the finitely many distinct conditional slices of f over A
+    # the conditional slices of f over A, one per interval; dcl absorbs repeats
     prof = slice_profile(f, A, tol)
-    out: list[StepFunction] = []
-    for r in merged_midpoints(prof):
-        s = prof.function_at(r)
-        if not any(function_close(s, seen, tol) for seen in out):
-            out.append(s)
-    return out
+    return [prof.function_at(r) for r in merged_midpoints(prof)]
 
 
 def canonical_base(

@@ -51,17 +51,28 @@ def _row_basis(rows: np.ndarray, tol: float) -> np.ndarray:
     return vt[:rank]
 
 
-def _positive_ratio_vec(v: np.ndarray, u: np.ndarray, tol: float) -> Optional[float]:
-    k = int(np.argmax(np.abs(u)))
-    if u[k] == 0.0:
-        return None
-    lam = float(v[k] / u[k])
-    if lam <= 0.0:
-        return None
-    scale = max(1.0, float(np.max(np.abs(v))), float(np.max(np.abs(lam * u))))
-    if float(np.max(np.abs(v - lam * u))) > tol * scale:
-        return None
-    return lam
+def proportionality_classes(
+    ids: Sequence[str], basis: np.ndarray, tol: float
+) -> list[tuple[tuple[str, ...], dict[str, float]]]:
+    """Block form of the span of the basis rows, scanning cells in order: a
+    column v joins the first class whose first column u has v = lam * u with
+    lam > 0 within tol * max(1, |v|, |lam u|); columns within tol of 0 join none.
+    """
+    classes: list[tuple[np.ndarray, list[tuple[str, float]]]] = []
+    for i, cid in enumerate(ids):
+        v = basis[:, i]
+        if float(np.max(np.abs(v))) <= tol:
+            continue
+        for u, members in classes:
+            k = int(np.argmax(np.abs(u)))
+            lam = float(v[k] / u[k])
+            scale = max(1.0, float(np.max(np.abs(v))), float(np.max(np.abs(lam * u))))
+            if lam > 0.0 and float(np.max(np.abs(v - lam * u))) <= tol * scale:
+                members.append((cid, lam))
+                break
+        else:
+            classes.append((v, [(cid, 1.0)]))
+    return [(tuple(c for c, _ in members), dict(members)) for _, members in classes]
 
 
 def brute_dcl_closure(
@@ -101,27 +112,9 @@ def brute_dcl_closure(
         rank = basis.shape[0]
         if rank == 0:
             return Sublattice.trivial(space)
-        cols = [basis[:, i] for i in range(n)]
-        classes: list[tuple[np.ndarray, list[tuple[str, float]]]] = []
-        for i, cid in enumerate(ids):
-            col = cols[i]
-            if float(np.max(np.abs(col))) <= tol:
-                continue
-            for rep, members in classes:
-                lam = _positive_ratio_vec(col, rep, tol)
-                if lam is not None:
-                    members.append((cid, lam))
-                    break
-            else:
-                classes.append((col, [(cid, 1.0)]))
+        classes = proportionality_classes(ids, basis, tol)
         if len(classes) == rank:
-            return Sublattice.make(
-                space,
-                [
-                    (tuple(c for c, _ in members), dict(members))
-                    for _, members in classes
-                ],
-            )
+            return Sublattice.make(space, classes)
         current = list(vectors.values())
         grew = False
         for i in range(len(current)):

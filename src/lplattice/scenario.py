@@ -277,6 +277,8 @@ class _Runner:
         if not isinstance(cmd, dict) or "op" not in cmd:
             raise ValidationError("command records need an 'op'")
         op = cmd["op"]
+        if op in ("condexp", "slice", "realize", "cb") and not isinstance(cmd.get("as", ""), str):
+            raise ValidationError(f"{op}: 'as' must be a name")
         record: dict[str, Any] = dict(cmd)
         if op == "condexp":
             result = cond_exp(self.function(cmd["f"]), self.sub(cmd["c"]))
@@ -318,7 +320,7 @@ class _Runner:
             )
             record["result"] = sublattice_to_doc(base)
             if "as" in cmd:
-                self.sublattices[str(cmd["as"])] = base
+                self.sublattices[cmd["as"]] = base
         elif op == "realize":
             C = self.sub(cmd["c"])
             t = type_datum(self.function(cmd["f"]), C, self.tol)
@@ -354,7 +356,7 @@ class _Runner:
 
     def _maybe_store(self, cmd: dict, f: StepFunction) -> None:
         if "as" in cmd:
-            self.functions[str(cmd["as"])] = f
+            self.functions[cmd["as"]] = f
 
 
 def execute_scenario_doc(doc: Any, tol: float = DEFAULT_TOL) -> dict:

@@ -15,6 +15,7 @@ from .core import (
     Space,
     StepFunction,
     close,
+    tolerance_groups,
 )
 from .errors import SpaceMismatch, UnknownCell, ValidationError
 
@@ -155,51 +156,46 @@ class Sublattice:
         )
 
 
-def _positive_ratio(
-    v: Sequence[float], u: Sequence[float], tol: float
-) -> Optional[float]:
-    # lam > 0 with v = lam * u, or None
-    k = max(range(len(u)), key=lambda i: abs(u[i]))
-    if u[k] == 0.0:
-        return None
-    lam = v[k] / u[k]
-    if lam <= 0.0:
-        return None
-    for a, b in zip(v, u):
-        if not close(a, lam * b, tol):
-            return None
-    return lam
-
-
 def dcl(
     space: Space, generators: Iterable[StepFunction], tol: float = DEFAULT_TOL
 ) -> Sublattice:
     """The sublattice generated by the given functions.
 
     Two cells share a block exactly when their generator value vectors are
-    positive scalar multiples of one another; the multiplier fixes the
-    profile ratio.  Gated against the brute-force closure oracle in tests.
+    positive scalar multiples of one another: the vectors, scaled to a
+    max-abs of 1, are grouped within tol.  A member's profile is its ratio to
+    the block's first cell, taken on that cell's largest coordinate.  Gated
+    against the brute-force closure oracle in tests.
     """
     gens = list(generators)
     for g in gens:
         if g.space != space:
             raise SpaceMismatch("generator lives on a different space")
-    classes: list[tuple[tuple[float, ...], list[tuple[str, float]]]] = []
+    cells, tops = [], []
     for cid in space.ids():
-        vec = tuple(g[cid] for g in gens)
-        if not any(v != 0.0 for v in vec):
-            continue
-        for rep, members in classes:
-            lam = _positive_ratio(vec, rep, tol)
-            if lam is not None:
-                members.append((cid, lam))
-                break
-        else:
-            classes.append((vec, [(cid, 1.0)]))
-    return Sublattice.make(
-        space,
-        [(tuple(c for c, _ in members), dict(members)) for _, members in classes],
-    )
+        top = max((abs(g[cid]) for g in gens), default=0.0)
+        if top > 0.0:
+            cells.append(cid)
+            tops.append(top)
+    # column j: generator j on every cell, scaled by the cell's max-abs
+    columns = ([g[cid] / top for cid, top in zip(cells, tops)] for g in gens)
+    blocks = []
+    for group in tolerance_groups(len(cells), columns, tol):
+        first = cells[min(group)]
+        anchor = max(gens, key=lambda g: abs(g[first]))
+        members = {first: 1.0}
+        for i in group:
+            cid = cells[i]
+            if cid == first:
+                continue
+            lam = anchor[cid] / anchor[first]
+            if lam > 0.0:
+                members[cid] = lam
+            else:
+                # only a tol of 1 or more groups vectors of opposite sign
+                blocks.append(((cid,), {cid: 1.0}))
+        blocks.append((tuple(members), members))
+    return Sublattice.make(space, blocks)
 
 
 def contains(

@@ -16,6 +16,7 @@ from .core import (
     fresh_ids,
     norm,
     refine_space,
+    tolerance_groups,
 )
 from .errors import (
     ArityMismatch,
@@ -162,22 +163,11 @@ class ConditionalDistribution:
                 raise InvalidDistribution("orthogonal part carries mass at the origin")
 
 
-def _rearrange(pairs: Iterable[tuple[float, float]], tol: float) -> tuple[Segment, ...]:
+def _rearrange(pairs: Sequence[tuple[float, float]], tol: float) -> tuple[Segment, ...]:
     # pairs: (value, mass) -> merged decreasing segments with normalized lengths
-    acc: dict[float, float] = {}
-    total = 0.0
-    for value, mass in pairs:
-        acc[value] = acc.get(value, 0.0) + mass
-        total += mass
-    items = sorted(acc.items(), key=lambda it: -it[0])
-    merged: list[tuple[float, float]] = []
-    for value, mass in items:
-        if merged and close(merged[-1][0], value, tol):
-            v0, m0 = merged[-1]
-            merged[-1] = ((v0 * m0 + value * mass) / (m0 + mass), m0 + mass)
-        else:
-            merged.append((value, mass))
-    return tuple((mass / total, value) for value, mass in merged)
+    total = sum(mass for _, mass in pairs)
+    atoms = _merge_atoms([((value,), mass) for value, mass in pairs], tol)
+    return tuple((mass / total, vec[0]) for vec, mass in reversed(atoms))
 
 
 def _profiles_equal(a: SliceProfile, b: SliceProfile, tol: float) -> bool:
@@ -210,21 +200,9 @@ def _merge_cuts(cuts: Iterable[float]) -> list[float]:
     _CUT_TOL of the smallest cut of their run count as one, represented by
     the one seen first.
     """
-    interior = sorted(
-        (c, seen) for seen, c in enumerate(cuts) if c > _CUT_TOL and 1.0 - c > _CUT_TOL
-    )
-    merged = [0.0]
-    anchor = -math.inf
-    first_seen = 0
-    for c, seen in interior:
-        if c - anchor > _CUT_TOL:
-            anchor, first_seen = c, seen
-            merged.append(c)
-        elif seen < first_seen:
-            first_seen = seen
-            merged[-1] = c
-    merged.append(1.0)
-    return merged
+    interior = [c for c in cuts if c > _CUT_TOL and 1.0 - c > _CUT_TOL]
+    groups = tolerance_groups(len(interior), [interior], _CUT_TOL)
+    return [0.0] + [interior[min(group)] for group in groups] + [1.0]
 
 
 def _piecewise_pth_power(
@@ -267,10 +245,11 @@ def cond_probability(
 
 def slice_profile(f: StepFunction, C: Sublattice, tol: float = DEFAULT_TOL) -> SliceProfile:
     """The full conditional slice map of f over C, block by block."""
-    f1, _ = band_decompose(f, C)
+    if f.space != C.space:
+        raise SpaceMismatch("function lives on a different space")
     per_block = []
     for block in C.blocks:
-        pairs = [(f1[cid] / C.profile[cid], C.nu(cid)) for cid in block]
+        pairs = [(f[cid] / C.profile[cid], C.nu(cid)) for cid in block]
         per_block.append(_rearrange(pairs, tol))
     return SliceProfile(C, tuple(per_block))
 
@@ -291,20 +270,26 @@ def type_datum(f: StepFunction, C: Sublattice, tol: float = DEFAULT_TOL) -> Type
 
 
 def _merge_atoms(atoms: Iterable[Atom], tol: float) -> tuple[Atom, ...]:
+    """Atoms with equal vectors summed, then each tolerance group replaced by
+    its mass-weighted mean; increasing order, zero masses dropped."""
     acc: dict[tuple[float, ...], float] = {}
     for vec, mass in atoms:
         acc[vec] = acc.get(vec, 0.0) + mass
-    items = sorted(acc.items(), key=lambda it: it[0])
-    merged: list[tuple[tuple[float, ...], float]] = []
-    for vec, mass in items:
-        if merged and all(close(a, b, tol) for a, b in zip(merged[-1][0], vec)):
-            v0, m0 = merged[-1]
-            total = m0 + mass
-            mean = tuple((a * m0 + b * mass) / total for a, b in zip(v0, vec))
-            merged[-1] = (mean, total)
+    vecs = sorted(acc)
+    merged = []
+    for group in tolerance_groups(len(vecs), zip(*vecs), tol):
+        if len(group) == 1:
+            vec = vecs[group[0]]
+            total = acc[vec]
         else:
-            merged.append((vec, mass))
-    return tuple((vec, mass) for vec, mass in merged if mass > 0.0)
+            total = sum(acc[vecs[i]] for i in group)
+            vec = tuple(
+                sum(vecs[i][d] * acc[vecs[i]] for i in group) / total
+                for d in range(len(vecs[group[0]]))
+            )
+        if total > 0.0:
+            merged.append((vec, total))
+    return tuple(merged)
 
 
 def cond_distribution(
@@ -315,37 +300,25 @@ def cond_distribution(
     for f in fs:
         if f.space != C.space:
             raise SpaceMismatch("function lives on a different space")
-    n = len(fs)
-    parts = [band_decompose(f, C) for f in fs]
     per_block = []
     for block in C.blocks:
-        atoms = [
-            (
-                tuple(parts[i][0][cid] / C.profile[cid] for i in range(n)),
-                C.nu(cid),
-            )
-            for cid in block
-        ]
+        atoms = [(tuple(f[cid] / C.profile[cid] for f in fs), C.nu(cid)) for cid in block]
         per_block.append(_merge_atoms(atoms, tol))
     orth_atoms = []
     for cid in C.space.ids():
-        if cid in C.support:
-            continue
-        vec = tuple(parts[i][1][cid] for i in range(n))
-        if any(x != 0.0 for x in vec):
+        vec = tuple(f[cid] for f in fs)
+        if cid not in C.support and any(x != 0.0 for x in vec):
             orth_atoms.append((vec, C.space.weight(cid)))
-    return ConditionalDistribution(C, n, tuple(per_block), _merge_atoms(orth_atoms, tol))
+    return ConditionalDistribution(C, len(fs), tuple(per_block), _merge_atoms(orth_atoms, tol))
 
 
 def _atoms_equal(a: tuple[Atom, ...], b: tuple[Atom, ...], tol: float) -> bool:
-    a = _merge_atoms(a, tol)
-    b = _merge_atoms(b, tol)
-    if len(a) != len(b):
-        return False
-    for (va, ma), (vb, mb) in zip(a, b):
-        if not close(ma, mb, tol):
-            return False
-        if not all(close(x, y, tol) for x, y in zip(va, vb)):
+    # one grouping of both laws' atoms; each group carries equal mass from each
+    pooled = a + b
+    for group in tolerance_groups(len(pooled), zip(*(vec for vec, _ in pooled)), tol):
+        mass_a = sum(pooled[i][1] for i in group if i < len(a))
+        mass_b = sum(pooled[i][1] for i in group if i >= len(a))
+        if not close(mass_a, mass_b, tol):
             return False
     return True
 

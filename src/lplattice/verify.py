@@ -389,12 +389,8 @@ def check_canonical_base(seed: int, tol: float = DEFAULT_TOL) -> Optional[str]:
     if not star_independent([f], A, cb, tol).independent:
         return f"seed {seed}: f is not independent from A over its base"
     prof = slice_profile(f, A, tol)
-    seen: list[StepFunction] = []
-    for r in merged_midpoints(prof):
-        s = slice_by_definition(f, A, r, tol)
-        if not any(function_close(s, t, tol) for t in seen):
-            seen.append(s)
-    if not cb.equals(dcl(inst.space, seen, tol), tol):
+    slices = [slice_by_definition(f, A, r, tol) for r in merged_midpoints(prof)]
+    if not cb.equals(dcl(inst.space, slices, tol), tol):
         return f"seed {seed}: n=1 base differs from the dcl of the slice values"
     pair = [inst.functions[0], inst.functions[1]]
     cb2 = canonical_base(pair, A, tol)

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 
 from lplattice import StepFunction, Sublattice
+from lplattice.oracles import proportionality_classes
 
 
 def brute_intersection(A: Sublattice, C: Sublattice, tol: float = 1e-9) -> Sublattice:
@@ -33,25 +34,8 @@ def brute_intersection(A: Sublattice, C: Sublattice, tol: float = 1e-9) -> Subla
     keep = [row for row in h_basis if float(np.max(np.abs(row))) > 1e-8]
     if not keep:
         return Sublattice.trivial(space)
-    basis = np.array(keep)
-    blocks: list[tuple[np.ndarray, list[tuple[str, float]]]] = []
-    for i, cid in enumerate(ids):
-        col = basis[:, i]
-        if float(np.max(np.abs(col))) <= 1e-8:
-            continue
-        for rep, members in blocks:
-            k = int(np.argmax(np.abs(rep)))
-            lam = float(col[k] / rep[k])
-            if lam > 0 and float(np.max(np.abs(col - lam * rep))) <= 1e-7 * max(
-                1.0, float(np.max(np.abs(col)))
-            ):
-                members.append((cid, lam))
-                break
-        else:
-            blocks.append((col, [(cid, 1.0)]))
-    return Sublattice.make(
-        space, [(tuple(c for c, _ in mem), dict(mem)) for _, mem in blocks]
-    )
+    # 1e-7 for a zero column and, relative, for proportional columns
+    return Sublattice.make(space, proportionality_classes(ids, np.array(keep), 1e-7))
 
 
 def lattice_terms(fs: list[StepFunction]) -> list[StepFunction]:

@@ -187,13 +187,27 @@ class TestCliMain:
         path.write_text(json.dumps(doc))
         assert main(["run", str(path)]) == 2
 
-    def test_extend_as_string_exit_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "cmd, message",
+        [
+            (
+                {"op": "extend", "fs": ["f"], "c": "C", "b": "B", "as": "gh"},
+                "extend: 'as' must be a list of names",
+            ),
+            ({"op": "condexp", "f": "f", "c": "C", "as": ["g"]}, "condexp: 'as' must be a name"),
+            ({"op": "slice", "f": "f", "c": "C", "r": 0.5, "as": ["g"]}, "slice: 'as' must be a name"),
+            ({"op": "realize", "f": "f", "c": "C", "as": ["g"]}, "realize: 'as' must be a name"),
+            ({"op": "cb", "fs": ["f"], "a": "B", "as": ["g"]}, "cb: 'as' must be a name"),
+        ],
+        ids=["extend", "condexp", "slice", "realize", "cb"],
+    )
+    def test_extend_as_string_exit_two(self, tmp_path, capsys, cmd, message):
         doc = masked_dependence_scenario()
-        doc["commands"] = [{"op": "extend", "fs": ["f"], "c": "C", "b": "B", "as": "gh"}]
+        doc["commands"] = [cmd, {"op": "condexp", "f": "g", "c": "C"}]
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
         assert main(["run", str(path)]) == 2
-        assert "'as' must be a list of names" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_run_path_does_not_load_oracles(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

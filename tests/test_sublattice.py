@@ -1,13 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import brute_intersection
 from lplattice import (
+    Space,
     SpaceMismatch,
+    StepFunction,
     Sublattice,
     band_decompose,
     close,
+    cond_distribution,
     cond_exp,
     contains,
     dcl,
@@ -21,6 +25,7 @@ from lplattice import (
     make_space,
     norm,
     step_function,
+    type_datum,
 )
 from lplattice.oracles import brute_dcl_closure, random_instance
 from lplattice.verify import masked_dependence_example
@@ -343,3 +348,61 @@ class TestRepresentationInvariance:
         other = unit_space(3)
         with pytest.raises(SpaceMismatch):
             cond_exp(indicator(other, ["c0"]), fx.C)
+
+
+def same_blocks(L1, L2, tol):
+    """Equal block sets with profiles equal within tol, whatever the cell order."""
+    if {frozenset(b) for b in L1.blocks} != {frozenset(b) for b in L2.blocks}:
+        return False
+    return all(close(L1.profile[c], L2.profile[c], tol) for c in L1.profile)
+
+
+def same_atoms(atoms1, atoms2, tol):
+    return len(atoms1) == len(atoms2) and all(
+        close(m1, m2, tol) and all(close(x, y, tol) for x, y in zip(v1, v2))
+        for (v1, m1), (v2, m2) in zip(atoms1, atoms2)
+    )
+
+
+def assert_cell_order_free(fs, C, order, tol=1e-9):
+    """dcl, join, types and conditional laws agree on the same cells listed
+    in another order."""
+    space = C.space
+    moved = Space(tuple((cid, space.weight(cid)) for cid in order), space.p)
+    gs = [StepFunction(moved, f.values) for f in fs]
+    D = Sublattice.make(moved, [(b, {c: C.profile[c] for c in b}) for b in C.blocks])
+    A = dcl(space, fs[:2], tol)
+    A2 = dcl(moved, gs[:2], tol)
+    assert same_blocks(A, A2, tol)
+    assert same_blocks(lattice_join(A, C, tol), lattice_join(A2, D, tol), tol)
+    for f, g in zip(fs, gs):
+        t1, t2 = type_datum(f, C, tol), type_datum(g, D, tol)
+        assert close(t1.orth_pos, t2.orth_pos, tol)
+        assert close(t1.orth_neg, t2.orth_neg, tol)
+        for segs1, segs2 in zip(t1.profile.per_block, t2.profile.per_block):
+            assert same_atoms([((v,), m) for m, v in segs1], [((v,), m) for m, v in segs2], tol)
+    d1, d2 = cond_distribution(fs, C, tol), cond_distribution(gs, D, tol)
+    for atoms1, atoms2 in zip(d1.per_block, d2.per_block):
+        assert same_atoms(atoms1, atoms2, tol)
+    assert same_atoms(d1.orth, d2.orth, tol)
+
+
+class TestCellOrder:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_instances(self, seed):
+        inst = random_instance(seed, 7)
+        order = list(inst.space.ids())
+        random.Random(seed).shuffle(order)
+        assert_cell_order_free(list(inst.functions), inst.chain[seed % 3], order[::-1])
+        assert_cell_order_free(list(inst.functions), inst.chain[seed % 3], order)
+
+    @pytest.mark.parametrize("order", ["".join(o) for o in itertools.permutations("abc")])
+    def test_near_tie_rays(self, order):
+        # (1, 1), (1, 1 + 0.8e-9), (1, 1 + 1.6e-9): b is within tol of both
+        # neighbours, a and c are not within tol of each other
+        space = make_space([(cid, 1.0) for cid in "abc"], 2.0)
+        f = indicator(space, "abc")
+        g = step_function(space, {"a": 1.0, "b": 1.0 + 0.8e-9, "c": 1.0 + 1.6e-9})
+        C = dcl(space, [f])
+        assert_cell_order_free([f, g], C, order)
+        assert dcl(space, [f, g]).dim == 2

@@ -216,8 +216,22 @@ class TestCondDistribution:
         d = cond_distribution([2.0 * chi, -1.0 * chi], C)
         assert d.per_block == ((((2.0, -1.0), 4.0),),)
 
+    def test_near_tie_merges_past_a_sorted_neighbour(self):
+        # (1e-12, 3) sorts between (0, 5) and (2e-12, 5), which still merge
+        space, C = one_block_space(3)
+        f = step_function(space, {"c1": 1e-12, "c2": 2e-12})
+        g = step_function(space, {"c0": 5.0, "c1": 3.0, "c2": 5.0})
+        assert len(cond_distribution([f, g], C).per_block[0]) == 2
+
 
 class TestTupleTypeEqual:
+    def test_near_tie_same_type(self):
+        space, C = one_block_space(3)
+        f = step_function(space, {"c1": 1e-12, "c2": 2e-12})
+        f2 = step_function(space, {"c1": 1e-12})
+        g = step_function(space, {"c0": 5.0, "c1": 3.0, "c2": 5.0})
+        assert tuple_type_equal([f, g], [f2, g], C)
+
     def test_equal_distributions(self):
         space, C = one_block_space(3, 2.0)
         f = step_function(space, {"c0": 2.0, "c2": 1.0})
