@@ -10,8 +10,25 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from .core import DEFAULT_TOL
 from .errors import LatticeError
 from .scenario import dumps, execute_scenario
+
+
+def tolerance(text: str) -> float:
+    """The --tol argument: a finite number >= 0 (argparse reports a ValueError)."""
+    tol = float(text)
+    if not 0.0 <= tol <= sys.float_info.max:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
+def count(text: str) -> int:
+    """The --trials argument: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -24,12 +41,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a scenario document")
     run_p.add_argument("path", help="path to a scenario JSON file")
-    run_p.add_argument("--tol", type=float, default=1e-9)
+    run_p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
 
     ver_p = sub.add_parser("verify", help="run the verification suites")
     ver_p.add_argument("--seed", type=int, default=0)
-    ver_p.add_argument("--trials", type=int, default=60)
-    ver_p.add_argument("--tol", type=float, default=1e-9)
+    ver_p.add_argument("--trials", type=count, default=60)
+    ver_p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     return parser
 
 
@@ -44,22 +61,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
         sys.stdout.write(dumps(report))
         return 0
-    if args.command == "verify":
-        # imported here so that `run` never loads the oracles or numpy
-        from .verify import run_suites
+    # verify, the only other command; imported here so `run` never loads the oracles or numpy
+    from .verify import run_suites
 
-        results = run_suites(seed=args.seed, trials=args.trials, tol=args.tol)
-        failed = False
-        for res in results:
-            mark = "PASS" if res.passed else "FAIL"
-            print(f"{mark} {res.name}: {res.detail}")
-            if not res.passed:
-                failed = True
-                if res.replay is not None:
-                    print("replay scenario:")
-                    sys.stdout.write(dumps(res.replay))
-        return 1 if failed else 0
-    return 2
+    results = run_suites(seed=args.seed, trials=args.trials, tol=args.tol)
+    failed = False
+    for res in results:
+        mark = "PASS" if res.passed else "FAIL"
+        print(f"{mark} {res.name}: {res.detail}")
+        if not res.passed:
+            failed = True
+            print(f"replay: {res.replay}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -367,13 +367,13 @@ def embed(f: StepFunction, bigger: Space) -> StepFunction:
     return StepFunction(bigger, dict(f.values))
 
 
-def fresh_ids(space: Space, count: int, prefix: str = "fresh") -> tuple[str, ...]:
+def fresh_ids(space: Space, count: int) -> tuple[str, ...]:
     """Deterministic ids not colliding with the space's cells."""
     out: list[str] = []
     k = 0
     while len(out) < count:
-        cid = f"{prefix}{k}"
-        if cid not in space and cid not in out:
+        cid = f"fresh{k}"
+        if cid not in space:
             out.append(cid)
         k += 1
     return tuple(out)

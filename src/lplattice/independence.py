@@ -225,11 +225,14 @@ def _slice_members(f: StepFunction, A: Sublattice, tol: float) -> list[StepFunct
     return [prof.function_at(r) for r in merged_midpoints(prof)]
 
 
+# join-and-reslice rounds the tuple canonical base may take before NonTermination
+MAX_ROUNDS = 32
+
+
 def canonical_base(
     fs: Sequence[StepFunction],
     A: Sublattice,
     tol: float = DEFAULT_TOL,
-    max_rounds: int = 32,
 ) -> Sublattice:
     """The canonical base of tp(fs / A).
 
@@ -246,7 +249,7 @@ def canonical_base(
     seeds = [s for f in fs for s in _slice_members(f, A, tol)]
     cb = dcl(space, seeds, tol)
     if len(fs) > 1:
-        for _ in range(max_rounds):
+        for _ in range(MAX_ROUNDS):
             joined = lattice_join(dcl(space, fs, tol), cb, tol)
             extra = [s for e in joined.generators() for s in _slice_members(e, A, tol)]
             nxt = lattice_join(cb, dcl(space, extra, tol), tol)

@@ -38,7 +38,6 @@ from .independence import (
 from .sublattice import Sublattice, cond_exp, dcl
 from .typespace import (
     SliceProfile,
-    TypeDatum,
     canonical_realization,
     conditional_slice,
     distance,
@@ -161,13 +160,6 @@ def profile_to_doc(prof: SliceProfile) -> dict:
             for k, block in enumerate(prof.sublattice.blocks)
         ]
     }
-
-
-def type_datum_to_doc(t: TypeDatum) -> dict:
-    doc = profile_to_doc(t.profile)
-    doc["orthPos"] = t.orth_pos
-    doc["orthNeg"] = t.orth_neg
-    return doc
 
 
 def cond_distribution_to_doc(d) -> dict:

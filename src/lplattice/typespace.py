@@ -28,7 +28,7 @@ from .errors import (
     UnknownCell,
     ValidationError,
 )
-from .sublattice import Sublattice, band_decompose, contains
+from .sublattice import Sublattice, contains
 
 Segment = tuple[float, float]  # (length, value)
 Atom = tuple[tuple[float, ...], float]  # (value vector, mass)
@@ -228,9 +228,7 @@ def _piecewise_pth_power(
             j += 1
 
 
-def cond_probability(
-    event: Iterable[str], C: Sublattice, tol: float = DEFAULT_TOL
-) -> StepFunction:
+def cond_probability(event: Iterable[str], C: Sublattice) -> StepFunction:
     """The conditional probability of a cell event, as a member of C."""
     cells = set(event)
     for cid in cells:
@@ -265,8 +263,15 @@ def conditional_slice(
 
 def type_datum(f: StepFunction, C: Sublattice, tol: float = DEFAULT_TOL) -> TypeDatum:
     """The complete invariant of tp(f/C)."""
-    _, f2 = band_decompose(f, C)
-    return TypeDatum(slice_profile(f, C, tol), norm(f2.pos()), norm(f2.neg()))
+    # the positive and negative parts of f orthogonal to C, in one pass
+    supp = C.support
+    pos: dict[str, float] = {}
+    neg: dict[str, float] = {}
+    for cid, v in f.values.items():
+        if cid not in supp:
+            (pos if v > 0.0 else neg)[cid] = abs(v)
+    orth = norm(StepFunction(f.space, pos)), norm(StepFunction(f.space, neg))
+    return TypeDatum(slice_profile(f, C, tol), *orth)
 
 
 def _merge_atoms(atoms: Iterable[Atom], tol: float) -> tuple[Atom, ...]:
@@ -297,6 +302,21 @@ def cond_distribution(
 ) -> ConditionalDistribution:
     """The joint conditional distribution of a tuple over C."""
     fs = tuple(fs)
+    per_block = _block_laws(fs, C, tol)
+    orth_atoms = []
+    for cid in C.space.ids():
+        vec = tuple(f[cid] for f in fs)
+        if cid not in C.support and any(x != 0.0 for x in vec):
+            orth_atoms.append((vec, C.space.weight(cid)))
+    # opposite atoms can merge to a mean at the origin, which is off the law
+    orth = [(vec, m) for vec, m in _merge_atoms(orth_atoms, tol) if any(vec)]
+    return ConditionalDistribution(C, len(fs), per_block, tuple(orth))
+
+
+def _block_laws(
+    fs: tuple[StepFunction, ...], C: Sublattice, tol: float
+) -> tuple[tuple[Atom, ...], ...]:
+    """Per block of C, the merged law of the profile-normalized value vectors."""
     for f in fs:
         if f.space != C.space:
             raise SpaceMismatch("function lives on a different space")
@@ -304,12 +324,7 @@ def cond_distribution(
     for block in C.blocks:
         atoms = [(tuple(f[cid] / C.profile[cid] for f in fs), C.nu(cid)) for cid in block]
         per_block.append(_merge_atoms(atoms, tol))
-    orth_atoms = []
-    for cid in C.space.ids():
-        vec = tuple(f[cid] for f in fs)
-        if cid not in C.support and any(x != 0.0 for x in vec):
-            orth_atoms.append((vec, C.space.weight(cid)))
-    return ConditionalDistribution(C, len(fs), tuple(per_block), _merge_atoms(orth_atoms, tol))
+    return tuple(per_block)
 
 
 def _atoms_equal(a: tuple[Atom, ...], b: tuple[Atom, ...], tol: float) -> bool:
@@ -330,17 +345,30 @@ def tuple_type_equal(
     tol: float = DEFAULT_TOL,
 ) -> bool:
     """Type equality over C: equal band conditional distributions and equal
-    off-origin joint laws of the orthogonal parts."""
+    off-origin laws of the orthogonal parts up to density change, which moves
+    mass along rays (for one function, the orthogonal norms of TypeDatum)."""
     fs = tuple(fs)
     gs = tuple(gs)
     if len(fs) != len(gs):
         raise ArityMismatch(f"tuples of arity {len(fs)} and {len(gs)}")
-    d1 = cond_distribution(fs, C, tol)
-    d2 = cond_distribution(gs, C, tol)
-    for atoms1, atoms2 in zip(d1.per_block, d2.per_block):
+    for atoms1, atoms2 in zip(_block_laws(fs, C, tol), _block_laws(gs, C, tol)):
         if not _atoms_equal(atoms1, atoms2, tol):
             return False
-    return _atoms_equal(d1.orth, d2.orth, tol)
+    return _atoms_equal(_orth_rays(fs, C, tol), _orth_rays(gs, C, tol), tol)
+
+
+def _orth_rays(fs: tuple[StepFunction, ...], C: Sublattice, tol: float) -> tuple[Atom, ...]:
+    """The orthogonal law with each cell's atom (v, m) taken to its direction
+    v/s with mass m*s^p, s = max|v_i| > 0, before merging, so that a merged
+    mean is a mean of directions and never the origin."""
+    rays = []
+    for cid in C.space.ids():
+        if cid not in C.support:
+            vec = tuple(f[cid] for f in fs)
+            s = max(map(abs, vec), default=0.0)
+            if s > 0.0:
+                rays.append((tuple(x / s for x in vec), C.space.weight(cid) * s**C.space.p))
+    return _merge_atoms(rays, tol)
 
 
 def distance(t1: TypeDatum, t2: TypeDatum, tol: float = DEFAULT_TOL) -> float:

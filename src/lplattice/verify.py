@@ -2,15 +2,15 @@
 checks, and oracle agreements.
 
 Each checker returns None on success or a human-readable failure detail.
-`run_suites` wraps them for the CLI, attaching a replayable scenario document
-to every failure.
+`run_suites` runs them from the suite tables for the CLI, attaching to every
+failure the one-line call that re-runs the failing check.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (
     DEFAULT_TOL,
@@ -38,11 +38,6 @@ from .oracles import (
     coupling_upper_bounds,
     brute_dcl_closure,
 )
-from .scenario import (
-    function_to_doc,
-    space_to_doc,
-    sublattice_to_doc,
-)
 from .sublattice import (
     Sublattice,
     band_decompose,
@@ -54,6 +49,7 @@ from .sublattice import (
 from .typespace import (
     conditional_slice,
     distance,
+    maharam_select,
     merged_midpoints,
     realize_common,
     slice_profile,
@@ -117,28 +113,13 @@ def pairwise_independence_example(p: float = 2.0) -> PairwiseIndependenceFixture
 
 # --- shared helpers -------------------------------------------------------------
 
-def _nontrivial_sublattice(inst: RandomInstance, prefer: int = 0) -> Sublattice:
+def _nontrivial_sublattice(inst: RandomInstance, prefer: int) -> Sublattice:
     """A nontrivial chain member, cycling through the chain with `prefer`."""
     order = [inst.chain[(prefer + i) % 3] for i in range(3)]
     for lat in order:
         if lat.dim > 0:
             return lat
     return dcl(inst.space, [indicator(inst.space, inst.space.ids())])
-
-
-def _instance_doc(inst: RandomInstance, commands: list[dict]) -> dict:
-    """A replayable scenario document for a generated instance."""
-    return {
-        "space": space_to_doc(inst.space),
-        "functions": {
-            f"f{i}": function_to_doc(f) for i, f in enumerate(inst.functions)
-        },
-        "sublattices": {
-            name: sublattice_to_doc(lat)
-            for name, lat in zip(("C", "B", "D"), inst.chain)
-        },
-        "commands": commands,
-    }
 
 
 # --- acceptance checkers --------------------------------------------------------
@@ -407,8 +388,6 @@ def check_maharam(seed: int, tol: float = DEFAULT_TOL) -> Optional[str]:
     frac = rng.choice((0.0, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75, 1.0))
     bound = cond_exp(indicator(inst.space, cells), C)
     target = frac * bound
-    from .typespace import maharam_select
-
     space2, refinement, selected = maharam_select(cells, C, target, tol)
     got = cond_exp(indicator(space2, selected), C.lift(refinement))
     if not function_close(got, lift(target, refinement), 1e-12):
@@ -460,78 +439,52 @@ class SuiteResult:
     name: str
     passed: bool
     detail: str
-    replay: Optional[dict]
+    replay: Optional[str]  # on failure, a command that re-runs the failing check
 
 
-def _sweep(
-    name: str,
-    checker: Callable[[int], Optional[str]],
-    seeds: range,
-    size: int = 8,
-) -> SuiteResult:
-    for seed in seeds:
-        detail = checker(seed)
-        if detail is not None:
-            inst = random_instance(seed, size)
-            replay = _instance_doc(
-                inst,
-                [
-                    {"op": "condexp", "f": "f0", "c": "C"},
-                    {"op": "profile", "f": "f0", "c": "C"},
-                    {"op": "indep", "a": ["f0"], "b": ["f1"], "c": "C"},
-                ],
-            )
-            return SuiteResult(name, False, detail, replay)
-    return SuiteResult(name, True, f"{len(seeds)} instances", None)
+# the worked fixtures: suite name, checker name, the p values it is checked at
+FIXTURES = (
+    ("masked-dependence-fixture", "check_masked_dependence_fixture", (1.0, 2.0)),
+    ("pairwise-independence-fixture", "check_pairwise_independence_fixture", (1.0, 1.5, 2.0, 3.0)),
+)
+
+# the seeded sweeps: suite name, checker name, seed offset (from seed * 1_000_000)
+# and the divisor of `trials` that gives the instance count, at least 1
+SWEEPS = (
+    ("slice-integral-identities", "check_slice_integral_identities", 0, 1),
+    ("slice-oracle", "check_slice_oracle", 10_000, 1),
+    ("type-distance", "check_distance", 20_000, 1),
+    ("cond-exp-axioms", "check_cond_exp_axioms", 30_000, 1),
+    ("independence-axioms", "check_independence_axioms", 40_000, 1),
+    ("p-invariance", "check_p_invariance", 50_000, 4),
+    ("dcl-oracle", "check_dcl_oracle", 60_000, 1),
+    ("canonical-bases", "check_canonical_base", 70_000, 1),
+    ("maharam-selection", "check_maharam", 80_000, 1),
+    ("density-invariance", "check_density_invariance", 90_000, 2),
+)
 
 
 def run_suites(
     seed: int = 0, trials: int = 60, tol: float = DEFAULT_TOL
 ) -> list[SuiteResult]:
     """Run every verification suite; trials bounds the per-suite instance count."""
-    results: list[SuiteResult] = []
-
-    detail = None
-    for p in (1.0, 2.0):
-        detail = detail or check_masked_dependence_fixture(p, tol)
-    fx = masked_dependence_example(2.0)
-    replay = {
-        "space": space_to_doc(fx.space),
-        "functions": {
-            "f": function_to_doc(fx.f),
-            "chi_top": function_to_doc(fx.chi_top),
-        },
-        "sublattices": {
-            "A": sublattice_to_doc(fx.A),
-            "B": sublattice_to_doc(fx.B),
-            "C": sublattice_to_doc(fx.C),
-        },
-        "commands": [
-            {"op": "condexp", "f": "chi_top", "c": "B"},
-            {"op": "condexp", "f": "chi_top", "c": "C"},
-            {"op": "indep", "a": "A", "b": "B", "c": "C"},
-        ],
-    }
-    results.append(
-        SuiteResult("masked-dependence-fixture", detail is None, detail or "p in {1, 2}", replay if detail else None)
-    )
-
-    detail = None
-    for p in (1.0, 1.5, 2.0, 3.0):
-        detail = detail or check_pairwise_independence_fixture(p, tol)
-    results.append(
-        SuiteResult("pairwise-independence-fixture", detail is None, detail or "p in {1, 1.5, 2, 3}", None)
-    )
-
-    base = seed * 1_000_000
-    results.append(_sweep("slice-integral-identities", lambda s: check_slice_integral_identities(s, tol), range(base, base + trials)))
-    results.append(_sweep("slice-oracle", lambda s: check_slice_oracle(s, tol), range(base + 10_000, base + 10_000 + trials)))
-    results.append(_sweep("type-distance", lambda s: check_distance(s, tol), range(base + 20_000, base + 20_000 + trials), size=6))
-    results.append(_sweep("cond-exp-axioms", lambda s: check_cond_exp_axioms(s, tol), range(base + 30_000, base + 30_000 + trials)))
-    results.append(_sweep("independence-axioms", lambda s: check_independence_axioms(s, tol), range(base + 40_000, base + 40_000 + trials), size=6))
-    results.append(_sweep("p-invariance", lambda s: check_p_invariance(s, tol), range(base + 50_000, base + 50_000 + max(1, trials // 4)), size=6))
-    results.append(_sweep("dcl-oracle", lambda s: check_dcl_oracle(s, tol), range(base + 60_000, base + 60_000 + trials), size=6))
-    results.append(_sweep("canonical-bases", lambda s: check_canonical_base(s, tol), range(base + 70_000, base + 70_000 + trials), size=6))
-    results.append(_sweep("maharam-selection", lambda s: check_maharam(s, tol), range(base + 80_000, base + 80_000 + trials), size=6))
-    results.append(_sweep("density-invariance", lambda s: check_density_invariance(s, tol), range(base + 90_000, base + 90_000 + max(1, trials // 2)), size=6))
+    suites = [
+        (name, checker, ps, "p in {" + ", ".join(f"{p:g}" for p in ps) + "}")
+        for name, checker, ps in FIXTURES
+    ]
+    for name, checker, offset, share in SWEEPS:
+        start = seed * 1_000_000 + offset
+        seeds = range(start, start + max(1, trials // share))
+        suites.append((name, checker, seeds, f"{len(seeds)} instances"))
+    results = []
+    for name, checker, args, summary in suites:
+        result = SuiteResult(name, True, summary, None)
+        for arg in args:
+            # looked up per call, so that a wrapper installed on this module sees it
+            detail = globals()[checker](arg, tol)
+            if detail is not None:
+                call = f"from lplattice.verify import {checker} as c; print(c({arg!r}, {tol!r}))"
+                result = SuiteResult(name, False, detail, f"python3 -c '{call}'")
+                break
+        results.append(result)
     return results

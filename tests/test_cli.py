@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,20 @@ def masked_dependence_scenario() -> dict:
             {"op": "indep", "a": "A", "b": "B", "c": "C"},
         ],
     }
+
+
+def run_with_src(argv: list[str]) -> str:
+    """Stdout of the command argv with this checkout's src on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    return out.stdout
+
+
+def run_python(code: str) -> str:
+    """Stdout of `python -c code` under this interpreter."""
+    return run_with_src([sys.executable, "-c", code])
 
 
 class TestExecuteScenario:
@@ -209,18 +224,45 @@ class TestCliMain:
         assert main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_exit_two(self, capsys, trials):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--trials", trials])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --trials" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_malformed_tol_exit_two(self, tmp_path, capsys, command, tol):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(masked_dependence_scenario()))
+        argv = ["run", str(path)] if command == "run" else ["verify", "--trials", "1"]
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--tol", tol])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --tol" in captured.err
+        assert captured.out == ""
+
+    def test_typeeq_on_opposite_orthogonal_atoms(self, tmp_path, capsys):
+        # under tol 0.5 the atoms +0.2 and -0.2 outside T's support merge at 0
+        doc = masked_dependence_scenario()
+        doc["functions"]["o"] = {"values": {"[0,1]": 0.2, "(1,2]": -0.2}}
+        doc["sublattices"]["T"] = {"generators": ["chi_top"]}
+        doc["commands"] = [{"op": "typeeq", "fs": ["o"], "gs": ["o"], "c": "T"}]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--tol", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"][0]["result"] is True
+
     def test_run_path_does_not_load_oracles(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         probe = (
             "import sys, lplattice.cli; "
             "print(sorted({'numpy', 'lplattice.oracles'} & set(sys.modules)))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "[]"
+        assert run_python(probe).strip() == "[]"
 
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as err:
@@ -235,9 +277,16 @@ class TestCliMain:
 
     def test_verify_fault_injection(self, capsys):
         assert main(["verify", "--trials", "2", "--tol", "1e302"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-        assert "replay scenario:" in out
+        lines = capsys.readouterr().out.splitlines()
+        fails = [i for i, line in enumerate(lines) if line.startswith("FAIL ")]
+        assert fails
+        assert len([line for line in lines if line.startswith("replay: ")]) == len(fails)
+        for i in fails:
+            assert lines[i + 1].startswith("replay: ")
+            argv = shlex.split(lines[i + 1][len("replay: "):])
+            assert argv[:2] == ["python3", "-c"] and len(argv) == 3
+            # the replay, run as printed, re-runs its own check and prints that FAIL's detail
+            assert run_with_src(argv) == lines[i].split(": ", 1)[1] + "\n"
 
 
 class TestVerifySuites:

@@ -34,6 +34,7 @@ from lplattice import (
     type_datum,
 )
 from lplattice import lift_type_datum
+from lplattice.core import DEFAULT_TOL
 from lplattice.oracles import random_instance
 from lplattice.typespace import realize_common
 from lplattice.verify import masked_dependence_example, pairwise_independence_example
@@ -263,6 +264,35 @@ class TestTupleTypeEqual:
         assert tuple_type_equal([f], [g], C)
         h = step_function(space, {"y": 3.0})
         assert not tuple_type_equal([f], [h], C)
+
+    def test_orthogonal_parts_up_to_density_change(self):
+        # 2*chi_a and chi_b have equal orthogonal norms, so equal types
+        space = make_space([("a", 1.0), ("b", 4.0), ("c", 1.0)], 2.0)
+        C = dcl(space, [indicator(space, ["c"])])
+        f = 2.0 * indicator(space, ["a"])
+        g = indicator(space, ["b"])
+        assert distance(type_datum(f, C), type_datum(g, C)) == 0.0
+        assert type_datum(f, C).equals(type_datum(g, C))
+        assert tuple_type_equal([f], [g], C)
+        dc = density_change(space, step_function(space, {"a": 2.0, "b": 1.0, "c": 1.0}))
+        assert tuple_type_equal([dc.push(f)], [dc.push(g)], C.density_push(dc))
+        # pairs: the same ray agrees, a different direction does not
+        assert tuple_type_equal([f, f], [g, g], C)
+        assert not tuple_type_equal([f, 0.5 * f], [g, g], C)
+
+    @pytest.mark.parametrize("v, tol", [(1e-10, DEFAULT_TOL), (0.2, 0.5)])
+    def test_opposite_orthogonal_atoms_within_tol(self, v, tol):
+        # the two orthogonal atoms of f merge to their mean, the origin
+        space = make_space([("a", 1.0), ("b", 1.0), ("c", 1.0)], 2.0)
+        C = dcl(space, [indicator(space, ["c"])])
+        f = step_function(space, {"a": v, "b": -v})
+        assert cond_distribution([f], C, tol).orth == ()
+        assert tuple_type_equal([f], [f], C, tol)
+        assert tuple_type_equal([f], [-1.0 * f], C, tol)
+        # and agrees with the orthogonal norms of the 1-type
+        zero = step_function(space, {})
+        same = type_datum(f, C, tol).equals(type_datum(zero, C, tol), tol)
+        assert tuple_type_equal([f], [zero], C, tol) is same
 
 
 class TestDistance:
