@@ -55,11 +55,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         try:
-            report = execute_scenario(args.path, args.tol)
+            text = dumps(execute_scenario(args.path, args.tol))
         except LatticeError as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
-        sys.stdout.write(dumps(report))
+        sys.stdout.write(text)
         return 0
     # verify, the only other command; imported here so `run` never loads the oracles or numpy
     from .verify import run_suites

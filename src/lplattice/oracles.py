@@ -26,6 +26,9 @@ from .typespace import TypeDatum
 
 GUARD_CELLS = 8
 GUARD_GENERATORS = 4
+# brute_dcl_closure: rank and proportionality tolerance, and closure round guard
+CLOSURE_TOL = 1e-7
+CLOSURE_ROUNDS = 50
 
 # draw pools of random_instance; part of the generator's replay contract
 WEIGHT_POOL = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
@@ -75,12 +78,7 @@ def proportionality_classes(
     return [(tuple(c for c, _ in members), dict(members)) for _, members in classes]
 
 
-def brute_dcl_closure(
-    space: Space,
-    generators: Iterable[StepFunction],
-    tol: float = 1e-7,
-    max_rounds: int = 50,
-) -> Sublattice:
+def brute_dcl_closure(space: Space, generators: Iterable[StepFunction]) -> Sublattice:
     """Literal closure reading of the generated sublattice.
 
     Iteratively closes the linear span of a vector set (seeded with 0) under
@@ -106,13 +104,13 @@ def brute_dcl_closure(
     for g in gens:
         _add(np.array([g[cid] for cid in ids], dtype=float))
 
-    for _ in range(max_rounds):
+    for _ in range(CLOSURE_ROUNDS):
         stack = np.array(list(vectors.values()))
-        basis = _row_basis(stack, tol)
+        basis = _row_basis(stack, CLOSURE_TOL)
         rank = basis.shape[0]
         if rank == 0:
             return Sublattice.trivial(space)
-        classes = proportionality_classes(ids, basis, tol)
+        classes = proportionality_classes(ids, basis, CLOSURE_TOL)
         if len(classes) == rank:
             return Sublattice.make(space, classes)
         current = list(vectors.values())

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .core import DEFAULT_TOL, Refinement, Space, StepFunction, lift, step_function
@@ -51,60 +52,54 @@ from .typespace import (
 # --- deterministic serializer -------------------------------------------------
 
 def _format_number(x: float) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
     if not math.isfinite(x):
         raise ValidationError(f"cannot serialize non-finite number {x!r}")
     s = format(float(x), ".17g")
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
+    return s if "." in s or "e" in s else s + ".0"
 
 
-def _write(doc: Any, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _encode(doc: Any, newline: str) -> str:
+    """The text of `doc`; `newline` is a line break and the indent of its line."""
+    kind = type(doc)
+    if kind is float:
+        return _format_number(doc)
+    if kind is str:
+        return _quote(doc)
+    if kind is dict:
+        if not doc:
+            return "{}"
+        inner = newline + "  "
+        items = [_quote(str(key)) + ": " + _encode(value, inner) for key, value in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not doc:
+            return "[]"
+        inner = newline + "  "
+        items = [_encode(item, inner) for item in doc]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if doc is None:
-        out.append("null")
-    elif isinstance(doc, bool):
-        out.append("true" if doc else "false")
-    elif isinstance(doc, (int, float)):
-        out.append(_format_number(doc))
-    elif isinstance(doc, str):
-        out.append(json.dumps(doc))
-    elif isinstance(doc, (list, tuple)):
-        if not doc:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(doc):
-            out.append(inner)
-            _write(item, indent + 1, out)
-            out.append(",\n" if i + 1 < len(doc) else "\n")
-        out.append(pad + "]")
-    elif isinstance(doc, dict):
-        if not doc:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(doc.items())
-        for i, (key, value) in enumerate(items):
-            out.append(inner + json.dumps(str(key)) + ": ")
-            _write(value, indent + 1, out)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    else:
-        raise ValidationError(f"cannot serialize {type(doc).__name__}")
+        return "null"
+    if kind is bool:
+        return "true" if doc else "false"
+    if kind is int:
+        return str(doc)
+    # subclasses (numpy.float64, OrderedDict, ...) are written as their base type
+    if isinstance(doc, int):
+        return str(doc)
+    if isinstance(doc, float):
+        return _format_number(doc)
+    if isinstance(doc, str):
+        return _quote(doc)
+    if isinstance(doc, (list, tuple)):
+        return _encode(list(doc), newline)
+    if isinstance(doc, dict):
+        return _encode(dict(doc.items()), newline)
+    raise ValidationError(f"cannot serialize {type(doc).__name__}")
 
 
 def dumps(doc: Any) -> str:
     """Serialize a report or scenario document with stable bytes."""
-    out: list[str] = []
-    _write(doc, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return _encode(doc, "\n") + "\n"
 
 
 # --- document <-> object ------------------------------------------------------
@@ -378,8 +373,12 @@ def execute_scenario(path: str, tol: float = DEFAULT_TOL) -> dict:
             raw = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
+
+    def reject(token: str) -> float:
+        raise ParseError(f"{path}: {token} is not a finite number")
+
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return execute_scenario_doc(doc, tol)

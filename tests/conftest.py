@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import json
+import math
+from typing import Any
 
 import numpy as np
 
-from lplattice import StepFunction, Sublattice
+from lplattice import StepFunction, Sublattice, ValidationError
 from lplattice.oracles import proportionality_classes
 
 
@@ -52,3 +55,64 @@ def lattice_terms(fs: list[StepFunction]) -> list[StepFunction]:
         out.append(fs[0] - 2.0 * fs[1])
     out.append(sum(fs[1:], fs[0]).pos())
     return [f for f in out if f.values]
+
+
+# --- reference serializer ------------------------------------------------------
+# The token-appending writer that `lplattice.scenario.dumps` replaced, kept
+# verbatim as the reference the serializer's differential test compares against.
+
+def _format_number(x: float) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    if not math.isfinite(x):
+        raise ValidationError(f"cannot serialize non-finite number {x!r}")
+    s = format(float(x), ".17g")
+    if not any(c in s for c in ".eE"):
+        s += ".0"
+    return s
+
+
+def _write(doc: Any, indent: int, out: list[str]) -> None:
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if doc is None:
+        out.append("null")
+    elif isinstance(doc, bool):
+        out.append("true" if doc else "false")
+    elif isinstance(doc, (int, float)):
+        out.append(_format_number(doc))
+    elif isinstance(doc, str):
+        out.append(json.dumps(doc))
+    elif isinstance(doc, (list, tuple)):
+        if not doc:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, item in enumerate(doc):
+            out.append(inner)
+            _write(item, indent + 1, out)
+            out.append(",\n" if i + 1 < len(doc) else "\n")
+        out.append(pad + "]")
+    elif isinstance(doc, dict):
+        if not doc:
+            out.append("{}")
+            return
+        out.append("{\n")
+        items = list(doc.items())
+        for i, (key, value) in enumerate(items):
+            out.append(inner + json.dumps(str(key)) + ": ")
+            _write(value, indent + 1, out)
+            out.append(",\n" if i + 1 < len(items) else "\n")
+        out.append(pad + "}")
+    else:
+        raise ValidationError(f"cannot serialize {type(doc).__name__}")
+
+
+def reference_dumps(doc: Any) -> str:
+    """Serialize a report or scenario document with stable bytes."""
+    out: list[str] = []
+    _write(doc, 0, out)
+    out.append("\n")
+    return "".join(out)

@@ -3,11 +3,15 @@ import os
 import shlex
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import reference_dumps
+from hypothesis import given, settings, strategies as st
 
-from lplattice import UnknownReference
+from lplattice import UnknownReference, ValidationError
 from lplattice.cli import main
 from lplattice.scenario import dumps, execute_scenario, execute_scenario_doc
 from lplattice.verify import run_suites
@@ -44,6 +48,25 @@ def masked_dependence_scenario() -> dict:
             {"op": "indep", "a": "A", "b": "B", "c": "C"},
         ],
     }
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+# documents of every kind the serializer writes, nested
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
+DOCUMENTS = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text() | st.integers() | st.booleans(), children),
+    max_leaves=40,
+)
 
 
 def run_with_src(argv: list[str]) -> str:
@@ -180,6 +203,45 @@ class TestSerializer:
         x = 0.1 + 0.2
         assert json.loads(dumps({"x": x}))["x"] == x
 
+    @settings(max_examples=200, deadline=None)
+    @given(DOCUMENTS)
+    def test_matches_reference_writer(self, doc):
+        assert dumps(doc) == reference_dumps(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            {"a": [1.0, {"b": float("nan")}]},
+            [0.5, (float("-inf"),)],
+            {1, 2},
+            b"bytes",
+            {"a": [{"b": frozenset()}]},
+        ],
+        ids=["nan", "inf", "-inf", "nested-nan", "nested-inf", "set", "bytes", "nested-frozenset"],
+    )
+    def test_unserializable_raises_like_reference(self, doc):
+        with pytest.raises(ValidationError) as ours:
+            dumps(doc)
+        with pytest.raises(ValidationError) as theirs:
+            reference_dumps(doc)
+        assert str(ours.value) == str(theirs.value)
+
+    def test_subclasses_format_like_their_base(self):
+        class Real(float):
+            pass
+
+        class Items(list):
+            pass
+
+        doc = {"x": Real(0.1), "y": np.float64(2.0), "z": Items([Real(3.0)]), "w": OrderedDict(a=1)}
+        plain = {"x": 0.1, "y": 2.0, "z": [3.0], "w": {"a": 1}}
+        assert dumps(doc) == reference_dumps(doc) == dumps(plain)
+        with pytest.raises(ValidationError, match="non-finite number"):
+            dumps(np.float64("nan"))
+
 
 class TestCliMain:
     def test_run_exit_zero(self, tmp_path, capsys):
@@ -188,6 +250,37 @@ class TestCliMain:
         assert main(["run", str(path)]) == 0
         out = capsys.readouterr().out
         assert '"independent": false' in out
+
+    def test_readme_report_is_golden(self, capsys):
+        assert main(["run", str(DATA / "readme_scenario.json")]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (DATA / "readme_report.json").read_bytes()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_exit_two(self, tmp_path, capsys, token):
+        text = json.dumps(masked_dependence_scenario())
+        path = tmp_path / "s.json"
+        path.write_text(text.replace('"op": "indep"', f'"note": {token}, "op": "indep"'))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: ")
+        assert str(path) in err and token in err
+
+    def test_unserializable_report_exit_two(self, tmp_path, capsys):
+        # finite inputs whose distance overflows to inf at p = 1
+        doc = {
+            "space": {"p": 1.0, "cells": [{"id": "u", "weight": 1.0}, {"id": "v", "weight": 1.0}]},
+            "functions": {
+                "f": {"values": {"u": 1e308, "v": 1e308}},
+                "g": {"values": {"u": -1e308, "v": -1e308}},
+                "chi": {"values": {"u": 1.0}},
+            },
+            "sublattices": {"C": {"generators": ["chi"]}},
+            "commands": [{"op": "dist", "f": "f", "g": "g", "c": "C"}],
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ValidationError: cannot serialize")
 
     def test_parse_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
