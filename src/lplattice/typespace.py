@@ -22,6 +22,7 @@ from .errors import (
     ArityMismatch,
     BadR,
     InvalidDistribution,
+    NonFiniteValue,
     SpaceMismatch,
     SublatticeMismatch,
     TargetOutOfRange,
@@ -375,19 +376,26 @@ def distance(t1: TypeDatum, t2: TypeDatum, tol: float = DEFAULT_TOL) -> float:
     """Distance between two 1-types over one sublattice.
 
     d^p integrates the p-th power gap of the slice profiles block by block
-    (nu-weighted) and adds the gaps of the orthogonal part norms.
+    (nu-weighted) and adds the gaps of the orthogonal part norms.  Raises
+    NonFiniteValue when that sum overflows.
     """
     C = t1.sublattice
     if not C.equals(t2.sublattice, tol):
         raise SublatticeMismatch("types live over different sublattices")
     p = C.space.p
     total = 0.0
-    for k in range(len(C.blocks)):
-        total += C.nu_block(k) * _piecewise_pth_power(
-            t1.profile.per_block[k], t2.profile.per_block[k], p
-        )
-    total += abs(t1.orth_pos - t2.orth_pos) ** p
-    total += abs(t1.orth_neg - t2.orth_neg) ** p
+    try:
+        for k in range(len(C.blocks)):
+            total += C.nu_block(k) * _piecewise_pth_power(
+                t1.profile.per_block[k], t2.profile.per_block[k], p
+            )
+        total += abs(t1.orth_pos - t2.orth_pos) ** p
+        total += abs(t1.orth_neg - t2.orth_neg) ** p
+    except OverflowError:
+        # a finite float ** p past the float range raises instead of giving inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise NonFiniteValue(f"distance overflows: its p-th power sum is {total!r}")
     return total ** (1.0 / p)
 
 

@@ -9,7 +9,14 @@ from typing import Any
 
 import numpy as np
 
-from lplattice import StepFunction, Sublattice, ValidationError
+from lplattice import (
+    DEFAULT_TOL,
+    SpaceMismatch,
+    StepFunction,
+    Sublattice,
+    ValidationError,
+    dcl,
+)
 from lplattice.oracles import proportionality_classes
 
 
@@ -39,6 +46,18 @@ def brute_intersection(A: Sublattice, C: Sublattice, tol: float = 1e-9) -> Subla
         return Sublattice.trivial(space)
     # 1e-7 for a zero column and, relative, for proportional columns
     return Sublattice.make(space, proportionality_classes(ids, np.array(keep), 1e-7))
+
+
+# --- reference join ----------------------------------------------------------
+# The dcl-based `lattice_join` that the keyed join in `lplattice.sublattice`
+# replaced, kept verbatim as the reference its differential test compares
+# against: one dense generator column per block of A and of C.
+
+def reference_join(A: Sublattice, C: Sublattice, tol: float = DEFAULT_TOL) -> Sublattice:
+    """The sublattice generated by the members of A and C together."""
+    if A.space != C.space:
+        raise SpaceMismatch("sublattices live on different spaces")
+    return dcl(A.space, A.generators() + C.generators(), tol)
 
 
 def lattice_terms(fs: list[StepFunction]) -> list[StepFunction]:

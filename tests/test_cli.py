@@ -255,6 +255,10 @@ class TestCliMain:
         assert main(["run", str(DATA / "readme_scenario.json")]) == 0
         assert capsys.readouterr().out.encode("utf-8") == (DATA / "readme_report.json").read_bytes()
 
+    def test_compose_report_is_golden(self, capsys):
+        assert main(["run", str(DATA / "compose_scenario.json")]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (DATA / "compose_report.json").read_bytes()
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_exit_two(self, tmp_path, capsys, token):
         text = json.dumps(masked_dependence_scenario())
@@ -280,7 +284,7 @@ class TestCliMain:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
         assert main(["run", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ValidationError: cannot serialize")
+        assert capsys.readouterr().err.startswith("error: NonFiniteValue: distance overflows")
 
     def test_parse_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

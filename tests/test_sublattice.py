@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import brute_intersection
+from conftest import brute_intersection, reference_join
 from lplattice import (
     Space,
     SpaceMismatch,
@@ -24,6 +24,7 @@ from lplattice import (
     lattice_join,
     make_space,
     norm,
+    star_independent,
     step_function,
     type_datum,
 )
@@ -264,6 +265,86 @@ class TestJoin:
         assert lattice_join(C, Sublattice.trivial(space)).equals(C)
 
 
+def scaled_blocks(rng, space, scale):
+    """Up to four random blocks over about 80% of the cells, with profile
+    scale times a factor from {1, 3, 7}."""
+    assign = {}
+    for cid in space.ids():
+        if rng.random() < 0.8:
+            assign.setdefault(rng.randrange(4), []).append(cid)
+    return Sublattice.make(
+        space,
+        [
+            (cells, {cid: scale[cid] * rng.choice((1.0, 3.0, 7.0)) for cid in cells})
+            for cells in assign.values()
+        ],
+    )
+
+
+class TestKeyedJoin:
+    @pytest.mark.parametrize("seed", range(300))
+    def test_agrees_with_reference_join(self, seed):
+        inst = random_instance(seed, 12)
+        C, B, D = inst.chain
+        f0, f1 = inst.functions[0], inst.functions[1]
+        space = inst.space
+        pairs = [
+            (C, B),
+            (B, D),
+            (C, dcl(space, [f0, f1])),
+            (dcl(space, [f0]), dcl(space, [f1])),
+        ]
+        for A, E in pairs:
+            joined, ref = lattice_join(A, E), reference_join(A, E)
+            assert joined.blocks == ref.blocks
+            assert joined.equals(ref)
+
+    def test_profiles_bitwise_as_reference(self):
+        # non-dyadic profiles, shared across the two lattices up to the
+        # factors 1, 3, 7, so that cells group: the keyed join keeps dcl's
+        # arithmetic (earliest cell, the larger profile there as anchor,
+        # ties to A) to the last bit
+        for seed in range(3000):
+            rng = random.Random(seed)
+            space = make_space([(f"c{i}", 1.0) for i in range(rng.randint(2, 10))], 2.0)
+            scale = {cid: rng.choice((0.1, 0.3, 0.7, 1.1, 1.3)) for cid in space.ids()}
+            A = scaled_blocks(rng, space, scale)
+            C = scaled_blocks(rng, space, scale)
+            joined, ref = lattice_join(A, C), reference_join(A, C)
+            assert joined.blocks == ref.blocks
+            assert joined.profile == ref.profile
+
+    def test_near_zero_profile_stays_apart(self):
+        # x lies in A and C with w_A = 1e-12 against w_C = 1, y in C only.
+        # dcl reads A's scaled column on x as within tol of 0 and merges x
+        # with y; the keyed join keeps them apart, which is exact: the meet
+        # of A's and C's generators is 1e-12 on x alone.
+        space = make_space([("x", 1.0), ("y", 1.0), ("z", 1.0)], 2.0)
+        A = Sublattice.make(space, [(("x", "z"), {"x": 1e-12, "z": 1.0})])
+        C = Sublattice.make(space, [(("x", "y"), {"x": 1.0, "y": 1.0})])
+        assert reference_join(A, C).blocks == (("x", "y"), ("z",))
+        assert lattice_join(A, C).blocks == (("x",), ("y",), ("z",))
+
+    def test_tolerance_runs_stay_within_a_key(self):
+        # x, y, z share A's block; x and z share a C-block, y has its own.
+        # Scaled A values: y 0.5, x 0.5 + 0.6e-9, z 0.5 + 1.2e-9.  dcl runs
+        # tolerance over the whole A-block, so a run starts at y and ends
+        # before z, which splits x from z; the keyed join compares x with z
+        # alone, and they are within tol.
+        space = make_space([(cid, 1.0) for cid in "qxyz"], 2.0)
+        A = Sublattice.make(
+            space,
+            [("qxyz", {"q": 1.0, "x": 0.5 + 0.6e-9, "y": 0.5, "z": 0.5 + 1.2e-9})],
+        )
+        C = Sublattice.make(
+            space, [("xz", {"x": 1.0, "z": 1.0}), ("y", {"y": 1.0})]
+        )
+        assert reference_join(A, C).blocks == (("q",), ("x",), ("y",), ("z",))
+        joined = lattice_join(A, C)
+        assert joined.blocks == (("q",), ("x", "z"), ("y",))
+        assert joined.profile["x"] == joined.profile["z"] == 1.0
+
+
 class TestIntersectsWell:
     def test_masked_dependence_does_not(self):
         fx = masked_dependence_example()
@@ -365,8 +446,9 @@ def same_atoms(atoms1, atoms2, tol):
 
 
 def assert_cell_order_free(fs, C, order, tol=1e-9):
-    """dcl, join, types and conditional laws agree on the same cells listed
-    in another order."""
+    """dcl, join, intersection, conditional expectations, *-independence,
+    types and conditional laws agree on the same cells listed in another
+    order."""
     space = C.space
     moved = Space(tuple((cid, space.weight(cid)) for cid in order), space.p)
     gs = [StepFunction(moved, f.values) for f in fs]
@@ -375,6 +457,17 @@ def assert_cell_order_free(fs, C, order, tol=1e-9):
     A2 = dcl(moved, gs[:2], tol)
     assert same_blocks(A, A2, tol)
     assert same_blocks(lattice_join(A, C, tol), lattice_join(A2, D, tol), tol)
+    assert same_blocks(
+        lattice_intersection(A, C, tol), lattice_intersection(A2, D, tol), tol
+    )
+    for f, g in zip(fs, gs):
+        e1, e2 = cond_exp(f, C), cond_exp(g, D)
+        assert all(close(e1[cid], e2[cid], tol) for cid in order)
+    v1 = star_independent(fs[:1], fs[1:2], C, tol)
+    v2 = star_independent(gs[:1], gs[1:2], D, tol)
+    assert v1.independent == v2.independent
+    if v1.witness is not None:
+        assert close(v1.witness.gap, v2.witness.gap, tol)
     for f, g in zip(fs, gs):
         t1, t2 = type_datum(f, C, tol), type_datum(g, D, tol)
         assert close(t1.orth_pos, t2.orth_pos, tol)

@@ -6,6 +6,7 @@ from lplattice import (
     ArityMismatch,
     BadR,
     InvalidDistribution,
+    NonFiniteValue,
     Sublattice,
     SliceProfile,
     SublatticeMismatch,
@@ -317,6 +318,17 @@ class TestDistance:
         t1, t2 = type_datum(f, C), type_datum(g, C)
         want = (3.0 ** p + 2.0 ** p) ** (1.0 / p)
         assert close(distance(t1, t2), want, 1e-12)
+
+    @pytest.mark.parametrize("p, value", [(1.0, 1e308), (2.0, 1e200)])
+    def test_overflow_raises_non_finite(self, p, value):
+        # p = 1: the gap itself overflows to inf; p = 2: the gap is finite
+        # and its square overflows
+        space = make_space([("u", 1.0), ("v", 1.0)], p)
+        C = dcl(space, [indicator(space, ["u"])])
+        t1 = type_datum(step_function(space, {"u": value}), C)
+        t2 = type_datum(step_function(space, {"u": -value}), C)
+        with pytest.raises(NonFiniteValue, match="distance overflows"):
+            distance(t1, t2)
 
     def test_sublattice_mismatch(self):
         space, C = one_block_space()
