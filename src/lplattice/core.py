@@ -233,12 +233,20 @@ def function_close(f: StepFunction, g: StepFunction, tol: float = DEFAULT_TOL) -
 
 
 def norm(f: StepFunction) -> float:
-    """The L_p norm (sum_i mu_i |f_i|^p)^(1/p)."""
+    """The L_p norm (sum_i mu_i |f_i|^p)^(1/p); where that sum overflows, max|f_i|
+    times the norm of f/max|f_i| (Blue, ACM TOMS 1978)."""
     p = f.space.p
     total = 0.0
-    for cid, v in f.values.items():
-        total += f.space.weight(cid) * abs(v) ** p
-    return total ** (1.0 / p)
+    try:
+        for cid, v in f.values.items():
+            total += f.space.weight(cid) * abs(v) ** p
+    except OverflowError:  # a finite float ** p past the float range
+        total = math.inf
+    if total < math.inf:
+        return total ** (1.0 / p)
+    top = max(map(abs, f.values.values()))
+    scaled = sum(f.space.weight(cid) * (abs(v) / top) ** p for cid, v in f.values.items())
+    return top * scaled ** (1.0 / p)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ and canonical bases."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -14,10 +15,10 @@ from .core import (
     close,
     function_close,
     norm,
+    tolerance_groups,
 )
 from .errors import (
     CertificationFailed,
-    NonTermination,
     PreconditionFailed,
     SpaceMismatch,
 )
@@ -30,6 +31,9 @@ from .sublattice import (
     lattice_join,
 )
 from .typespace import (
+    _block_laws,
+    _cumulative,
+    _merge_cuts,
     cond_distribution,
     merged_midpoints,
     realize_cond_distribution,
@@ -219,45 +223,41 @@ def stationarity_check(
     return StationarityResult(tuple_type_equal(f1s, f2s, B, tol), True)
 
 
-def _slice_members(f: StepFunction, A: Sublattice, tol: float) -> list[StepFunction]:
-    # the conditional slices of f over A, one per interval; dcl absorbs repeats
-    prof = slice_profile(f, A, tol)
-    return [prof.function_at(r) for r in merged_midpoints(prof)]
-
-
-# join-and-reslice rounds the tuple canonical base may take before NonTermination
-MAX_ROUNDS = 32
-
-
 def canonical_base(
     fs: Sequence[StepFunction],
     A: Sublattice,
     tol: float = DEFAULT_TOL,
 ) -> Sublattice:
-    """The canonical base of tp(fs / A).
+    """The canonical base of tp(fs / A): A's blocks grouped by the law of
+    fs/w up to a positive scale.
 
-    For one function this is the sublattice generated by its distinct
-    conditional slices over A.  For tuples, a join-and-reslice fixpoint runs
-    until the block structure stabilizes; the output is always certified by
-    an independence check and never silently accepted.
+    Block k's law is laid out on (0,1) in decreasing order, lengths
+    m/nu(B_k), divided by s_k, its largest |value| (dropped if s_k = 0).
+    The layouts are read at the midpoints of all blocks' merged cuts and
+    grouped within tol; a group is one block of the base, with profile
+    s_k * w on block k.  The base is certified by star_independent(fs, A,
+    base) and never silently accepted.
     """
     fs = tuple(fs)
-    space = A.space
-    for f in fs:
-        if f.space != space:
-            raise SpaceMismatch("function lives on a different space")
-    seeds = [s for f in fs for s in _slice_members(f, A, tol)]
-    cb = dcl(space, seeds, tol)
-    if len(fs) > 1:
-        for _ in range(MAX_ROUNDS):
-            joined = lattice_join(dcl(space, fs, tol), cb, tol)
-            extra = [s for e in joined.generators() for s in _slice_members(e, A, tol)]
-            nxt = lattice_join(cb, dcl(space, extra, tol), tol)
-            if nxt.equals(cb, tol):
-                break
-            cb = nxt
-        else:
-            raise NonTermination("canonical base iteration did not stabilize")
+    kept = []  # (A-block, s_k, cumulative cuts, segments of the scaled layout)
+    for k, atoms in enumerate(_block_laws(fs, A, tol)):
+        scale = max((abs(x) for vec, _ in atoms for x in vec), default=0.0)
+        if scale > 0.0:
+            nu = A.nu_block(k)
+            segs = [(mass / nu, [x / scale for x in vec]) for vec, mass in reversed(atoms)]
+            kept.append((A.blocks[k], scale, _cumulative(segs), segs))
+    merged = _merge_cuts(c for _, _, cuts, _ in kept for c in cuts[:-1])
+    # column (r, d): coordinate d of every kept block's layout at midpoint r
+    columns = (
+        [segs[bisect_right(cuts, r)][1][d] for _, _, cuts, segs in kept]
+        for r in ((a + b) / 2.0 for a, b in zip(merged, merged[1:]))
+        for d in range(len(fs))
+    )
+    blocks = []
+    for group in tolerance_groups(len(kept), columns, tol):
+        profile = {cid: kept[i][1] * A.profile[cid] for i in group for cid in kept[i][0]}
+        blocks.append((tuple(profile), profile))
+    cb = Sublattice.make(A.space, blocks)
     verdict = star_independent(fs, A, cb, tol)
     if not verdict.independent:
         raise CertificationFailed(

@@ -9,11 +9,10 @@ Document formats (UTF-8 JSON, numbers emitted with 17 significant digits):
     scenario   {"space": ..., "functions": {name: function},
                 "sublattices": {name: sublattice}, "commands": [command]}
 
-Commands are records {"op": ..., argument names as strings, "r": number where
-applicable}; ops: condexp | slice | profile | dist | typeeq | indep |
-productcheck | cb | realize | extend | maharam.  Commands that refine the
-space (realize, extend, maharam) thread the refinement through everything
-registered, and the report logs it.
+Commands are records {"op": ..., field: value}; `_FIELDS` lists the ops, the
+fields each reads and their kinds.  Commands that refine the space (realize,
+extend, maharam) thread the refinement through everything registered, and
+the report logs it.
 """
 
 from __future__ import annotations
@@ -157,20 +156,6 @@ def profile_to_doc(prof: SliceProfile) -> dict:
     }
 
 
-def cond_distribution_to_doc(d) -> dict:
-    return {
-        "arity": d.arity,
-        "blocks": [
-            {
-                "cells": list(block),
-                "atoms": [{"vector": list(vec), "mass": mass} for vec, mass in atoms],
-            }
-            for block, atoms in zip(d.sublattice.blocks, d.per_block)
-        ],
-        "orth": [{"vector": list(vec), "mass": mass} for vec, mass in d.orth],
-    }
-
-
 def verdict_to_doc(v: IndependenceVerdict) -> dict:
     doc: dict[str, Any] = {"independent": v.independent}
     if v.witness is None:
@@ -205,6 +190,44 @@ def refinement_to_doc(r: Refinement) -> dict:
 
 # --- execution ----------------------------------------------------------------
 
+# the kinds of value a command field can hold: (description, test)
+_NAME = ("a name", lambda v: isinstance(v, str))
+_NAMES = ("a list of names", lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v))
+_SIDE = ("a name or a list of names", lambda v: _NAME[1](v) or _NAMES[1](v))
+_NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+_CELLS = ("a list of cells", lambda v: isinstance(v, list))
+
+# per op, the fields it reads and the kind of each; all are required but "as"
+_FIELDS = {
+    "condexp": {"f": _NAME, "c": _NAME, "as": _NAME},
+    "slice": {"f": _NAME, "c": _NAME, "r": _NUMBER, "as": _NAME},
+    "profile": {"f": _NAME, "c": _NAME},
+    "dist": {"f": _NAME, "g": _NAME, "c": _NAME},
+    "typeeq": {"fs": _NAMES, "gs": _NAMES, "c": _NAME},
+    "indep": {"a": _SIDE, "b": _SIDE, "c": _SIDE},
+    "productcheck": {"a": _NAME, "b": _NAME, "c": _NAME},
+    "cb": {"fs": _NAMES, "a": _NAME, "as": _NAME},
+    "realize": {"f": _NAME, "c": _NAME, "as": _NAME},
+    "extend": {"fs": _NAMES, "c": _NAME, "b": _NAME, "as": _NAMES},
+    "maharam": {"cells": _CELLS, "c": _NAME, "target": _NAME},
+}
+
+
+def _check_fields(i: int, cmd: Any) -> None:
+    # a missing or ill-typed field is named as commands[i].field before the command runs
+    if not isinstance(cmd, dict) or "op" not in cmd:
+        raise ValidationError(f"commands[{i}]: command records need an 'op'")
+    op = cmd["op"]
+    if not isinstance(op, str) or op not in _FIELDS:
+        raise ValidationError(f"commands[{i}].op: unknown op {op!r}")
+    for field, (kind, test) in _FIELDS[op].items():
+        if field not in cmd:
+            if field != "as":
+                raise ValidationError(f"commands[{i}].{field}: {op} needs '{field}', {kind}")
+        elif not test(cmd[field]):
+            raise ValidationError(f"commands[{i}].{field}: {op}: '{field}' must be {kind}")
+
+
 class _Runner:
     def __init__(self, doc: dict, tol: float):
         self.tol = tol
@@ -215,17 +238,20 @@ class _Runner:
         for name, fdoc in dict(doc.get("functions", {})).items():
             self.functions[name] = function_from_doc(fdoc, self.space)
         for name, sdoc in dict(doc.get("sublattices", {})).items():
-            self.sublattices[name] = self._sublattice_from_doc(sdoc)
+            self.sublattices[name] = self._sublattice_from_doc(name, sdoc)
 
-    def _sublattice_from_doc(self, doc: Any) -> Sublattice:
+    def _sublattice_from_doc(self, name: str, doc: Any) -> Sublattice:
         if not isinstance(doc, dict):
             raise ValidationError("sublattice document must be an object")
         if "generators" in doc:
-            gens = [self.function(name) for name in doc["generators"]]
+            gens = [self.function(gen) for gen in doc["generators"]]
             return dcl(self.space, gens, self.tol)
         if "blocks" in doc:
             blocks = []
-            for b in doc["blocks"]:
+            for j, b in enumerate(doc["blocks"]):
+                for field in ("cells", "profile"):
+                    if not isinstance(b, dict) or field not in b:
+                        raise ValidationError(f"sublattices.{name}.blocks[{j}].{field}: missing")
                 cells = [str(c) for c in b["cells"]]
                 prof = {str(k): float(v) for k, v in b["profile"].items()}
                 blocks.append((cells, prof))
@@ -260,12 +286,9 @@ class _Runner:
         }
         self.refinements.append(refinement_to_doc(refinement))
 
-    def run(self, cmd: dict) -> dict:
-        if not isinstance(cmd, dict) or "op" not in cmd:
-            raise ValidationError("command records need an 'op'")
+    def run(self, i: int, cmd: dict) -> dict:
+        _check_fields(i, cmd)
         op = cmd["op"]
-        if op in ("condexp", "slice", "realize", "cb") and not isinstance(cmd.get("as", ""), str):
-            raise ValidationError(f"{op}: 'as' must be a name")
         record: dict[str, Any] = dict(cmd)
         if op == "condexp":
             result = cond_exp(self.function(cmd["f"]), self.sub(cmd["c"]))
@@ -317,8 +340,6 @@ class _Runner:
             self._maybe_store(cmd, g)
         elif op == "extend":
             names = cmd.get("as", [])
-            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-                raise ValidationError("extend: 'as' must be a list of names")
             fs = [self.function(n) for n in cmd["fs"]]
             _, refinement, gs = nonforking_extension(
                 fs, self.sub(cmd["c"]), self.sub(cmd["b"]), self.tol
@@ -337,8 +358,6 @@ class _Runner:
             )
             self._apply_refinement(refinement)
             record["result"] = {"selected": sorted(selected)}
-        else:
-            raise ValidationError(f"unknown op {op!r}")
         return record
 
     def _maybe_store(self, cmd: dict, f: StepFunction) -> None:
@@ -356,7 +375,7 @@ def execute_scenario_doc(doc: Any, tol: float = DEFAULT_TOL) -> dict:
     if not isinstance(doc, dict):
         raise ValidationError("scenario must be a JSON object")
     runner = _Runner(doc, tol)
-    results = [runner.run(cmd) for cmd in list(doc.get("commands", []))]
+    results = [runner.run(i, cmd) for i, cmd in enumerate(list(doc.get("commands", [])))]
     return {
         "tol": tol,
         "scenario": doc,

@@ -5,17 +5,23 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from lplattice import (
     DEFAULT_TOL,
+    CertificationFailed,
+    NonTermination,
     SpaceMismatch,
     StepFunction,
     Sublattice,
     ValidationError,
     dcl,
+    lattice_join,
+    merged_midpoints,
+    slice_profile,
+    star_independent,
 )
 from lplattice.oracles import proportionality_classes
 
@@ -58,6 +64,59 @@ def reference_join(A: Sublattice, C: Sublattice, tol: float = DEFAULT_TOL) -> Su
     if A.space != C.space:
         raise SpaceMismatch("sublattices live on different spaces")
     return dcl(A.space, A.generators() + C.generators(), tol)
+
+
+# --- reference canonical base ---------------------------------------------------
+# The join-and-reslice fixpoint that the closed-form `canonical_base` in
+# `lplattice.independence` replaced, kept verbatim as the reference its
+# differential test compares against: dcl over the conditional slices, and
+# for tuples rounds of joins with the slices of every joined generator.
+
+def _slice_members(f: StepFunction, A: Sublattice, tol: float) -> list[StepFunction]:
+    # the conditional slices of f over A, one per interval; dcl absorbs repeats
+    prof = slice_profile(f, A, tol)
+    return [prof.function_at(r) for r in merged_midpoints(prof)]
+
+
+# join-and-reslice rounds the tuple canonical base may take before NonTermination
+MAX_ROUNDS = 32
+
+
+def reference_canonical_base(
+    fs: Sequence[StepFunction],
+    A: Sublattice,
+    tol: float = DEFAULT_TOL,
+) -> Sublattice:
+    """The canonical base of tp(fs / A).
+
+    For one function this is the sublattice generated by its distinct
+    conditional slices over A.  For tuples, a join-and-reslice fixpoint runs
+    until the block structure stabilizes; the output is always certified by
+    an independence check and never silently accepted.
+    """
+    fs = tuple(fs)
+    space = A.space
+    for f in fs:
+        if f.space != space:
+            raise SpaceMismatch("function lives on a different space")
+    seeds = [s for f in fs for s in _slice_members(f, A, tol)]
+    cb = dcl(space, seeds, tol)
+    if len(fs) > 1:
+        for _ in range(MAX_ROUNDS):
+            joined = lattice_join(dcl(space, fs, tol), cb, tol)
+            extra = [s for e in joined.generators() for s in _slice_members(e, A, tol)]
+            nxt = lattice_join(cb, dcl(space, extra, tol), tol)
+            if nxt.equals(cb, tol):
+                break
+            cb = nxt
+        else:
+            raise NonTermination("canonical base iteration did not stabilize")
+    verdict = star_independent(fs, A, cb, tol)
+    if not verdict.independent:
+        raise CertificationFailed(
+            "canonical base candidate failed the independence certificate"
+        )
+    return cb
 
 
 def lattice_terms(fs: list[StepFunction]) -> list[StepFunction]:

@@ -168,19 +168,15 @@ class TestExecuteScenario:
 class TestDocumentSchemas:
     def test_cond_distribution_doc(self):
         from lplattice import cond_distribution, dcl, indicator, make_space, step_function
-        from lplattice.scenario import cond_distribution_to_doc, dumps
 
         space = make_space([("u", 1.0), ("v", 1.0), ("x", 1.0)], 2.0)
         C = dcl(space, [indicator(space, ["u", "v"])])
         f = step_function(space, {"u": 2.0, "x": -1.0})
-        doc = cond_distribution_to_doc(cond_distribution([f], C))
-        assert doc["arity"] == 1
-        assert doc["blocks"][0]["atoms"] == [
-            {"vector": [0.0], "mass": 1.0},
-            {"vector": [2.0], "mass": 1.0},
-        ]
-        assert doc["orth"] == [{"vector": [-1.0], "mass": 1.0}]
-        json.loads(dumps(doc))
+        d = cond_distribution([f], C)
+        assert d.arity == 1
+        assert d.sublattice.blocks == (("u", "v"),)
+        assert d.per_block == ((((0.0,), 1.0), ((2.0,), 1.0)),)
+        assert d.orth == (((-1.0,), 1.0),)
 
 
 class TestSerializer:
@@ -259,6 +255,10 @@ class TestCliMain:
         assert main(["run", str(DATA / "compose_scenario.json")]) == 0
         assert capsys.readouterr().out.encode("utf-8") == (DATA / "compose_report.json").read_bytes()
 
+    def test_cb_report_is_golden(self, capsys):
+        assert main(["run", str(DATA / "cb_scenario.json")]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (DATA / "cb_report.json").read_bytes()
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_exit_two(self, tmp_path, capsys, token):
         text = json.dumps(masked_dependence_scenario())
@@ -285,6 +285,52 @@ class TestCliMain:
         path.write_text(json.dumps(doc))
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: NonFiniteValue: distance overflows")
+
+    def test_norm_overflow_exit_two(self, tmp_path, capsys):
+        # the orthogonal norm of f is 1e200 (its square overflows at p = 2);
+        # the distance's p-th power sum then overflows
+        doc = {
+            "space": {"p": 2.0, "cells": [{"id": "u", "weight": 1.0}, {"id": "v", "weight": 1.0}]},
+            "functions": {
+                "f": {"values": {"v": 1e200}},
+                "g": {"values": {"u": -1e200}},
+                "chi": {"values": {"u": 1.0}},
+            },
+            "sublattices": {"C": {"generators": ["chi"]}},
+            "commands": [{"op": "dist", "f": "f", "g": "g", "c": "C"}],
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: NonFiniteValue: distance overflows")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda doc: doc["commands"].append({"op": "condexp", "f": "f"}),
+                "error: ValidationError: commands[3].c: condexp needs 'c'",
+            ),
+            (
+                lambda doc: doc["sublattices"]["B"]["blocks"][1].pop("profile"),
+                "error: ValidationError: sublattices.B.blocks[1].profile: missing",
+            ),
+            (
+                lambda doc: doc["commands"].append({"op": "slice", "f": "f", "c": "C", "r": "x"}),
+                "error: ValidationError: commands[3].r: slice: 'r' must be a number",
+            ),
+        ],
+        ids=["condexp-without-c", "block-without-profile", "slice-r-not-a-number"],
+    )
+    def test_malformed_field_exit_two(self, tmp_path, capsys, edit, message):
+        doc = masked_dependence_scenario()
+        edit(doc)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.out == ""
 
     def test_parse_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

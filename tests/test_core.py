@@ -124,6 +124,18 @@ class TestNorm:
         f = step_function(space, {"c0": 2.0, "c2": 1.0})
         assert norm(f) == 3.0
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_overflowing_sum_is_scaled(self, p):
+        # |1e200|^p overflows, the norm itself does not
+        space = make_space([("c0", 4.0), ("c1", 1.0)], p)
+        f = step_function(space, {"c0": 1e200, "c1": -1e200})
+        assert close(norm(f), 1e200 * 5.0 ** (1.0 / p), 1e-15)
+
+    def test_in_range_is_the_direct_sum(self):
+        space = make_space([("c0", 0.5), ("c1", 2.0)], 3.0)
+        f = step_function(space, {"c0": 1e100, "c1": -3.0})
+        assert norm(f) == (0.5 * 1e300 + 2.0 * 27.0) ** (1.0 / 3.0)
+
     @given(triples, triples, st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     def test_disjoint_additivity(self, a, b, p):
         # x and y disjoint: x on the first three cells, y on the rest

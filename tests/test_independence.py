@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import lattice_terms
+from conftest import lattice_terms, reference_canonical_base
 from lplattice import (
     PreconditionFailed,
     Sublattice,
@@ -29,7 +29,11 @@ from lplattice import (
 )
 from lplattice.oracles import random_instance, slice_by_definition
 from lplattice.typespace import merged_midpoints, slice_profile
-from lplattice.verify import masked_dependence_example, pairwise_independence_example
+from lplattice.verify import (
+    _nontrivial_sublattice,
+    masked_dependence_example,
+    pairwise_independence_example,
+)
 
 
 class TestStarIndependent:
@@ -327,6 +331,18 @@ class TestCanonicalBase:
         cb = canonical_base(fs, A)
         assert is_sublattice_of(cb, A)
         assert star_independent(fs, A, cb).independent
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_agrees_with_reference_fixpoint(self, seed):
+        # the closed form reproduces the join-and-reslice fixpoint to the bit
+        for size in (6, 12):
+            inst = random_instance(seed, size)
+            A = _nontrivial_sublattice(inst, seed)
+            for arity in (1, 2, 3):
+                fs = inst.functions[:arity]
+                cb, ref = canonical_base(fs, A), reference_canonical_base(fs, A)
+                assert cb.blocks == ref.blocks
+                assert cb.profile == ref.profile
 
     def test_minimality_on_curated_instances(self):
         for space, A, fs in _curated_minimality_instances():

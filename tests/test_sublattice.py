@@ -10,6 +10,7 @@ from lplattice import (
     StepFunction,
     Sublattice,
     band_decompose,
+    canonical_base,
     close,
     cond_distribution,
     cond_exp,
@@ -447,8 +448,8 @@ def same_atoms(atoms1, atoms2, tol):
 
 def assert_cell_order_free(fs, C, order, tol=1e-9):
     """dcl, join, intersection, conditional expectations, *-independence,
-    types and conditional laws agree on the same cells listed in another
-    order."""
+    canonical bases, types and conditional laws agree on the same cells
+    listed in another order."""
     space = C.space
     moved = Space(tuple((cid, space.weight(cid)) for cid in order), space.p)
     gs = [StepFunction(moved, f.values) for f in fs]
@@ -468,6 +469,8 @@ def assert_cell_order_free(fs, C, order, tol=1e-9):
     assert v1.independent == v2.independent
     if v1.witness is not None:
         assert close(v1.witness.gap, v2.witness.gap, tol)
+    for k in (1, 2):
+        assert same_blocks(canonical_base(fs[:k], C, tol), canonical_base(gs[:k], D, tol), tol)
     for f, g in zip(fs, gs):
         t1, t2 = type_datum(f, C, tol), type_datum(g, D, tol)
         assert close(t1.orth_pos, t2.orth_pos, tol)
