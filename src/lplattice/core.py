@@ -234,7 +234,8 @@ def function_close(f: StepFunction, g: StepFunction, tol: float = DEFAULT_TOL) -
 
 def norm(f: StepFunction) -> float:
     """The L_p norm (sum_i mu_i |f_i|^p)^(1/p); where that sum overflows, max|f_i|
-    times the norm of f/max|f_i| (Blue, ACM TOMS 1978)."""
+    times the norm of f/max|f_i| (Blue, ACM TOMS 1978).  Raises NonFiniteValue
+    when the norm itself is past the float range."""
     p = f.space.p
     total = 0.0
     try:
@@ -246,7 +247,10 @@ def norm(f: StepFunction) -> float:
         return total ** (1.0 / p)
     top = max(map(abs, f.values.values()))
     scaled = sum(f.space.weight(cid) * (abs(v) / top) ** p for cid, v in f.values.items())
-    return top * scaled ** (1.0 / p)
+    result = top * scaled ** (1.0 / p)
+    if result == math.inf:
+        raise NonFiniteValue(f"norm overflows: it is past the float range (max |f| = {top!r})")
+    return result
 
 
 @dataclass(frozen=True)
@@ -413,7 +417,10 @@ def density_change(space: Space, d: StepFunction) -> DensityChange:
     for cid in space.ids():
         if d[cid] <= 0.0:
             raise NonPositiveDensity(f"density vanishes on cell {cid!r}")
-    target = Space(
-        tuple((cid, w * d[cid] ** space.p) for cid, w in space.cells), space.p
-    )
-    return DensityChange(space, target, d)
+    cells = []
+    for cid, w in space.cells:
+        try:
+            cells.append((cid, w * d[cid] ** space.p))
+        except OverflowError:  # a finite float ** p past the float range
+            raise NonFiniteValue(f"density change overflows: d**p on cell {cid!r}") from None
+    return DensityChange(space, Space(tuple(cells), space.p), d)

@@ -3,7 +3,6 @@ and canonical bases."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -32,8 +31,8 @@ from .sublattice import (
 )
 from .typespace import (
     _block_laws,
-    _cumulative,
-    _merge_cuts,
+    _layout,
+    _read_intervals,
     cond_distribution,
     merged_midpoints,
     realize_cond_distribution,
@@ -239,18 +238,16 @@ def canonical_base(
     base) and never silently accepted.
     """
     fs = tuple(fs)
-    kept = []  # (A-block, s_k, cumulative cuts, segments of the scaled layout)
-    for k, atoms in enumerate(_block_laws(fs, A, tol)):
+    kept = []  # (A-block, s_k, layout of the law divided by s_k)
+    for block, (atoms, nu) in zip(A.blocks, _block_laws(fs, A, tol)):
         scale = max((abs(x) for vec, _ in atoms for x in vec), default=0.0)
         if scale > 0.0:
-            nu = A.nu_block(k)
-            segs = [(mass / nu, [x / scale for x in vec]) for vec, mass in reversed(atoms)]
-            kept.append((A.blocks[k], scale, _cumulative(segs), segs))
-    merged = _merge_cuts(c for _, _, cuts, _ in kept for c in cuts[:-1])
-    # column (r, d): coordinate d of every kept block's layout at midpoint r
+            scaled = [(tuple(x / scale for x in vec), mass) for vec, mass in atoms]
+            kept.append((block, scale, _layout(scaled, nu)))
+    # column (r, d): coordinate d of every kept layout at the merged midpoint r
     columns = (
-        [segs[bisect_right(cuts, r)][1][d] for _, _, cuts, segs in kept]
-        for r in ((a + b) / 2.0 for a, b in zip(merged, merged[1:]))
+        [vec[d] for vec in values]
+        for _, values in _read_intervals([layout for _, _, layout in kept])
         for d in range(len(fs))
     )
     blocks = []

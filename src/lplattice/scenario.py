@@ -110,24 +110,44 @@ def space_to_doc(space: Space) -> dict:
     }
 
 
+def _number(value: Any, path: str) -> float:
+    """A document number as a float; a value that float() refuses is a
+    ValidationError naming its path."""
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise ValidationError(f"{path}: number past the float range") from None
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path}: {value!r} is not a number") from None
+
+
+def _numbers(doc: Any, path: str) -> dict[str, float]:
+    """An object of numbers keyed by cell id, as floats."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: must be an object of numbers")
+    try:
+        return {str(k): float(v) for k, v in doc.items()}
+    except (TypeError, ValueError, OverflowError):
+        for k, v in doc.items():  # name the first value float() refuses
+            _number(v, f"{path}.{k}")
+        raise
+
+
 def space_from_doc(doc: Any) -> Space:
     if not isinstance(doc, dict) or "p" not in doc or "cells" not in doc:
         raise ValidationError("space document needs 'p' and 'cells'")
     try:
         cells = [(c["id"], c["weight"]) for c in doc["cells"]]
-        return Space(tuple((str(i), float(w)) for i, w in cells), float(doc["p"]))
     except (TypeError, KeyError) as exc:
         raise ValidationError(f"malformed space document: {exc}") from exc
+    return Space(
+        tuple((str(i), _number(w, f"space.cells[{j}].weight")) for j, (i, w) in enumerate(cells)),
+        _number(doc["p"], "space.p"),
+    )
 
 
 def function_to_doc(f: StepFunction) -> dict:
     return {"values": {cid: f.values[cid] for cid in f.space.ids() if cid in f.values}}
-
-
-def function_from_doc(doc: Any, space: Space) -> StepFunction:
-    if not isinstance(doc, dict) or "values" not in doc:
-        raise ValidationError("function document needs 'values'")
-    return step_function(space, {str(k): float(v) for k, v in doc["values"].items()})
 
 
 def sublattice_to_doc(C: Sublattice) -> dict:
@@ -236,7 +256,10 @@ class _Runner:
         self.sublattices: dict[str, Sublattice] = {}
         self.refinements: list[dict] = []
         for name, fdoc in dict(doc.get("functions", {})).items():
-            self.functions[name] = function_from_doc(fdoc, self.space)
+            if not isinstance(fdoc, dict) or "values" not in fdoc:
+                raise ValidationError(f"functions.{name}: function document needs 'values'")
+            values = _numbers(fdoc["values"], f"functions.{name}.values")
+            self.functions[name] = step_function(self.space, values)
         for name, sdoc in dict(doc.get("sublattices", {})).items():
             self.sublattices[name] = self._sublattice_from_doc(name, sdoc)
 
@@ -253,7 +276,7 @@ class _Runner:
                     if not isinstance(b, dict) or field not in b:
                         raise ValidationError(f"sublattices.{name}.blocks[{j}].{field}: missing")
                 cells = [str(c) for c in b["cells"]]
-                prof = {str(k): float(v) for k, v in b["profile"].items()}
+                prof = _numbers(b["profile"], f"sublattices.{name}.blocks[{j}].profile")
                 blocks.append((cells, prof))
             return Sublattice.make(self.space, blocks)
         raise ValidationError("sublattice document needs 'blocks' or 'generators'")
@@ -400,4 +423,6 @@ def execute_scenario(path: str, tol: float = DEFAULT_TOL) -> dict:
         doc = json.loads(raw, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than int() accepts
+        raise ParseError(f"{path}: {exc}") from exc
     return execute_scenario_doc(doc, tol)

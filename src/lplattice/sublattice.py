@@ -159,43 +159,47 @@ class Sublattice:
 def dcl(
     space: Space, generators: Iterable[StepFunction], tol: float = DEFAULT_TOL
 ) -> Sublattice:
-    """The sublattice generated by the given functions.
-
-    Two cells share a block exactly when their generator value vectors are
-    positive scalar multiples of one another: the vectors, scaled to a
-    max-abs of 1, are grouped within tol.  A member's profile is its ratio to
-    the block's first cell, taken on that cell's largest coordinate.  Gated
-    against the brute-force closure oracle in tests.
-    """
+    """The sublattice generated by the given functions: the proportional
+    blocks of the cells where some generator is nonzero.  Gated against the
+    brute-force closure oracle in tests."""
     gens = list(generators)
     for g in gens:
         if g.space != space:
             raise SpaceMismatch("generator lives on a different space")
-    cells, tops = [], []
-    for cid in space.ids():
-        top = max((abs(g[cid]) for g in gens), default=0.0)
-        if top > 0.0:
-            cells.append(cid)
-            tops.append(top)
-    # column j: generator j on every cell, scaled by the cell's max-abs
-    columns = ([g[cid] / top for cid, top in zip(cells, tops)] for g in gens)
+    cells = [cid for cid in space.ids() if any(cid in g.values for g in gens)]
+    return Sublattice.make(
+        space, _proportional_blocks(cells, [[g[cid] for cid in cells] for g in gens], tol)
+    )
+
+
+def _proportional_blocks(
+    cells: Sequence[str], coords: Sequence[Sequence[float]], tol: float
+) -> list[tuple[tuple[str, ...], dict[str, float]]]:
+    """Blocks and profiles of cells with nonzero vectors, coords[j][i] being
+    coordinate j of cell i.
+
+    Two cells share a block exactly when their vectors are positive scalar
+    multiples of one another: the vectors, scaled to a max-abs of 1, are
+    grouped within tol.  A member's profile is its ratio to the group's first
+    cell, taken on the coordinate of largest |value| there (the earliest of
+    equal ones).
+    """
+    tops = [max(map(abs, vec)) for vec in zip(*coords)]
+    columns = ([x / top for x, top in zip(coord, tops)] for coord in coords)
     blocks = []
     for group in tolerance_groups(len(cells), columns, tol):
-        first = cells[min(group)]
-        anchor = max(gens, key=lambda g: abs(g[first]))
-        members = {first: 1.0}
+        first = min(group)
+        anchor = max(coords, key=lambda coord: abs(coord[first]))
+        members = {cells[first]: 1.0}
         for i in group:
-            cid = cells[i]
-            if cid == first:
-                continue
-            lam = anchor[cid] / anchor[first]
+            lam = anchor[i] / anchor[first]
             if lam > 0.0:
-                members[cid] = lam
+                members[cells[i]] = lam
             else:
                 # only a tol of 1 or more groups vectors of opposite sign
-                blocks.append(((cid,), {cid: 1.0}))
+                blocks.append(((cells[i],), {cells[i]: 1.0}))
         blocks.append((tuple(members), members))
-    return Sublattice.make(space, blocks)
+    return blocks
 
 
 def contains(
@@ -339,11 +343,9 @@ def lattice_join(A: Sublattice, C: Sublattice, tol: float = DEFAULT_TOL) -> Subl
     A cell's generator vector is nonzero only on its A-block and its
     C-block, so cells share a block only if they share the key (A-block or
     None, C-block or None).  The cells are bucketed by that exact key in one
-    pass, and each bucket is split with tolerance_groups on the two columns
-    w_A/top and w_C/top, top = max(w_A, w_C), the columns dcl would see.  A
-    group's profile is the ratio to its earliest cell of whichever lattice's
-    profile is larger there (ties to A), as in dcl.  Cost: O(n log n) in
-    the cells, not one dense column per block.
+    pass, and each bucket gets dcl's proportional blocks on the columns
+    (w_A, w_C).  Cost: O(n log n) in the cells, not one dense column per
+    block.
     """
     if A.space != C.space:
         raise SpaceMismatch("sublattices live on different spaces")
@@ -354,18 +356,8 @@ def lattice_join(A: Sublattice, C: Sublattice, tol: float = DEFAULT_TOL) -> Subl
             buckets.setdefault(key, []).append(cid)
     blocks = []
     for cells in buckets.values():
-        wa = [A.profile.get(cid, 0.0) for cid in cells]
-        wc = [C.profile.get(cid, 0.0) for cid in cells]
-        tops = [max(a, c) for a, c in zip(wa, wc)]
-        columns = (
-            [a / top for a, top in zip(wa, tops)],
-            [c / top for c, top in zip(wc, tops)],
-        )
-        for group in tolerance_groups(len(cells), columns, tol):
-            first = min(group)
-            anchor = wa if wa[first] >= wc[first] else wc
-            members = {cells[i]: anchor[i] / anchor[first] for i in group}
-            blocks.append((members, members))
+        coords = [[lat.profile.get(cid, 0.0) for cid in cells] for lat in (A, C)]
+        blocks += _proportional_blocks(cells, coords, tol)
     return Sublattice.make(A.space, blocks)
 
 

@@ -4,8 +4,9 @@ metric, and realization constructions by exact cell refinement."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     DEFAULT_TOL,
@@ -33,6 +34,7 @@ from .sublattice import Sublattice, contains
 
 Segment = tuple[float, float]  # (length, value)
 Atom = tuple[tuple[float, ...], float]  # (value vector, mass)
+Layout = tuple[tuple[float, tuple[float, ...]], ...]  # (length, value vector) segments
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,7 @@ class SliceProfile:
     def coefficient(self, block_index: int, r: float) -> float:
         """Right-continuous value of the rearrangement at r in (0,1)."""
         segments = self.per_block[block_index]
-        cum = 0.0
-        for length, value in segments:
-            cum += length
-            if cum > r:
-                return value
-        return segments[-1][1]
+        return _read([segments], [_cumulative(segments)], r)[0]
 
     def breakpoints(self) -> tuple[float, ...]:
         """Interior segment boundaries, merged across all blocks; boundaries
@@ -84,9 +81,8 @@ class SliceProfile:
 
     def function_at(self, r: float) -> StepFunction:
         """The slice at r as a member of the sublattice."""
-        return self.sublattice.member(
-            [self.coefficient(k, r) for k in range(len(self.per_block))]
-        )
+        cuts = [_cumulative(segments) for segments in self.per_block]
+        return self.sublattice.member(_read(self.per_block, cuts, r))
 
     def integral_coefficients(self) -> tuple[float, ...]:
         """Per block, the exact value of the r-integral of the rearrangement."""
@@ -164,13 +160,6 @@ class ConditionalDistribution:
                 raise InvalidDistribution("orthogonal part carries mass at the origin")
 
 
-def _rearrange(pairs: Sequence[tuple[float, float]], tol: float) -> tuple[Segment, ...]:
-    # pairs: (value, mass) -> merged decreasing segments with normalized lengths
-    total = sum(mass for _, mass in pairs)
-    atoms = _merge_atoms([((value,), mass) for value, mass in pairs], tol)
-    return tuple((mass / total, vec[0]) for vec, mass in reversed(atoms))
-
-
 def _profiles_equal(a: SliceProfile, b: SliceProfile, tol: float) -> bool:
     if len(a.per_block) != len(b.per_block):
         return False
@@ -193,6 +182,9 @@ def _cumulative(segs: Sequence[Segment]) -> list[float]:
 # of segment lengths, so near-equal ones differ by rounding, not by data.
 _CUT_TOL = 1e-12
 
+# a rounding bound, not a data tolerance: _piecewise_pth_power steps past a cut this close
+_STEP_TOL = 1e-15
+
 
 def _merge_cuts(cuts: Iterable[float]) -> list[float]:
     """0, the distinct interior cuts in increasing order, then 1.
@@ -204,6 +196,31 @@ def _merge_cuts(cuts: Iterable[float]) -> list[float]:
     interior = [c for c in cuts if c > _CUT_TOL and 1.0 - c > _CUT_TOL]
     groups = tolerance_groups(len(interior), [interior], _CUT_TOL)
     return [0.0] + [interior[min(group)] for group in groups] + [1.0]
+
+
+def _intervals(cuts: Iterable[float]) -> list[tuple[float, float]]:
+    """(length, midpoint) of each interval the merged cuts cut out of (0,1)."""
+    merged = _merge_cuts(cuts)
+    return [(b - a, (a + b) / 2.0) for a, b in zip(merged, merged[1:])]
+
+
+def _layout(atoms: Sequence[Atom], total: float) -> Layout:
+    """A block law laid out on (0,1) in decreasing order: its atoms (given
+    increasing) as (mass/total, vector) segments."""
+    return tuple([(mass / total, vec) for vec, mass in reversed(atoms)])
+
+
+def _read(layouts: Sequence[Sequence[tuple]], cuts: Sequence[list[float]], r: float) -> list:
+    """Every layout's value at r, right-continuous: one bisect on its cuts
+    (_cumulative), and past its last cut, its last segment's value."""
+    return [segs[bisect_right(c, r, 0, len(segs) - 1)][1] for segs, c in zip(layouts, cuts)]
+
+
+def _read_intervals(layouts: Sequence[Layout]) -> Iterator[tuple[float, list]]:
+    """Lazily, per interval of all the layouts' merged cuts: (length, values at its midpoint)."""
+    cuts = [_cumulative(segs) for segs in layouts]
+    for length, r in _intervals(c for cs in cuts for c in cs[:-1]):
+        yield length, _read(layouts, cuts, r)
 
 
 def _piecewise_pth_power(
@@ -223,9 +240,9 @@ def _piecewise_pth_power(
         at_last2 = j == len(segs2) - 1
         if at_last1 and at_last2:
             return total
-        if cuts1[i] <= end + 1e-15 and not at_last1:
+        if cuts1[i] <= end + _STEP_TOL and not at_last1:
             i += 1
-        if cuts2[j] <= end + 1e-15 and not at_last2:
+        if cuts2[j] <= end + _STEP_TOL and not at_last2:
             j += 1
 
 
@@ -244,13 +261,11 @@ def cond_probability(event: Iterable[str], C: Sublattice) -> StepFunction:
 
 def slice_profile(f: StepFunction, C: Sublattice, tol: float = DEFAULT_TOL) -> SliceProfile:
     """The full conditional slice map of f over C, block by block."""
-    if f.space != C.space:
-        raise SpaceMismatch("function lives on a different space")
-    per_block = []
-    for block in C.blocks:
-        pairs = [(f[cid] / C.profile[cid], C.nu(cid)) for cid in block]
-        per_block.append(_rearrange(pairs, tol))
-    return SliceProfile(C, tuple(per_block))
+    per_block = tuple([
+        tuple([(length, value) for length, (value,) in _layout(atoms, nu)])
+        for atoms, nu in _block_laws((f,), C, tol)
+    ])
+    return SliceProfile(C, per_block)
 
 
 def conditional_slice(
@@ -303,7 +318,7 @@ def cond_distribution(
 ) -> ConditionalDistribution:
     """The joint conditional distribution of a tuple over C."""
     fs = tuple(fs)
-    per_block = _block_laws(fs, C, tol)
+    per_block = tuple(atoms for atoms, _ in _block_laws(fs, C, tol))
     orth_atoms = []
     for cid in C.space.ids():
         vec = tuple(f[cid] for f in fs)
@@ -316,16 +331,19 @@ def cond_distribution(
 
 def _block_laws(
     fs: tuple[StepFunction, ...], C: Sublattice, tol: float
-) -> tuple[tuple[Atom, ...], ...]:
-    """Per block of C, the merged law of the profile-normalized value vectors."""
+) -> Iterator[tuple[tuple[Atom, ...], float]]:
+    """Per block of C, the merged law of the profile-normalized value vectors
+    and its nu-mass, summed in cell order as nu_block sums it.  Lazy, so only
+    the block in hand is alive; the space check runs at the first step."""
     for f in fs:
         if f.space != C.space:
             raise SpaceMismatch("function lives on a different space")
-    per_block = []
     for block in C.blocks:
-        atoms = [(tuple(f[cid] / C.profile[cid] for f in fs), C.nu(cid)) for cid in block]
-        per_block.append(_merge_atoms(atoms, tol))
-    return tuple(per_block)
+        nus = [C.nu(cid) for cid in block]
+        # one column per function, paired up per cell; an empty tuple is () on every cell
+        columns = [[f[cid] / C.profile[cid] for cid in block] for f in fs]
+        vecs = zip(*columns) if fs else [()] * len(block)
+        yield _merge_atoms(zip(vecs, nus), tol), sum(nus)
 
 
 def _atoms_equal(a: tuple[Atom, ...], b: tuple[Atom, ...], tol: float) -> bool:
@@ -352,7 +370,9 @@ def tuple_type_equal(
     gs = tuple(gs)
     if len(fs) != len(gs):
         raise ArityMismatch(f"tuples of arity {len(fs)} and {len(gs)}")
-    for atoms1, atoms2 in zip(_block_laws(fs, C, tol), _block_laws(gs, C, tol)):
+    # strict=True steps the gs side even when C has no blocks, so its space check runs
+    laws = zip(_block_laws(fs, C, tol), _block_laws(gs, C, tol), strict=True)
+    for (atoms1, _), (atoms2, _) in laws:
         if not _atoms_equal(atoms1, atoms2, tol):
             return False
     return _atoms_equal(_orth_rays(fs, C, tol), _orth_rays(gs, C, tol), tol)
@@ -401,31 +421,30 @@ def distance(t1: TypeDatum, t2: TypeDatum, tol: float = DEFAULT_TOL) -> float:
 
 def _lay_out(
     C: Sublattice,
-    per_block: Sequence[tuple[Sequence[float], Sequence[tuple[float, ...]]]],
+    per_block: Sequence[Layout],
     fresh: Sequence[tuple[str, float, tuple[float, ...]]],
     arity: int,
     tol: float,
 ) -> tuple[Space, Refinement, tuple[StepFunction, ...]]:
     """Lay out `arity` functions on one refinement of C's space.
 
-    per_block[k] is (fractions, value vectors): every cell of block k splits
-    by the fractions, and child j takes vector j scaled by the cell's
-    profile.  fresh lists (id, weight, value vector) cells appended outside
-    C's support.
+    per_block[k] is block k's layout: every cell of block k splits by its
+    segment lengths, and child j takes segment j's vector scaled by the
+    cell's profile.  fresh lists (id, weight, value vector) cells appended
+    outside C's support.
     """
     plan = {}
-    for block, (fractions, _) in zip(C.blocks, per_block):
-        if len(fractions) > 1:
-            for cid in block:
-                plan[cid] = fractions
+    for block, segs in zip(C.blocks, per_block):
+        if len(segs) > 1:
+            plan.update(dict.fromkeys(block, tuple(length for length, _ in segs)))
     child, refinement = refine_space(
         C.space, plan, [(fid, weight) for fid, weight, _ in fresh], tol
     )
     value_maps: list[dict[str, float]] = [{} for _ in range(arity)]
-    for block, (_, vectors) in zip(C.blocks, per_block):
+    for block, segs in zip(C.blocks, per_block):
         for cid in block:
             scale = C.profile[cid]
-            for (kid, _), vec in zip(refinement.splitting[cid], vectors):
+            for (kid, _), (_, vec) in zip(refinement.splitting[cid], segs):
                 for i in range(arity):
                     value_maps[i][kid] = vec[i] * scale
     for fid, _, vec in fresh:
@@ -460,8 +479,7 @@ def canonical_realization(
     """
     C = t.sublattice
     per_block = [
-        (tuple(length for length, _ in segs), [(value,) for _, value in segs])
-        for segs in t.profile.per_block
+        tuple((length, (value,)) for length, value in segs) for segs in t.profile.per_block
     ]
     fresh = _orth_cells(C.space, (t.orth_pos,), (t.orth_neg,))
     child, refinement, (g,) = _lay_out(C, per_block, fresh, 1, tol)
@@ -480,14 +498,10 @@ def realize_cond_distribution(
     if not d.sublattice.equals(C, tol):
         raise InvalidDistribution("distribution is over a different sublattice")
     per_block = []
-    for k, block_atoms in enumerate(d.per_block):
-        atoms = sorted(block_atoms, key=lambda a: tuple(-x for x in a[0]))
+    for k, atoms in enumerate(d.per_block):
         if not atoms:
             raise InvalidDistribution(f"block {k} carries no mass")
-        total = C.nu_block(k)
-        per_block.append(
-            (tuple(mass / total for _, mass in atoms), [vec for vec, _ in atoms])
-        )
+        per_block.append(_layout(atoms, C.nu_block(k)))
     fresh = [
         (fid, mass, vec)
         for fid, (vec, mass) in zip(fresh_ids(C.space, len(d.orth)), d.orth)
@@ -504,12 +518,10 @@ def realize_common(
     C = t1.sublattice
     if not C.equals(t2.sublattice, tol):
         raise SublatticeMismatch("types live over different sublattices")
-    per_block = []
-    for k, (segs1, segs2) in enumerate(zip(t1.profile.per_block, t2.profile.per_block)):
-        cuts = _merge_cuts(_cumulative(segs1)[:-1] + _cumulative(segs2)[:-1])
-        mids = [(a + b) / 2.0 for a, b in zip(cuts, cuts[1:])]
-        vectors = [(t1.profile.coefficient(k, m), t2.profile.coefficient(k, m)) for m in mids]
-        per_block.append((tuple(b - a for a, b in zip(cuts, cuts[1:])), vectors))
+    per_block = [
+        tuple((length, tuple(values)) for length, values in _read_intervals(layouts))
+        for layouts in zip(t1.profile.per_block, t2.profile.per_block)
+    ]
     fresh = _orth_cells(C.space, (t1.orth_pos, t2.orth_pos), (t1.orth_neg, t2.orth_neg))
     _, _, (f, g) = _lay_out(C, per_block, fresh, 2, tol)
     return f, g
@@ -580,5 +592,4 @@ def lift_type_datum(t: TypeDatum, r: Refinement) -> TypeDatum:
 
 def merged_midpoints(*profiles: SliceProfile) -> tuple[float, ...]:
     """Midpoints of the intervals cut out of (0,1) by all breakpoints."""
-    cuts = _merge_cuts(c for prof in profiles for c in prof.breakpoints())
-    return tuple((a + b) / 2.0 for a, b in zip(cuts, cuts[1:]))
+    return tuple(mid for _, mid in _intervals(c for prof in profiles for c in prof.breakpoints()))

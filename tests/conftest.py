@@ -12,7 +12,12 @@ import numpy as np
 from lplattice import (
     DEFAULT_TOL,
     CertificationFailed,
+    ConditionalDistribution,
+    InvalidDistribution,
     NonTermination,
+    Refinement,
+    SliceProfile,
+    Space,
     SpaceMismatch,
     StepFunction,
     Sublattice,
@@ -20,10 +25,13 @@ from lplattice import (
     dcl,
     lattice_join,
     merged_midpoints,
+    refine_space,
     slice_profile,
     star_independent,
 )
+from lplattice.core import fresh_ids
 from lplattice.oracles import proportionality_classes
+from lplattice.typespace import Segment, _merge_atoms
 
 
 def brute_intersection(A: Sublattice, C: Sublattice, tol: float = 1e-9) -> Sublattice:
@@ -117,6 +125,92 @@ def reference_canonical_base(
             "canonical base candidate failed the independence certificate"
         )
     return cb
+
+
+# --- reference block-law layouts ------------------------------------------------
+# The per-job copies that `typespace._layout` replaced, kept verbatim as the
+# references their differential tests compare against: `slice_profile` over
+# `_rearrange`, and `realize_cond_distribution` over the (fractions, vectors)
+# form of `_lay_out`.
+
+def _rearrange(pairs: Sequence[tuple[float, float]], tol: float) -> tuple[Segment, ...]:
+    # pairs: (value, mass) -> merged decreasing segments with normalized lengths
+    total = sum(mass for _, mass in pairs)
+    atoms = _merge_atoms([((value,), mass) for value, mass in pairs], tol)
+    return tuple((mass / total, vec[0]) for vec, mass in reversed(atoms))
+
+
+def reference_slice_profile(f: StepFunction, C: Sublattice, tol: float = DEFAULT_TOL) -> SliceProfile:
+    """The full conditional slice map of f over C, block by block."""
+    if f.space != C.space:
+        raise SpaceMismatch("function lives on a different space")
+    per_block = []
+    for block in C.blocks:
+        pairs = [(f[cid] / C.profile[cid], C.nu(cid)) for cid in block]
+        per_block.append(_rearrange(pairs, tol))
+    return SliceProfile(C, tuple(per_block))
+
+
+def _lay_out(
+    C: Sublattice,
+    per_block: Sequence[tuple[Sequence[float], Sequence[tuple[float, ...]]]],
+    fresh: Sequence[tuple[str, float, tuple[float, ...]]],
+    arity: int,
+    tol: float,
+) -> tuple[Space, Refinement, tuple[StepFunction, ...]]:
+    """Lay out `arity` functions on one refinement of C's space.
+
+    per_block[k] is (fractions, value vectors): every cell of block k splits
+    by the fractions, and child j takes vector j scaled by the cell's
+    profile.  fresh lists (id, weight, value vector) cells appended outside
+    C's support.
+    """
+    plan = {}
+    for block, (fractions, _) in zip(C.blocks, per_block):
+        if len(fractions) > 1:
+            for cid in block:
+                plan[cid] = fractions
+    child, refinement = refine_space(
+        C.space, plan, [(fid, weight) for fid, weight, _ in fresh], tol
+    )
+    value_maps: list[dict[str, float]] = [{} for _ in range(arity)]
+    for block, (_, vectors) in zip(C.blocks, per_block):
+        for cid in block:
+            scale = C.profile[cid]
+            for (kid, _), vec in zip(refinement.splitting[cid], vectors):
+                for i in range(arity):
+                    value_maps[i][kid] = vec[i] * scale
+    for fid, _, vec in fresh:
+        for i in range(arity):
+            value_maps[i][fid] = vec[i]
+    return child, refinement, tuple(StepFunction(child, vals) for vals in value_maps)
+
+
+def reference_realize_cond_distribution(
+    d: ConditionalDistribution, C: Sublattice, tol: float = DEFAULT_TOL
+) -> tuple[Space, Refinement, tuple[StepFunction, ...]]:
+    """Realize a prescribed conditional law by proportional cell splitting.
+
+    Each support cell splits by the block's normalized atom masses, so every
+    atom occupies the same r-interval across the whole block; orthogonal
+    atoms land on fresh cells whose weight equals the atom's mass.
+    """
+    if not d.sublattice.equals(C, tol):
+        raise InvalidDistribution("distribution is over a different sublattice")
+    per_block = []
+    for k, block_atoms in enumerate(d.per_block):
+        atoms = sorted(block_atoms, key=lambda a: tuple(-x for x in a[0]))
+        if not atoms:
+            raise InvalidDistribution(f"block {k} carries no mass")
+        total = C.nu_block(k)
+        per_block.append(
+            (tuple(mass / total for _, mass in atoms), [vec for vec, _ in atoms])
+        )
+    fresh = [
+        (fid, mass, vec)
+        for fid, (vec, mass) in zip(fresh_ids(C.space, len(d.orth)), d.orth)
+    ]
+    return _lay_out(C, per_block, fresh, d.arity, tol)
 
 
 def lattice_terms(fs: list[StepFunction]) -> list[StepFunction]:

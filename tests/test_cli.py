@@ -259,6 +259,10 @@ class TestCliMain:
         assert main(["run", str(DATA / "cb_scenario.json")]) == 0
         assert capsys.readouterr().out.encode("utf-8") == (DATA / "cb_report.json").read_bytes()
 
+    def test_types_report_is_golden(self, capsys):
+        assert main(["run", str(DATA / "types_scenario.json")]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (DATA / "types_report.json").read_bytes()
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_exit_two(self, tmp_path, capsys, token):
         text = json.dumps(masked_dependence_scenario())
@@ -268,6 +272,15 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ParseError: ")
         assert str(path) in err and token in err
+
+    def test_integer_literal_too_long_exit_two(self, tmp_path, capsys):
+        # json refuses integer literals of more than 4,300 digits with a ValueError
+        text = json.dumps(masked_dependence_scenario())
+        path = tmp_path / "s.json"
+        path.write_text(text.replace('"weight": 1.0', '"weight": ' + "1" * 5000, 1))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ParseError: {path}: ")
 
     def test_unserializable_report_exit_two(self, tmp_path, capsys):
         # finite inputs whose distance overflows to inf at p = 1
@@ -319,8 +332,42 @@ class TestCliMain:
                 lambda doc: doc["commands"].append({"op": "slice", "f": "f", "c": "C", "r": "x"}),
                 "error: ValidationError: commands[3].r: slice: 'r' must be a number",
             ),
+            (
+                lambda doc: doc["functions"]["f"]["values"].update({"(2,3]": "x"}),
+                "error: ValidationError: functions.f.values.(2,3]: 'x' is not a number",
+            ),
+            (
+                lambda doc: doc["sublattices"]["B"]["blocks"][0]["profile"].update({"[0,1]": "x"}),
+                "error: ValidationError: sublattices.B.blocks[0].profile.[0,1]: 'x' is not a number",
+            ),
+            (
+                lambda doc: doc["space"]["cells"][0].update({"weight": "x"}),
+                "error: ValidationError: space.cells[0].weight: 'x' is not a number",
+            ),
+            (
+                lambda doc: doc["space"]["cells"][0].update({"weight": 10**400}),
+                "error: ValidationError: space.cells[0].weight: number past the float range",
+            ),
+            (
+                lambda doc: doc["space"].update({"p": "x"}),
+                "error: ValidationError: space.p: 'x' is not a number",
+            ),
+            (
+                lambda doc: doc["functions"]["f"].update({"values": [1, 2]}),
+                "error: ValidationError: functions.f.values: must be an object of numbers",
+            ),
         ],
-        ids=["condexp-without-c", "block-without-profile", "slice-r-not-a-number"],
+        ids=[
+            "condexp-without-c",
+            "block-without-profile",
+            "slice-r-not-a-number",
+            "value-not-a-number",
+            "profile-not-a-number",
+            "weight-not-a-number",
+            "weight-past-float-range",
+            "p-not-a-number",
+            "values-not-an-object",
+        ],
     )
     def test_malformed_field_exit_two(self, tmp_path, capsys, edit, message):
         doc = masked_dependence_scenario()

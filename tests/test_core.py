@@ -131,6 +131,13 @@ class TestNorm:
         f = step_function(space, {"c0": 1e200, "c1": -1e200})
         assert close(norm(f), 1e200 * 5.0 ** (1.0 / p), 1e-15)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_norm_past_float_range_raises(self, p):
+        space = make_space([("c0", 4.0), ("c1", 1.0)], p)
+        f = step_function(space, {"c0": 1e308, "c1": 1e308})
+        with pytest.raises(NonFiniteValue, match="norm overflows"):
+            norm(f)
+
     def test_in_range_is_the_direct_sum(self):
         space = make_space([("c0", 0.5), ("c1", 2.0)], 3.0)
         f = step_function(space, {"c0": 1e100, "c1": -3.0})
@@ -254,6 +261,13 @@ class TestDensityChange:
         for f in inst.functions:
             assert abs(norm(dc.push(f)) - norm(f)) <= 1e-9 * (1.0 + norm(f))
             assert function_close(dc.pull(dc.push(f)), f, 1e-12)
+
+    def test_overflowing_density_raises(self):
+        # 1e200 ** 2 raises OverflowError in float arithmetic
+        space = unit_space(2)
+        d = step_function(space, {"c0": 1e200, "c1": 1.0})
+        with pytest.raises(NonFiniteValue, match="density change overflows"):
+            density_change(space, d)
 
     def test_nonpositive_rejected(self):
         space = unit_space(2)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import reference_realize_cond_distribution, reference_slice_profile
 
 from lplattice import (
     ArityMismatch,
@@ -9,6 +10,7 @@ from lplattice import (
     NonFiniteValue,
     Sublattice,
     SliceProfile,
+    SpaceMismatch,
     SublatticeMismatch,
     TargetOutOfRange,
     band_decompose,
@@ -111,6 +113,13 @@ class TestSliceProfile:
         space, C = one_block_space()
         prof = slice_profile(staircase(space), C)
         assert prof.per_block == (((0.25, 4.0), (0.25, 3.0), (0.25, 2.0), (0.25, 1.0)),)
+
+    def test_read_past_the_last_cut(self):
+        # lengths may sum to just under 1; past the last cut the last value holds
+        space, C = one_block_space()
+        prof = SliceProfile(C, (((0.5, 2.0), (0.5 - 1e-12, 1.0)),))
+        assert prof.coefficient(0, 1.0 - 1e-13) == 1.0
+        assert prof.function_at(1.0 - 1e-13) == indicator(space, space.ids())
 
     def test_zero_function(self):
         space, C = one_block_space()
@@ -227,6 +236,13 @@ class TestCondDistribution:
 
 
 class TestTupleTypeEqual:
+    def test_space_mismatch_over_trivial_sublattice(self):
+        # with no blocks the per-block laws are empty, yet both tuples are checked
+        space, other = make_space([("a", 1.0)], 2.0), make_space([("b", 1.0)], 2.0)
+        f, g = step_function(space, {"a": 1.0}), step_function(other, {"b": 1.0})
+        with pytest.raises(SpaceMismatch):
+            tuple_type_equal([f], [g], Sublattice.trivial(space))
+
     def test_near_tie_same_type(self):
         space, C = one_block_space(3)
         f = step_function(space, {"c1": 1e-12, "c2": 2e-12})
@@ -485,6 +501,24 @@ class TestRealizeCondDistribution:
             ConditionalDistribution(
                 C, 1, ((((1.0,), 4.0),),), (((0.0,), 1.0),)
             )
+
+
+class TestLayoutAgreesWithReference:
+    @pytest.mark.parametrize("seed", range(300))
+    def test_slice_profile_and_realization_match(self, seed):
+        # slice profiles and realizations laid out by `_layout` equal, to the
+        # last bit, the per-job copies they replaced
+        inst = random_instance(seed, 12)
+        for C in inst.chain:
+            for f in inst.functions:
+                assert slice_profile(f, C).per_block == reference_slice_profile(f, C).per_block
+            for arity in (1, 2, 3):
+                d = cond_distribution(inst.functions[:arity], C)
+                child, refinement, gs = realize_cond_distribution(d, C)
+                ref_child, ref_refinement, ref_gs = reference_realize_cond_distribution(d, C)
+                assert child == ref_child
+                assert refinement.splitting == ref_refinement.splitting
+                assert [g.values for g in gs] == [g.values for g in ref_gs]
 
 
 class TestThresholdBlockSets:
