@@ -110,27 +110,24 @@ def space_to_doc(space: Space) -> dict:
     }
 
 
-def _number(value: Any, path: str) -> float:
+def _number(value: Any, path: str, key: Any = None) -> float:
     """A document number as a float; a value that float() refuses is a
-    ValidationError naming its path."""
+    ValidationError naming its path, path.key when a key is given (built only
+    then: objects of numbers hold thousands of values)."""
     try:
         return float(value)
-    except OverflowError:  # an integer past the float range
-        raise ValidationError(f"{path}: number past the float range") from None
-    except (TypeError, ValueError):
-        raise ValidationError(f"{path}: {value!r} is not a number") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        where = path if key is None else f"{path}.{key}"
+        if isinstance(exc, OverflowError):  # an integer past the float range
+            raise ValidationError(f"{where}: number past the float range") from None
+        raise ValidationError(f"{where}: {value!r} is not a number") from None
 
 
 def _numbers(doc: Any, path: str) -> dict[str, float]:
     """An object of numbers keyed by cell id, as floats."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: must be an object of numbers")
-    try:
-        return {str(k): float(v) for k, v in doc.items()}
-    except (TypeError, ValueError, OverflowError):
-        for k, v in doc.items():  # name the first value float() refuses
-            _number(v, f"{path}.{k}")
-        raise
+    return {str(k): _number(v, path, k) for k, v in doc.items()}
 
 
 def space_from_doc(doc: Any) -> Space:

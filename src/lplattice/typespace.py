@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -67,22 +68,22 @@ class SliceProfile:
             if not close(total, 1.0):
                 raise ValidationError(f"segment lengths sum to {total!r}")
 
+    @cached_property
+    def _cuts(self) -> tuple[list[float], ...]:  # per block, _cumulative of its segments
+        return tuple(_cumulative(segments) for segments in self.per_block)
+
     def coefficient(self, block_index: int, r: float) -> float:
         """Right-continuous value of the rearrangement at r in (0,1)."""
-        segments = self.per_block[block_index]
-        return _read([segments], [_cumulative(segments)], r)[0]
+        return _read([self.per_block[block_index]], [self._cuts[block_index]], r)[0]
 
     def breakpoints(self) -> tuple[float, ...]:
         """Interior segment boundaries, merged across all blocks; boundaries
         within _CUT_TOL of 0 or 1 are not interior."""
-        return tuple(
-            _merge_cuts(c for segs in self.per_block for c in _cumulative(segs)[:-1])[1:-1]
-        )
+        return tuple(_merge_cuts(c for cuts in self._cuts for c in cuts[:-1])[1:-1])
 
     def function_at(self, r: float) -> StepFunction:
         """The slice at r as a member of the sublattice."""
-        cuts = [_cumulative(segments) for segments in self.per_block]
-        return self.sublattice.member(_read(self.per_block, cuts, r))
+        return self.sublattice.member(_read(self.per_block, self._cuts, r))
 
     def integral_coefficients(self) -> tuple[float, ...]:
         """Per block, the exact value of the r-integral of the rearrangement."""

@@ -337,6 +337,10 @@ class TestCliMain:
                 "error: ValidationError: functions.f.values.(2,3]: 'x' is not a number",
             ),
             (
+                lambda doc: doc["functions"]["f"]["values"].update({"(2,3]": 10**400}),
+                "error: ValidationError: functions.f.values.(2,3]: number past the float range",
+            ),
+            (
                 lambda doc: doc["sublattices"]["B"]["blocks"][0]["profile"].update({"[0,1]": "x"}),
                 "error: ValidationError: sublattices.B.blocks[0].profile.[0,1]: 'x' is not a number",
             ),
@@ -362,6 +366,7 @@ class TestCliMain:
             "block-without-profile",
             "slice-r-not-a-number",
             "value-not-a-number",
+            "value-past-float-range",
             "profile-not-a-number",
             "weight-not-a-number",
             "weight-past-float-range",
