@@ -236,17 +236,24 @@ def norm(f: StepFunction) -> float:
     """The L_p norm (sum_i mu_i |f_i|^p)^(1/p); where that sum overflows, max|f_i|
     times the norm of f/max|f_i| (Blue, ACM TOMS 1978).  Raises NonFiniteValue
     when the norm itself is past the float range."""
-    p = f.space.p
+    return _norm(f.space, f.values)
+
+
+def _norm(space: Space, values: Mapping[str, float]) -> float:
+    """norm of the step function with these (finite) values on space's cells,
+    summed in the mapping's order."""
+    p = space.p
+    weight = space._weights
     total = 0.0
     try:
-        for cid, v in f.values.items():
-            total += f.space.weight(cid) * abs(v) ** p
+        for cid, v in values.items():
+            total += weight[cid] * abs(v) ** p
     except OverflowError:  # a finite float ** p past the float range
         total = math.inf
     if total < math.inf:
         return total ** (1.0 / p)
-    top = max(map(abs, f.values.values()))
-    scaled = sum(f.space.weight(cid) * (abs(v) / top) ** p for cid, v in f.values.items())
+    top = max(map(abs, values.values()))
+    scaled = sum(weight[cid] * (abs(v) / top) ** p for cid, v in values.items())
     result = top * scaled ** (1.0 / p)
     if result == math.inf:
         raise NonFiniteValue(f"norm overflows: it is past the float range (max |f| = {top!r})")

@@ -93,12 +93,13 @@ class Sublattice:
     def nu_block(self, k: int) -> float:
         return sum(self.nu(cid) for cid in self.blocks[k])
 
+    def generator(self, k: int) -> StepFunction:
+        """The profile of block k as a step function."""
+        return StepFunction(self.space, {cid: self.profile[cid] for cid in self.blocks[k]})
+
     def generators(self) -> tuple[StepFunction, ...]:
         """The block profiles as step functions, one per block."""
-        return tuple(
-            StepFunction(self.space, {cid: self.profile[cid] for cid in block})
-            for block in self.blocks
-        )
+        return tuple(self.generator(k) for k in range(len(self.blocks)))
 
     def member(self, coeffs: Sequence[float]) -> StepFunction:
         """The member with the given per-block coefficients."""

@@ -81,9 +81,13 @@ class SliceProfile:
         within _CUT_TOL of 0 or 1 are not interior."""
         return tuple(_merge_cuts(c for cuts in self._cuts for c in cuts[:-1])[1:-1])
 
+    def coefficients_at(self, r: float) -> list[float]:
+        """Per block, the right-continuous value of the rearrangement at r."""
+        return _read(self.per_block, self._cuts, r)
+
     def function_at(self, r: float) -> StepFunction:
         """The slice at r as a member of the sublattice."""
-        return self.sublattice.member(_read(self.per_block, self._cuts, r))
+        return self.sublattice.member(self.coefficients_at(r))
 
     def integral_coefficients(self) -> tuple[float, ...]:
         """Per block, the exact value of the r-integral of the rearrangement."""

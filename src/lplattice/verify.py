@@ -200,7 +200,7 @@ def check_slice_oracle(seed: int, tol: float = DEFAULT_TOL) -> Optional[str]:
     mids = merged_midpoints(prof)
     prev = None
     for r in mids:
-        cur = [prof.coefficient(k, r) for k in range(C.dim)]
+        cur = prof.coefficients_at(r)
         if prev is not None and any(c > q + 1e-12 for c, q in zip(cur, prev)):
             return f"seed {seed}: slice coefficients increase in r"
         prev = cur

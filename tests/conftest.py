@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from lplattice import (
     ConditionalDistribution,
     InvalidDistribution,
     NonTermination,
+    PreconditionFailed,
     Refinement,
     SliceProfile,
     Space,
@@ -22,14 +23,24 @@ from lplattice import (
     StepFunction,
     Sublattice,
     ValidationError,
+    cond_exp,
     dcl,
+    is_sublattice_of,
     lattice_join,
     merged_midpoints,
+    norm,
     refine_space,
     slice_profile,
     star_independent,
 )
 from lplattice.core import fresh_ids
+from lplattice.independence import (
+    IndependenceVerdict,
+    SideInput,
+    Witness,
+    _as_sublattice,
+    _space_of,
+)
 from lplattice.oracles import proportionality_classes
 from lplattice.typespace import Segment, _merge_atoms
 
@@ -211,6 +222,55 @@ def reference_realize_cond_distribution(
         for fid, (vec, mass) in zip(fresh_ids(C.space, len(d.orth)), d.orth)
     ]
     return _lay_out(C, per_block, fresh, d.arity, tol)
+
+
+# --- reference independence tests ----------------------------------------------
+# The per-generator loops that the one-pass gaps in `lplattice.independence`
+# replaced, kept verbatim as the references their differential tests compare
+# against: one cond_exp pair, one subtraction and one norm per generator of A'
+# (per midpoint r for the slice test).
+
+def reference_star_independent(
+    A: SideInput, B: SideInput, C: SideInput, tol: float = DEFAULT_TOL
+) -> IndependenceVerdict:
+    """Test whether A is *-independent from B over C.
+
+    Joins everything with dcl(C) and compares the conditional expectations
+    onto B' and onto C on the block generators of A' (enough, by linearity).
+    The witness is the failing generator with the largest norm gap; ties go
+    to the earliest block in canonical order.
+    """
+    space = _space_of(A, B, C)
+    Cbar = _as_sublattice(C, space, tol)
+    Aprime = lattice_join(_as_sublattice(A, space, tol), Cbar, tol)
+    Bprime = lattice_join(_as_sublattice(B, space, tol), Cbar, tol)
+    worst: Optional[Witness] = None
+    for e in Aprime.generators():
+        over_b = cond_exp(e, Bprime)
+        over_c = cond_exp(e, Cbar)
+        gap = norm(over_b - over_c)
+        if gap > tol and (worst is None or gap > worst.gap):
+            worst = Witness("expectation", e, None, over_b, over_c, gap)
+    return IndependenceVerdict(worst is None, worst)
+
+
+def reference_slice_independent(
+    f: StepFunction, B: Sublattice, C: Sublattice, tol: float = DEFAULT_TOL
+) -> IndependenceVerdict:
+    """Slice characterization: f is independent from B over C exactly when
+    the conditional slices of f over B and over C agree at every r."""
+    if not is_sublattice_of(C, B, tol):
+        raise PreconditionFailed("C is not a sublattice of B")
+    prof_b = slice_profile(f, B, tol)
+    prof_c = slice_profile(f, C, tol)
+    worst: Optional[Witness] = None
+    for r in merged_midpoints(prof_b, prof_c):
+        over_b = prof_b.function_at(r)
+        over_c = prof_c.function_at(r)
+        gap = norm(over_b - over_c)
+        if gap > tol and (worst is None or gap > worst.gap):
+            worst = Witness("slice", f, r, over_b, over_c, gap)
+    return IndependenceVerdict(worst is None, worst)
 
 
 def lattice_terms(fs: list[StepFunction]) -> list[StepFunction]:

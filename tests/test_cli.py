@@ -263,6 +263,10 @@ class TestCliMain:
         assert main(["run", str(DATA / "types_scenario.json")]) == 0
         assert capsys.readouterr().out.encode("utf-8") == (DATA / "types_report.json").read_bytes()
 
+    def test_indep_report_is_golden(self, capsys):
+        assert main(["run", str(DATA / "indep_scenario.json")]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (DATA / "indep_report.json").read_bytes()
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_exit_two(self, tmp_path, capsys, token):
         text = json.dumps(masked_dependence_scenario())
@@ -298,6 +302,23 @@ class TestCliMain:
         path.write_text(json.dumps(doc))
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: NonFiniteValue: distance overflows")
+
+    def test_non_finite_expectation_exit_two(self, tmp_path, capsys):
+        # E_C(chi_y) has coefficient 1e300 / 1e-10 = inf at p = 1: its first cell is x
+        doc = {
+            "space": {"p": 1.0, "cells": [{"id": "x", "weight": 1e-300}, {"id": "y", "weight": 1e300}]},
+            "functions": {"chi_y": {"values": {"y": 1.0}}},
+            "sublattices": {
+                "C": {"blocks": [{"cells": ["x", "y"], "profile": {"x": 1.0, "y": 1e-310}}]}
+            },
+            "commands": [{"op": "indep", "a": ["chi_y"], "b": ["chi_y"], "c": "C"}],
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: NonFiniteValue: value on cell 'x' is not finite: inf\n"
+        assert captured.out == ""
 
     def test_norm_overflow_exit_two(self, tmp_path, capsys):
         # the orthogonal norm of f is 1e200 (its square overflows at p = 2);

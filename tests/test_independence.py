@@ -3,8 +3,14 @@ import random
 
 import pytest
 
-from conftest import lattice_terms, reference_canonical_base
+from conftest import (
+    lattice_terms,
+    reference_canonical_base,
+    reference_slice_independent,
+    reference_star_independent,
+)
 from lplattice import (
+    NonFiniteValue,
     PreconditionFailed,
     Sublattice,
     canonical_base,
@@ -67,6 +73,78 @@ class TestStarIndependent:
         verdict = star_independent(fx.A, fx.B, fx.C)
         assert verdict.witness.gap > 1e-9
         assert norm(verdict.witness.over_b - verdict.witness.over_c) == verdict.witness.gap
+
+
+def _outcome(test, *args):
+    """A test's verdict as comparable data, or the class and message it raised."""
+    try:
+        verdict = test(*args)
+    except Exception as exc:  # compared with the reference's exception
+        return ("raised", type(exc), str(exc))
+    w = verdict.witness
+    if w is None:
+        return (verdict.independent, None)
+    fields = (w.kind, w.r, w.gap, w.element.values, w.over_b.values, w.over_c.values)
+    return (verdict.independent, fields)
+
+
+def _sides(inst, seed):
+    """Sides of an independence test: the chain members, a nontrivial
+    sublattice, and function lists of arity 1 to 3."""
+    fs = list(inst.functions)
+    return list(inst.chain) + [_nontrivial_sublattice(inst, seed), fs[:1], fs[1:], fs]
+
+
+class TestOnePassGaps:
+    """The one-pass gaps against the per-generator loops they replaced."""
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_star_matches_reference(self, seed):
+        rng = random.Random(seed)
+        for size in (6, 12):
+            inst = random_instance(seed, size)
+            sides = _sides(inst, seed)
+            for A, B, C in rng.sample(list(itertools.product(sides, repeat=3)), 8):
+                assert _outcome(star_independent, A, B, C) == _outcome(
+                    reference_star_independent, A, B, C
+                )
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_slice_matches_reference(self, seed):
+        for size in (6, 12):
+            inst = random_instance(seed, size)
+            C, B, D = inst.chain
+            pairs = [(B, C), (D, C), (D, B), (_nontrivial_sublattice(inst, seed), C)]
+            for f in inst.functions:
+                for b, c in pairs:
+                    assert _outcome(slice_independent, f, b, c) == _outcome(
+                        reference_slice_independent, f, b, c
+                    )
+
+    def test_tie_goes_to_earliest_block(self):
+        # two copies of one C-block split the same way: bit-equal gaps on {s} and {u}
+        space = make_space([("s", 1.0), ("t", 0.5), ("u", 1.0), ("v", 0.5)], 1.5)
+        C = Sublattice.make(
+            space, [(("s", "t"), {"s": 1.0, "t": 2.0}), (("u", "v"), {"u": 1.0, "v": 2.0})]
+        )
+        f = step_function(space, {"s": 1.0, "t": 3.0, "u": 1.0, "v": 3.0})
+        verdict = star_independent([f], [f], C)
+        assert verdict.witness.element.values == {"s": 1.0}
+        assert _outcome(star_independent, [f], [f], C) == _outcome(
+            reference_star_independent, [f], [f], C
+        )
+
+    def test_non_finite_expectation_names_the_first_cell(self):
+        # E_C(chi_y) has coefficient 1e300 / 1e-10 = inf: its first cell is x
+        space = make_space([("x", 1e-300), ("y", 1e300)], 1.0)
+        C = Sublattice.make(space, [(("x", "y"), {"x": 1.0, "y": 1e-310})])
+        chi_y = indicator(space, ["y"])
+        message = "value on cell 'x' is not finite: inf"
+        with pytest.raises(NonFiniteValue, match=f"^{message}$"):
+            star_independent([chi_y], [chi_y], C)
+        assert _outcome(star_independent, [chi_y], [chi_y], C) == _outcome(
+            reference_star_independent, [chi_y], [chi_y], C
+        )
 
 
 class TestRestrictedStarCheck:
