@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -66,6 +67,12 @@ def tolerance_groups(
         if len(groups) == size:
             break
     return groups
+
+
+def left_sum(xs: Iterable[float]) -> float:
+    """The floats added one by one from the left, from 0.0: the same last
+    digits on every Python, where sum() compensates from Python 3.12 on."""
+    return reduce(add, xs, 0.0)
 
 
 def _finite(x: float, what: str) -> float:
@@ -209,6 +216,15 @@ class StepFunction:
         return StepFunction(self.space, {c: v for c, v in self.values.items() if c in keep})
 
 
+def _finite_values(values: dict[str, float]) -> dict[str, float]:
+    """values, after StepFunction's check: NonFiniteValue on the first value
+    that is not finite."""
+    if not all(map(math.isfinite, values.values())):
+        cid, v = next((cid, v) for cid, v in values.items() if not math.isfinite(v))
+        raise NonFiniteValue(f"value on cell {cid!r} is not finite: {v!r}")
+    return values
+
+
 def step_function(space: Space, values: Mapping[str, float]) -> StepFunction:
     """Validated StepFunction; absent cells mean value 0."""
     return StepFunction(space, dict(values))
@@ -253,7 +269,7 @@ def _norm(space: Space, values: Mapping[str, float]) -> float:
     if total < math.inf:
         return total ** (1.0 / p)
     top = max(map(abs, values.values()))
-    scaled = sum(weight[cid] * (abs(v) / top) ** p for cid, v in values.items())
+    scaled = left_sum(weight[cid] * (abs(v) / top) ** p for cid, v in values.items())
     result = top * scaled ** (1.0 / p)
     if result == math.inf:
         raise NonFiniteValue(f"norm overflows: it is past the float range (max |f| = {top!r})")
@@ -338,8 +354,9 @@ def refine_space(
             fr = [float(x) for x in plan[cid]]
             if not fr or any(not math.isfinite(x) or x <= 0.0 for x in fr):
                 raise BadFractions(f"fractions for {cid!r} must be positive")
-            if not close(sum(fr), 1.0, tol):
-                raise BadFractions(f"fractions for {cid!r} sum to {sum(fr)!r}")
+            total = left_sum(fr)
+            if not close(total, 1.0, tol):
+                raise BadFractions(f"fractions for {cid!r} sum to {total!r}")
             kids = tuple((f"{cid}#{k}", w * x) for k, x in enumerate(fr))
         else:
             kids = ((cid, w),)

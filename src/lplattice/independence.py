@@ -3,15 +3,15 @@ and canonical bases."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     DEFAULT_TOL,
     Refinement,
     Space,
     StepFunction,
+    _finite_values,
     _norm,
     close,
     function_close,
@@ -19,12 +19,12 @@ from .core import (
 )
 from .errors import (
     CertificationFailed,
-    NonFiniteValue,
     PreconditionFailed,
     SpaceMismatch,
 )
 from .sublattice import (
     Sublattice,
+    _expectation,
     cond_exp,
     dcl,
     intersects_well,
@@ -111,70 +111,10 @@ def star_independent(
 
 def _expectation_gaps(A: Sublattice, B: Sublattice, C: Sublattice) -> Iterator[float]:
     """Lazily, per block of A in order, norm(cond_exp(e, B) - cond_exp(e, C))
-    for the block's generator e, bit-equal to that expression: one pass over
-    the block's own cells, with the sums that depend only on B or C made once."""
-    expect_b, expect_c = _expectation(B), _expectation(C)
+    for the block's generator e, bit-equal to that expression: one
+    expectation over the block's own cells onto each of B and C."""
     for block in A.blocks:
-        yield _gap(A.space, expect_b(block, A.profile), expect_c(block, A.profile))
-
-
-def _expectation(L: Sublattice) -> Callable[[Sequence[str], dict[str, float]], dict[str, float]]:
-    """cond_exp(., L) for many functions: expect(cells, values) gives the
-    values of cond_exp(f, L) for the f with these values on these cells (in
-    space order) and 0 elsewhere.
-
-    Each cell's mu * w**(p-1) and each block's sum of mu * w**p (in block
-    order) are computed once.  A block's numerator adds the same products as
-    cond_exp in the same order; the cells where f is 0, which cond_exp adds as
-    +0.0, change no sum.
-    """
-    p = L.space.p
-    weight = L.space._weights
-    factor = {}
-    den = []
-    for block in L.blocks:
-        total = 0.0
-        for cid in block:
-            mu, w = weight[cid], L.profile[cid]
-            factor[cid] = mu * w ** (p - 1.0)
-            total += mu * w ** p
-        den.append(total)
-    block_of = L._block_of
-
-    def expect(cells: Sequence[str], values: dict[str, float]) -> dict[str, float]:
-        num: dict[int, float] = {}
-        for cid in cells:
-            k = block_of.get(cid)
-            if k is not None:
-                num[k] = num.get(k, 0.0) + factor[cid] * values[cid]
-        return _member_values(L, [(k, num[k] / den[k]) for k in sorted(num)])
-
-    return expect
-
-
-def _member_values(
-    L: Sublattice, coefficients: Iterable[tuple[int, float]]
-) -> dict[str, float]:
-    """The values of the member of L with coefficient c on block k, for the
-    (k, c) pairs given in block order, as a StepFunction keeps them."""
-    profile = L.profile
-    out = {}
-    for k, c in coefficients:
-        if c != 0.0:
-            for cid in L.blocks[k]:
-                v = c * profile[cid]
-                if v != 0.0:
-                    out[cid] = v
-    return _finite_values(out)
-
-
-def _finite_values(values: dict[str, float]) -> dict[str, float]:
-    """values, after StepFunction's check: NonFiniteValue on the first value
-    that is not finite."""
-    if not all(map(math.isfinite, values.values())):
-        cid, v = next((cid, v) for cid, v in values.items() if not math.isfinite(v))
-        raise NonFiniteValue(f"value on cell {cid!r} is not finite: {v!r}")
-    return values
+        yield _gap(A.space, _expectation(B, block, A.profile), _expectation(C, block, A.profile))
 
 
 def _gap(space: Space, over_b: dict[str, float], over_c: dict[str, float]) -> float:
@@ -249,8 +189,8 @@ def slice_independent(
     for r in merged_midpoints(prof_b, prof_c):
         gap = _gap(
             B.space,
-            _member_values(B, enumerate(prof_b.coefficients_at(r))),
-            _member_values(C, enumerate(prof_c.coefficients_at(r))),
+            B._member_values(enumerate(prof_b.coefficients_at(r))),
+            C._member_values(enumerate(prof_c.coefficients_at(r))),
         )
         if gap > worst_gap:
             worst, worst_gap = r, gap

@@ -29,6 +29,8 @@ GUARD_GENERATORS = 4
 # brute_dcl_closure: rank and proportionality tolerance, and closure round guard
 CLOSURE_TOL = 1e-7
 CLOSURE_ROUNDS = 50
+# a coupling's mass left this small after subtracting `take` is rounding residue
+COUPLING_RESIDUE = 1e-15
 
 # draw pools of random_instance; part of the generator's replay contract
 WEIGHT_POOL = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
@@ -145,9 +147,10 @@ def slice_by_definition(
         raise SublatticeMismatch("function and sublattice live on different spaces")
     f1, _ = band_decompose(f, C)
     coeffs = []
-    for k, block in enumerate(C.blocks):
-        total = C.nu_block(k)
-        hs = [(f1[cid] / C.profile[cid], C.nu(cid)) for cid in block]
+    for block in C.blocks:
+        nus = [C.space.weight(cid) * C.profile[cid] ** C.space.p for cid in block]
+        total = sum(nus)
+        hs = [(f1[cid] / C.profile[cid], nu) for cid, nu in zip(block, nus)]
 
         def best(values_masses, threshold, strict):
             candidates = {0.0} | {v for v, _ in values_masses if v > 0.0}
@@ -191,17 +194,18 @@ def wasserstein_block(
         cost += take * abs(a[i][0] - b[j][0]) ** p
         ra -= take
         rb -= take
-        if ra <= 1e-15:
+        if ra <= COUPLING_RESIDUE:
             i += 1
             ra = a[i][1] if i < len(a) else 0.0
-        if rb <= 1e-15:
+        if rb <= COUPLING_RESIDUE:
             j += 1
             rb = b[j][1] if j < len(b) else 0.0
     return cost ** (1.0 / p)
 
 
 def _block_law(t: TypeDatum, k: int) -> list[tuple[float, float]]:
-    nu = t.sublattice.nu_block(k)
+    C = t.sublattice
+    nu = sum(C.space.weight(cid) * C.profile[cid] ** C.space.p for cid in C.blocks[k])
     return [(value, length * nu) for length, value in t.profile.per_block[k]]
 
 
@@ -242,9 +246,9 @@ def coupling_upper_bounds(
                 total += take * abs(alive_a[ia][0] - alive_b[ib][0]) ** p
                 alive_a[ia][1] -= take
                 alive_b[ib][1] -= take
-                if alive_a[ia][1] <= 1e-15:
+                if alive_a[ia][1] <= COUPLING_RESIDUE:
                     alive_a.pop(ia)
-                if alive_b[ib][1] <= 1e-15:
+                if alive_b[ib][1] <= COUPLING_RESIDUE:
                     alive_b.pop(ib)
         if trial == 0 or rng.random() < 0.5:
             # orthogonal parts on shared fresh cells

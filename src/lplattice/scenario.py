@@ -213,6 +213,8 @@ _NAMES = ("a list of names", lambda v: isinstance(v, list) and all(isinstance(n,
 _SIDE = ("a name or a list of names", lambda v: _NAME[1](v) or _NAMES[1](v))
 _NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
 _CELLS = ("a list of cells", lambda v: isinstance(v, list))
+_LIST = ("a list", lambda v: isinstance(v, list))
+_OBJECT = ("an object", lambda v: isinstance(v, dict))
 
 # per op, the fields it reads and the kind of each; all are required but "as"
 _FIELDS = {
@@ -228,6 +230,13 @@ _FIELDS = {
     "extend": {"fs": _NAMES, "c": _NAME, "b": _NAME, "as": _NAMES},
     "maharam": {"cells": _CELLS, "c": _NAME, "target": _NAME},
 }
+
+
+def _of_kind(value: Any, path: str, kind: tuple) -> Any:
+    """value, if it is of the kind; else a ValidationError naming path."""
+    if not kind[1](value):
+        raise ValidationError(f"{path}: must be {kind[0]}")
+    return value
 
 
 def _check_fields(i: int, cmd: Any) -> None:
@@ -252,29 +261,29 @@ class _Runner:
         self.functions: dict[str, StepFunction] = {}
         self.sublattices: dict[str, Sublattice] = {}
         self.refinements: list[dict] = []
-        for name, fdoc in dict(doc.get("functions", {})).items():
+        for name, fdoc in _of_kind(doc.get("functions", {}), "functions", _OBJECT).items():
             if not isinstance(fdoc, dict) or "values" not in fdoc:
                 raise ValidationError(f"functions.{name}: function document needs 'values'")
             values = _numbers(fdoc["values"], f"functions.{name}.values")
             self.functions[name] = step_function(self.space, values)
-        for name, sdoc in dict(doc.get("sublattices", {})).items():
+        for name, sdoc in _of_kind(doc.get("sublattices", {}), "sublattices", _OBJECT).items():
             self.sublattices[name] = self._sublattice_from_doc(name, sdoc)
 
     def _sublattice_from_doc(self, name: str, doc: Any) -> Sublattice:
-        if not isinstance(doc, dict):
-            raise ValidationError("sublattice document must be an object")
+        path = f"sublattices.{name}"
+        _of_kind(doc, path, _OBJECT)
         if "generators" in doc:
-            gens = [self.function(gen) for gen in doc["generators"]]
-            return dcl(self.space, gens, self.tol)
+            names = _of_kind(doc["generators"], f"{path}.generators", _NAMES)
+            return dcl(self.space, [self.function(gen) for gen in names], self.tol)
         if "blocks" in doc:
             blocks = []
-            for j, b in enumerate(doc["blocks"]):
+            for j, b in enumerate(_of_kind(doc["blocks"], f"{path}.blocks", _LIST)):
                 for field in ("cells", "profile"):
                     if not isinstance(b, dict) or field not in b:
-                        raise ValidationError(f"sublattices.{name}.blocks[{j}].{field}: missing")
-                cells = [str(c) for c in b["cells"]]
-                prof = _numbers(b["profile"], f"sublattices.{name}.blocks[{j}].profile")
-                blocks.append((cells, prof))
+                        raise ValidationError(f"{path}.blocks[{j}].{field}: missing")
+                cells = _of_kind(b["cells"], f"{path}.blocks[{j}].cells", _CELLS)
+                prof = _numbers(b["profile"], f"{path}.blocks[{j}].profile")
+                blocks.append(([str(c) for c in cells], prof))
             return Sublattice.make(self.space, blocks)
         raise ValidationError("sublattice document needs 'blocks' or 'generators'")
 
@@ -395,7 +404,8 @@ def execute_scenario_doc(doc: Any, tol: float = DEFAULT_TOL) -> dict:
     if not isinstance(doc, dict):
         raise ValidationError("scenario must be a JSON object")
     runner = _Runner(doc, tol)
-    results = [runner.run(i, cmd) for i, cmd in enumerate(list(doc.get("commands", [])))]
+    commands = _of_kind(doc.get("commands", []), "commands", _LIST)
+    results = [runner.run(i, cmd) for i, cmd in enumerate(commands)]
     return {
         "tol": tol,
         "scenario": doc,

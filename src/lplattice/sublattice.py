@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     DEFAULT_TOL,
@@ -14,10 +14,19 @@ from .core import (
     Refinement,
     Space,
     StepFunction,
+    _finite_values,
     close,
     tolerance_groups,
 )
 from .errors import SpaceMismatch, UnknownCell, ValidationError
+
+
+class NuTable(NamedTuple):
+    """Per cell mu * w**(p-1) and nu = mu * w**p; per block its nu-mass."""
+
+    factor: dict[str, float]
+    nu: dict[str, float]
+    mass: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -86,12 +95,29 @@ class Sublattice:
     def block_of(self, cid: str) -> Optional[int]:
         return self._block_of.get(cid)
 
+    @cached_property
+    def nu_table(self) -> NuTable:
+        """Made in one pass over the blocks; a mass adds its block's nu in block order."""
+        p, weight = self.space.p, self.space._weights
+        factor, nu, mass = {}, {}, []
+        for block in self.blocks:
+            total = 0.0
+            for cid in block:
+                mu, w = weight[cid], self.profile[cid]
+                factor[cid] = mu * w ** (p - 1.0)
+                nu[cid] = v = mu * w ** p
+                total += v
+            mass.append(total)
+        return NuTable(factor, nu, tuple(mass))
+
     def nu(self, cid: str) -> float:
         """Cell weight in the nu-presentation: mu * w^p."""
-        return self.space.weight(cid) * self.profile[cid] ** self.space.p
+        if cid not in self.space:
+            raise UnknownCell(f"no cell {cid!r}")
+        return self.nu_table.nu[cid]
 
     def nu_block(self, k: int) -> float:
-        return sum(self.nu(cid) for cid in self.blocks[k])
+        return self.nu_table.mass[k]
 
     def generator(self, k: int) -> StepFunction:
         """The profile of block k as a step function."""
@@ -105,12 +131,21 @@ class Sublattice:
         """The member with the given per-block coefficients."""
         if len(coeffs) != len(self.blocks):
             raise ValidationError("one coefficient per block required")
-        vals = {}
-        for c, block in zip(coeffs, self.blocks):
+        return StepFunction(self.space, self._member_values(enumerate(coeffs)))
+
+    def _member_values(self, coefficients: Iterable[tuple[int, float]]) -> dict[str, float]:
+        """The values of the member with coefficient c on block k, for the
+        (k, c) pairs given in block order, as a StepFunction keeps them:
+        exact zeros dropped, NonFiniteValue on the first value not finite."""
+        profile = self.profile
+        out = {}
+        for k, c in coefficients:
             if c != 0.0:
-                for cid in block:
-                    vals[cid] = c * self.profile[cid]
-        return StepFunction(self.space, vals)
+                for cid in self.blocks[k]:
+                    v = c * profile[cid]
+                    if v != 0.0:
+                        out[cid] = v
+        return _finite_values(out)
 
     def equals(self, other: "Sublattice", tol: float = DEFAULT_TOL) -> bool:
         """Equality of canonical forms within tol."""
@@ -211,7 +246,8 @@ def contains(
         raise SpaceMismatch("function lives on a different space")
     # a block f does not touch has coefficient 0 and passes every check
     coeffs = dict.fromkeys(range(len(C.blocks)), 0.0)
-    for k in _touched_blocks(f, C):
+    block_of = C._block_of
+    for k in sorted({block_of[cid] for cid in f.values if cid in block_of}):
         block = C.blocks[k]
         anchor = max(block, key=lambda cid: C.profile[cid])
         c = f[anchor] / C.profile[anchor]
@@ -232,12 +268,6 @@ def is_sublattice_of(C: Sublattice, B: Sublattice, tol: float = DEFAULT_TOL) -> 
     return all(contains(B, g, tol) is not None for g in C.generators())
 
 
-def _touched_blocks(f: StepFunction, C: Sublattice) -> list[int]:
-    """Indices of the blocks of C that meet f's support, in increasing order."""
-    block_of = C._block_of
-    return sorted({block_of[cid] for cid in f.values if cid in block_of})
-
-
 def band_decompose(f: StepFunction, C: Sublattice) -> tuple[StepFunction, StepFunction]:
     """Split f into its components inside and orthogonal to the band of C."""
     if f.space != C.space:
@@ -253,28 +283,29 @@ def cond_exp(f: StepFunction, C: Sublattice) -> StepFunction:
 
     Per block the coefficient is the nu-weighted average of f/w, the unique
     choice satisfying sum_B nu * (E f)/w = sum_B nu * f/w; the result
-    vanishes on the band orthogonal to C.  Only the blocks f's support
-    touches are visited, in block order (the others have coefficient 0), so
-    the cost is the total size of those blocks, not the size of C.
+    vanishes on the band orthogonal to C.  The cost is f's support (and its
+    sort) plus the blocks it touches, not the size of C.
     """
     if f.space != C.space:
         raise SpaceMismatch("function lives on a different space")
-    p = C.space.p
-    out = {}
-    for k in _touched_blocks(f, C):
-        block = C.blocks[k]
-        num = 0.0
-        den = 0.0
-        for cid in block:
-            mu = C.space.weight(cid)
-            w = C.profile[cid]
-            num += mu * w ** (p - 1.0) * f[cid]
-            den += mu * w ** p
-        c = num / den
-        if c != 0.0:
-            for cid in block:
-                out[cid] = c * C.profile[cid]
-    return StepFunction(C.space, out)
+    return StepFunction(C.space, _expectation(C, C.space.sort_cells(f.values), f.values))
+
+
+def _expectation(
+    C: Sublattice, cells: Sequence[str], values: Mapping[str, float]
+) -> dict[str, float]:
+    """The values of cond_exp(f, C) for the f with these values on these
+    cells (in space order) and 0 elsewhere: per block, mu * w**(p-1) * f
+    summed over its given cells, over its nu-mass (a cell where f is 0 would
+    add +0.0, which changes no sum)."""
+    factor, _, mass = C.nu_table
+    block_of = C._block_of
+    num: dict[int, float] = {}
+    for cid in cells:
+        k = block_of.get(cid)
+        if k is not None:
+            num[k] = num.get(k, 0.0) + factor[cid] * values[cid]
+    return C._member_values((k, num[k] / mass[k]) for k in sorted(num))
 
 
 def lattice_intersection(

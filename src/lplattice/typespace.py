@@ -16,6 +16,7 @@ from .core import (
     StepFunction,
     close,
     fresh_ids,
+    left_sum,
     norm,
     refine_space,
     tolerance_groups,
@@ -92,7 +93,7 @@ class SliceProfile:
     def integral_coefficients(self) -> tuple[float, ...]:
         """Per block, the exact value of the r-integral of the rearrangement."""
         return tuple(
-            sum(length * value for length, value in segments)
+            left_sum(length * value for length, value in segments)
             for segments in self.per_block
         )
 
@@ -257,11 +258,11 @@ def cond_probability(event: Iterable[str], C: Sublattice) -> StepFunction:
     for cid in cells:
         if cid not in C.space:
             raise UnknownCell(f"no cell {cid!r}")
-    coeffs = []
-    for k, block in enumerate(C.blocks):
-        hit = sum(C.nu(cid) for cid in block if cid in cells)
-        coeffs.append(hit / C.nu_block(k))
-    return C.member(coeffs)
+    _, nu, mass = C.nu_table
+    return C.member([
+        left_sum(nu[cid] for cid in block if cid in cells) / total
+        for block, total in zip(C.blocks, mass)
+    ])
 
 
 def slice_profile(f: StepFunction, C: Sublattice, tol: float = DEFAULT_TOL) -> SliceProfile:
@@ -308,9 +309,9 @@ def _merge_atoms(atoms: Iterable[Atom], tol: float) -> tuple[Atom, ...]:
             vec = vecs[group[0]]
             total = acc[vec]
         else:
-            total = sum(acc[vecs[i]] for i in group)
+            total = left_sum(acc[vecs[i]] for i in group)
             vec = tuple(
-                sum(vecs[i][d] * acc[vecs[i]] for i in group) / total
+                left_sum(vecs[i][d] * acc[vecs[i]] for i in group) / total
                 for d in range(len(vecs[group[0]]))
             )
         if total > 0.0:
@@ -338,25 +339,25 @@ def _block_laws(
     fs: tuple[StepFunction, ...], C: Sublattice, tol: float
 ) -> Iterator[tuple[tuple[Atom, ...], float]]:
     """Per block of C, the merged law of the profile-normalized value vectors
-    and its nu-mass, summed in cell order as nu_block sums it.  Lazy, so only
-    the block in hand is alive; the space check runs at the first step."""
+    and its nu-mass.  Lazy, so only the block in hand is alive; the space
+    check runs at the first step."""
     for f in fs:
         if f.space != C.space:
             raise SpaceMismatch("function lives on a different space")
-    for block in C.blocks:
-        nus = [C.nu(cid) for cid in block]
+    _, nu, mass = C.nu_table
+    for block, total in zip(C.blocks, mass):
         # one column per function, paired up per cell; an empty tuple is () on every cell
         columns = [[f[cid] / C.profile[cid] for cid in block] for f in fs]
         vecs = zip(*columns) if fs else [()] * len(block)
-        yield _merge_atoms(zip(vecs, nus), tol), sum(nus)
+        yield _merge_atoms(zip(vecs, [nu[cid] for cid in block]), tol), total
 
 
 def _atoms_equal(a: tuple[Atom, ...], b: tuple[Atom, ...], tol: float) -> bool:
     # one grouping of both laws' atoms; each group carries equal mass from each
     pooled = a + b
     for group in tolerance_groups(len(pooled), zip(*(vec for vec, _ in pooled)), tol):
-        mass_a = sum(pooled[i][1] for i in group if i < len(a))
-        mass_b = sum(pooled[i][1] for i in group if i >= len(a))
+        mass_a = left_sum(pooled[i][1] for i in group if i < len(a))
+        mass_b = left_sum(pooled[i][1] for i in group if i >= len(a))
         if not close(mass_a, mass_b, tol):
             return False
     return True
@@ -552,16 +553,11 @@ def maharam_select(
     coeffs = contains(C, target, tol)
     if coeffs is None:
         raise TargetOutOfRange("target is not a member of C")
-    p = space.p
+    factor, _, mass = C.nu_table
     plan = {}
     selected: list[str] = []
-    for k, block in enumerate(C.blocks):
-        nu_b = C.nu_block(k)
-        bound = sum(
-            space.weight(cid) * C.profile[cid] ** (p - 1.0)
-            for cid in block
-            if cid in A
-        )
+    for k, (block, nu_b) in enumerate(zip(C.blocks, mass)):
+        bound = left_sum(factor[cid] for cid in block if cid in A)
         need = coeffs[k] * nu_b
         slack = tol * max(1.0, nu_b)
         if need < -slack or need > bound + slack:
@@ -572,7 +568,7 @@ def maharam_select(
         for cid in block:
             if cid not in A or need <= slack:
                 continue
-            a = space.weight(cid) * C.profile[cid] ** (p - 1.0)
+            a = factor[cid]
             if a <= need + slack:
                 selected.append(cid)
                 need = max(need - a, 0.0)

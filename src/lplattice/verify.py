@@ -125,6 +125,7 @@ def _nontrivial_sublattice(inst: RandomInstance, prefer: int) -> Sublattice:
 # --- acceptance checkers --------------------------------------------------------
 
 def check_masked_dependence_fixture(p: float, tol: float = 1e-12) -> Optional[str]:
+    # default tol: a rounding bound, as the fixture is exact up to a division by 3
     fx = masked_dependence_example(p)
     for alpha in (1.0, -2.0, 0.5):
         want = alpha * fx.chi
@@ -136,11 +137,11 @@ def check_masked_dependence_fixture(p: float, tol: float = 1e-12) -> Optional[st
         return f"E_B(chi_(2,3]) != chi_(2,3] at p={p}"
     if not function_close(cond_exp(fx.chi_top, fx.C), (1.0 / 3.0) * fx.chi, tol):
         return f"E_C(chi_(2,3]) != chi/3 at p={p}"
-    verdict = star_independent(fx.A, fx.B, fx.C, max(tol, 1e-12))
+    verdict = star_independent(fx.A, fx.B, fx.C, tol)
     if verdict.independent:
         return f"star_independent judged the masked-dependence fixture independent at p={p}"
     witness = verdict.witness
-    if witness is None or not function_close(witness.element, fx.chi_top, max(tol, 1e-12)):
+    if witness is None or not function_close(witness.element, fx.chi_top, tol):
         return f"witness is not chi_(2,3] at p={p}"
     if not function_close(witness.over_b, fx.chi_top, tol):
         return f"witness E_B is not chi_(2,3] at p={p}"

@@ -23,7 +23,6 @@ from lplattice import (
     StepFunction,
     Sublattice,
     ValidationError,
-    cond_exp,
     dcl,
     is_sublattice_of,
     lattice_join,
@@ -138,6 +137,21 @@ def reference_canonical_base(
     return cb
 
 
+# --- reference nu-presentation ---------------------------------------------------
+# mu * w**p and the block masses as the references compute them, apart from
+# Sublattice.nu_table; the mass is summed from the left, as on the fast path.
+
+def _nu(C: Sublattice, cid: str) -> float:
+    return C.space.weight(cid) * C.profile[cid] ** C.space.p
+
+
+def _nu_block(C: Sublattice, k: int) -> float:
+    total = 0.0
+    for cid in C.blocks[k]:
+        total += _nu(C, cid)
+    return total
+
+
 # --- reference block-law layouts ------------------------------------------------
 # The per-job copies that `typespace._layout` replaced, kept verbatim as the
 # references their differential tests compare against: `slice_profile` over
@@ -157,7 +171,7 @@ def reference_slice_profile(f: StepFunction, C: Sublattice, tol: float = DEFAULT
         raise SpaceMismatch("function lives on a different space")
     per_block = []
     for block in C.blocks:
-        pairs = [(f[cid] / C.profile[cid], C.nu(cid)) for cid in block]
+        pairs = [(f[cid] / C.profile[cid], _nu(C, cid)) for cid in block]
         per_block.append(_rearrange(pairs, tol))
     return SliceProfile(C, tuple(per_block))
 
@@ -213,7 +227,7 @@ def reference_realize_cond_distribution(
         atoms = sorted(block_atoms, key=lambda a: tuple(-x for x in a[0]))
         if not atoms:
             raise InvalidDistribution(f"block {k} carries no mass")
-        total = C.nu_block(k)
+        total = _nu_block(C, k)
         per_block.append(
             (tuple(mass / total for _, mass in atoms), [vec for vec, _ in atoms])
         )
@@ -222,6 +236,42 @@ def reference_realize_cond_distribution(
         for fid, (vec, mass) in zip(fresh_ids(C.space, len(d.orth)), d.orth)
     ]
     return _lay_out(C, per_block, fresh, d.arity, tol)
+
+
+# --- reference conditional expectation -------------------------------------------
+# The per-block loop that `lplattice.sublattice.cond_exp` replaced, kept
+# verbatim (but for the touched blocks, found here through `block_of`) as the
+# reference its differential test and `reference_star_independent` use: all
+# of a touched block's cells, both powers of w computed per cell.
+
+def reference_cond_exp(f: StepFunction, C: Sublattice) -> StepFunction:
+    """Conditional expectation of f onto C.
+
+    Per block the coefficient is the nu-weighted average of f/w, the unique
+    choice satisfying sum_B nu * (E f)/w = sum_B nu * f/w; the result
+    vanishes on the band orthogonal to C.  Only the blocks f's support
+    touches are visited, in block order (the others have coefficient 0), so
+    the cost is the total size of those blocks, not the size of C.
+    """
+    if f.space != C.space:
+        raise SpaceMismatch("function lives on a different space")
+    p = C.space.p
+    out = {}
+    touched = sorted({C.block_of(cid) for cid in f.values} - {None})
+    for k in touched:
+        block = C.blocks[k]
+        num = 0.0
+        den = 0.0
+        for cid in block:
+            mu = C.space.weight(cid)
+            w = C.profile[cid]
+            num += mu * w ** (p - 1.0) * f[cid]
+            den += mu * w ** p
+        c = num / den
+        if c != 0.0:
+            for cid in block:
+                out[cid] = c * C.profile[cid]
+    return StepFunction(C.space, out)
 
 
 # --- reference independence tests ----------------------------------------------
@@ -246,8 +296,8 @@ def reference_star_independent(
     Bprime = lattice_join(_as_sublattice(B, space, tol), Cbar, tol)
     worst: Optional[Witness] = None
     for e in Aprime.generators():
-        over_b = cond_exp(e, Bprime)
-        over_c = cond_exp(e, Cbar)
+        over_b = reference_cond_exp(e, Bprime)
+        over_c = reference_cond_exp(e, Cbar)
         gap = norm(over_b - over_c)
         if gap > tol and (worst is None or gap > worst.gap):
             worst = Witness("expectation", e, None, over_b, over_c, gap)

@@ -267,6 +267,11 @@ class TestCliMain:
         assert main(["run", str(DATA / "indep_scenario.json")]) == 0
         assert capsys.readouterr().out.encode("utf-8") == (DATA / "indep_report.json").read_bytes()
 
+    def test_merge_sum_report_is_golden(self, capsys):
+        # ten masses of 0.1 merged into one atom: sum() would round differently from 3.12 on
+        assert main(["run", str(DATA / "merge_sum_scenario.json")]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (DATA / "merge_sum_report.json").read_bytes()
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_exit_two(self, tmp_path, capsys, token):
         text = json.dumps(masked_dependence_scenario())
@@ -381,6 +386,38 @@ class TestCliMain:
                 lambda doc: doc["functions"]["f"].update({"values": [1, 2]}),
                 "error: ValidationError: functions.f.values: must be an object of numbers",
             ),
+            (
+                lambda doc: doc.update({"functions": 5}),
+                "error: ValidationError: functions: must be an object",
+            ),
+            (
+                lambda doc: doc.update({"sublattices": [1]}),
+                "error: ValidationError: sublattices: must be an object",
+            ),
+            (
+                lambda doc: doc["sublattices"].update({"C": 5}),
+                "error: ValidationError: sublattices.C: must be an object",
+            ),
+            (
+                lambda doc: doc.update({"commands": 5}),
+                "error: ValidationError: commands: must be a list",
+            ),
+            (
+                lambda doc: doc["sublattices"]["B"].update({"blocks": 5}),
+                "error: ValidationError: sublattices.B.blocks: must be a list",
+            ),
+            (
+                lambda doc: doc["sublattices"]["B"]["blocks"][0].update({"cells": 5}),
+                "error: ValidationError: sublattices.B.blocks[0].cells: must be a list of cells",
+            ),
+            (
+                lambda doc: doc["sublattices"]["C"].update({"generators": 5}),
+                "error: ValidationError: sublattices.C.generators: must be a list of names",
+            ),
+            (
+                lambda doc: doc["sublattices"]["C"].update({"generators": "f"}),
+                "error: ValidationError: sublattices.C.generators: must be a list of names",
+            ),
         ],
         ids=[
             "condexp-without-c",
@@ -393,6 +430,14 @@ class TestCliMain:
             "weight-past-float-range",
             "p-not-a-number",
             "values-not-an-object",
+            "functions-not-an-object",
+            "sublattices-not-an-object",
+            "sublattice-not-an-object",
+            "commands-not-a-list",
+            "blocks-not-a-list",
+            "block-cells-not-a-list",
+            "generators-not-a-list",
+            "generators-a-string",
         ],
     )
     def test_malformed_field_exit_two(self, tmp_path, capsys, edit, message):

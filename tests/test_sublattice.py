@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from conftest import brute_intersection, reference_join
+from conftest import brute_intersection, reference_cond_exp, reference_join
 from lplattice import (
+    NonFiniteValue,
     Space,
     SpaceMismatch,
     StepFunction,
     Sublattice,
+    UnknownCell,
     band_decompose,
     canonical_base,
     close,
@@ -30,7 +32,7 @@ from lplattice import (
     type_datum,
 )
 from lplattice.oracles import brute_dcl_closure, random_instance
-from lplattice.verify import masked_dependence_example
+from lplattice.verify import _nontrivial_sublattice, masked_dependence_example
 
 
 def unit_space(n=3, p=2.0):
@@ -203,6 +205,76 @@ class TestCondExp:
         for e in C.generators():
             inner = sum(inst.space.weight(c) * resid[c] * e[c] for c in e.values)
             assert abs(inner) <= 1e-9
+
+
+def _cond_exp_outcome(expect, f, C):
+    """cond_exp's values in order, or the class and message it raised."""
+    try:
+        return list(expect(f, C).values.items())
+    except Exception as exc:  # compared with the reference's exception
+        return ("raised", type(exc), str(exc))
+
+
+class TestOneExpectation:
+    """cond_exp over the nu-table against the per-block loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_matches_reference(self, seed):
+        rng = random.Random(seed)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            inst = random_instance(seed, 12, p=p)
+            cells = list(inst.space.ids())
+            noisy = {c: rng.uniform(-3.0, 3.0) for c in cells if rng.random() < 0.6}
+            fs = list(inst.functions) + [StepFunction(inst.space, noisy)]
+            for f in fs:
+                # the same function with its values in another order than the space's
+                items = list(f.values.items())
+                rng.shuffle(items)
+                f = StepFunction(inst.space, dict(items))
+                for C in list(inst.chain) + [_nontrivial_sublattice(inst, seed)]:
+                    assert _cond_exp_outcome(cond_exp, f, C) == _cond_exp_outcome(
+                        reference_cond_exp, f, C
+                    )
+
+    def test_non_finite_value_names_the_first_cell(self):
+        # coefficient 1e300 / 1e-10 = inf: its first cell is x
+        space = make_space([("x", 1e-300), ("y", 1e300)], 1.0)
+        C = Sublattice.make(space, [(("x", "y"), {"x": 1.0, "y": 1e-310})])
+        chi_y = indicator(space, ["y"])
+        with pytest.raises(NonFiniteValue, match="^value on cell 'x' is not finite: inf$"):
+            cond_exp(chi_y, C)
+        assert _cond_exp_outcome(cond_exp, chi_y, C) == _cond_exp_outcome(
+            reference_cond_exp, chi_y, C
+        )
+
+
+class TestNuTable:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_equals_explicit_loop(self, seed):
+        inst = random_instance(seed, 12)
+        space = inst.space
+        for C in inst.chain:
+            factor, nu, mass = {}, {}, []
+            for block in C.blocks:
+                total = 0.0
+                for cid in block:
+                    mu, w = space.weight(cid), C.profile[cid]
+                    factor[cid] = mu * w ** (space.p - 1.0)
+                    nu[cid] = mu * w ** space.p
+                    total += nu[cid]
+                mass.append(total)
+            table = C.nu_table
+            assert (table.factor, table.nu, table.mass) == (factor, nu, tuple(mass))
+            assert [C.nu(cid) for cid in nu] == list(nu.values())
+            assert [C.nu_block(k) for k in range(C.dim)] == mass
+
+    def test_nu_errors(self):
+        space = unit_space(3)
+        C = Sublattice.make(space, [(("c0",), {"c0": 1.0})])
+        with pytest.raises(UnknownCell):
+            C.nu("nope")
+        with pytest.raises(KeyError):
+            C.nu("c1")
 
 
 class TestIntersection:
