@@ -20,10 +20,11 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
+from typing import Any, Iterable
 
 from .core import DEFAULT_TOL, Refinement, Space, StepFunction, lift, step_function
 from .errors import (
+    NonFiniteValue,
     ParseError,
     UnknownReference,
     ValidationError,
@@ -123,6 +124,13 @@ def _number(value: Any, path: str, key: Any = None) -> float:
         raise ValidationError(f"{where}: {value!r} is not a number") from None
 
 
+def _require(doc: Any, path: str, fields: Iterable[str]) -> None:
+    """A ValidationError naming path.field for the first field doc lacks."""
+    for field in fields:
+        if not isinstance(doc, dict) or field not in doc:
+            raise ValidationError(f"{path}.{field}: missing")
+
+
 def _numbers(doc: Any, path: str) -> dict[str, float]:
     """An object of numbers keyed by cell id, as floats."""
     if not isinstance(doc, dict):
@@ -131,16 +139,12 @@ def _numbers(doc: Any, path: str) -> dict[str, float]:
 
 
 def space_from_doc(doc: Any) -> Space:
-    if not isinstance(doc, dict) or "p" not in doc or "cells" not in doc:
-        raise ValidationError("space document needs 'p' and 'cells'")
-    try:
-        cells = [(c["id"], c["weight"]) for c in doc["cells"]]
-    except (TypeError, KeyError) as exc:
-        raise ValidationError(f"malformed space document: {exc}") from exc
-    return Space(
-        tuple((str(i), _number(w, f"space.cells[{j}].weight")) for j, (i, w) in enumerate(cells)),
-        _number(doc["p"], "space.p"),
-    )
+    _require(doc, "space", ("p", "cells"))
+    cells = []
+    for j, c in enumerate(_of_kind(doc["cells"], "space.cells", _LIST)):
+        _require(c, f"space.cells[{j}]", ("id", "weight"))
+        cells.append((str(c["id"]), _number(c["weight"], f"space.cells[{j}].weight")))
+    return Space(tuple(cells), _number(doc["p"], "space.p"))
 
 
 def function_to_doc(f: StepFunction) -> dict:
@@ -262,8 +266,7 @@ class _Runner:
         self.sublattices: dict[str, Sublattice] = {}
         self.refinements: list[dict] = []
         for name, fdoc in _of_kind(doc.get("functions", {}), "functions", _OBJECT).items():
-            if not isinstance(fdoc, dict) or "values" not in fdoc:
-                raise ValidationError(f"functions.{name}: function document needs 'values'")
+            _require(fdoc, f"functions.{name}", ("values",))
             values = _numbers(fdoc["values"], f"functions.{name}.values")
             self.functions[name] = step_function(self.space, values)
         for name, sdoc in _of_kind(doc.get("sublattices", {}), "sublattices", _OBJECT).items():
@@ -278,14 +281,13 @@ class _Runner:
         if "blocks" in doc:
             blocks = []
             for j, b in enumerate(_of_kind(doc["blocks"], f"{path}.blocks", _LIST)):
-                for field in ("cells", "profile"):
-                    if not isinstance(b, dict) or field not in b:
-                        raise ValidationError(f"{path}.blocks[{j}].{field}: missing")
-                cells = _of_kind(b["cells"], f"{path}.blocks[{j}].cells", _CELLS)
+                _require(b, f"{path}.blocks[{j}]", ("cells", "profile"))
+                cells = [str(c) for c in _of_kind(b["cells"], f"{path}.blocks[{j}].cells", _CELLS)]
                 prof = _numbers(b["profile"], f"{path}.blocks[{j}].profile")
-                blocks.append(([str(c) for c in cells], prof))
+                _require(prof, f"{path}.blocks[{j}].profile", cells)
+                blocks.append((cells, prof))
             return Sublattice.make(self.space, blocks)
-        raise ValidationError("sublattice document needs 'blocks' or 'generators'")
+        raise ValidationError(f"{path}: sublattice document needs 'blocks' or 'generators'")
 
     def function(self, name: str) -> StepFunction:
         try:
@@ -405,7 +407,12 @@ def execute_scenario_doc(doc: Any, tol: float = DEFAULT_TOL) -> dict:
         raise ValidationError("scenario must be a JSON object")
     runner = _Runner(doc, tol)
     commands = _of_kind(doc.get("commands", []), "commands", _LIST)
-    results = [runner.run(i, cmd) for i, cmd in enumerate(commands)]
+    results = []
+    for i, cmd in enumerate(commands):
+        try:
+            results.append(runner.run(i, cmd))
+        except NonFiniteValue as exc:  # raised deep inside the command: name it
+            raise NonFiniteValue(f"commands[{i}]: {exc}") from None
     return {
         "tol": tol,
         "scenario": doc,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from lplattice import (
     slice_profile,
     star_independent,
 )
-from lplattice.core import fresh_ids
+from lplattice.core import fresh_ids, tolerance_groups
 from lplattice.independence import (
     IndependenceVerdict,
     SideInput,
@@ -72,16 +72,95 @@ def brute_intersection(A: Sublattice, C: Sublattice, tol: float = 1e-9) -> Subla
     return Sublattice.make(space, proportionality_classes(ids, np.array(keep), 1e-7))
 
 
-# --- reference join ----------------------------------------------------------
-# The dcl-based `lattice_join` that the keyed join in `lplattice.sublattice`
-# replaced, kept verbatim as the reference its differential test compares
+# --- reference dcl and joins ---------------------------------------------------
+# The dense `dcl` that the support-keyed grouping in `lplattice.sublattice`
+# replaced, kept verbatim with the grouping it called, as the reference its
+# differential test compares against: one dense column per generator over
+# every cell where some generator is nonzero.
+
+def reference_dcl(
+    space: Space, generators: Iterable[StepFunction], tol: float = DEFAULT_TOL
+) -> Sublattice:
+    """The sublattice generated by the given functions: the proportional
+    blocks of the cells where some generator is nonzero.  Gated against the
+    brute-force closure oracle in tests."""
+    gens = list(generators)
+    for g in gens:
+        if g.space != space:
+            raise SpaceMismatch("generator lives on a different space")
+    cells = [cid for cid in space.ids() if any(cid in g.values for g in gens)]
+    return Sublattice.make(
+        space, _reference_proportional_blocks(cells, [[g[cid] for cid in cells] for g in gens], tol)
+    )
+
+
+def _reference_proportional_blocks(
+    cells: Sequence[str], coords: Sequence[Sequence[float]], tol: float
+) -> list[tuple[tuple[str, ...], dict[str, float]]]:
+    """Blocks and profiles of cells with nonzero vectors, coords[j][i] being
+    coordinate j of cell i.
+
+    Two cells share a block exactly when their vectors are positive scalar
+    multiples of one another: the vectors, scaled to a max-abs of 1, are
+    grouped within tol.  A member's profile is its ratio to the group's first
+    cell, taken on the coordinate of largest |value| there (the earliest of
+    equal ones).
+    """
+    tops = [max(map(abs, vec)) for vec in zip(*coords)]
+    columns = ([x / top for x, top in zip(coord, tops)] for coord in coords)
+    blocks = []
+    for group in tolerance_groups(len(cells), columns, tol):
+        first = min(group)
+        anchor = max(coords, key=lambda coord: abs(coord[first]))
+        members = {cells[first]: 1.0}
+        for i in group:
+            lam = anchor[i] / anchor[first]
+            if lam > 0.0:
+                members[cells[i]] = lam
+            else:
+                # only a tol of 1 or more groups vectors of opposite sign
+                blocks.append(((cells[i],), {cells[i]: 1.0}))
+        blocks.append((tuple(members), members))
+    return blocks
+
+
+# The dcl-based `lattice_join` that the keyed join replaced, kept verbatim
+# (on the dense dcl above) as the reference its differential test compares
 # against: one dense generator column per block of A and of C.
 
 def reference_join(A: Sublattice, C: Sublattice, tol: float = DEFAULT_TOL) -> Sublattice:
     """The sublattice generated by the members of A and C together."""
     if A.space != C.space:
         raise SpaceMismatch("sublattices live on different spaces")
-    return dcl(A.space, A.generators() + C.generators(), tol)
+    return reference_dcl(A.space, A.generators() + C.generators(), tol)
+
+
+# The keyed join with its own bucket loop that the shared grouping replaced,
+# kept verbatim (on the dense grouping above) as the reference its
+# differential test compares against.
+
+def reference_keyed_join(A: Sublattice, C: Sublattice, tol: float = DEFAULT_TOL) -> Sublattice:
+    """The sublattice generated by the members of A and C together.
+
+    A cell's generator vector is nonzero only on its A-block and its
+    C-block, so cells share a block only if they share the key (A-block or
+    None, C-block or None).  The cells are bucketed by that exact key in one
+    pass, and each bucket gets dcl's proportional blocks on the columns
+    (w_A, w_C).  Cost: O(n log n) in the cells, not one dense column per
+    block.
+    """
+    if A.space != C.space:
+        raise SpaceMismatch("sublattices live on different spaces")
+    buckets: dict[tuple[Optional[int], Optional[int]], list[str]] = {}
+    for cid in A.space.ids():
+        key = (A.block_of(cid), C.block_of(cid))
+        if key != (None, None):
+            buckets.setdefault(key, []).append(cid)
+    blocks = []
+    for cells in buckets.values():
+        coords = [[lat.profile.get(cid, 0.0) for cid in cells] for lat in (A, C)]
+        blocks += _reference_proportional_blocks(cells, coords, tol)
+    return Sublattice.make(A.space, blocks)
 
 
 # --- reference canonical base ---------------------------------------------------

@@ -272,6 +272,11 @@ class TestCliMain:
         assert main(["run", str(DATA / "merge_sum_scenario.json")]) == 0
         assert capsys.readouterr().out.encode("utf-8") == (DATA / "merge_sum_report.json").read_bytes()
 
+    def test_dcl_report_is_golden(self, capsys):
+        # sublattices and indep sides given by generators with partly overlapping supports
+        assert main(["run", str(DATA / "dcl_scenario.json")]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (DATA / "dcl_report.json").read_bytes()
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_exit_two(self, tmp_path, capsys, token):
         text = json.dumps(masked_dependence_scenario())
@@ -306,7 +311,9 @@ class TestCliMain:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
         assert main(["run", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: NonFiniteValue: distance overflows")
+        assert capsys.readouterr().err.startswith(
+            "error: NonFiniteValue: commands[0]: distance overflows"
+        )
 
     def test_non_finite_expectation_exit_two(self, tmp_path, capsys):
         # E_C(chi_y) has coefficient 1e300 / 1e-10 = inf at p = 1: its first cell is x
@@ -322,7 +329,9 @@ class TestCliMain:
         path.write_text(json.dumps(doc))
         assert main(["run", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: NonFiniteValue: value on cell 'x' is not finite: inf\n"
+        assert captured.err == (
+            "error: NonFiniteValue: commands[0]: value on cell 'x' is not finite: inf\n"
+        )
         assert captured.out == ""
 
     def test_norm_overflow_exit_two(self, tmp_path, capsys):
@@ -341,7 +350,9 @@ class TestCliMain:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
         assert main(["run", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: NonFiniteValue: distance overflows")
+        assert capsys.readouterr().err.startswith(
+            "error: NonFiniteValue: commands[0]: distance overflows"
+        )
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -418,6 +429,34 @@ class TestCliMain:
                 lambda doc: doc["sublattices"]["C"].update({"generators": "f"}),
                 "error: ValidationError: sublattices.C.generators: must be a list of names",
             ),
+            (
+                lambda doc: doc["sublattices"].update(
+                    {"C": {"blocks": [{"cells": ["[0,1]"], "profile": {"(1,2]": 1}}]}}
+                ),
+                "error: ValidationError: sublattices.C.blocks[0].profile.[0,1]: missing",
+            ),
+            (
+                lambda doc: doc["sublattices"].update({"C": {}}),
+                "error: ValidationError: sublattices.C: sublattice document needs 'blocks' or "
+                "'generators'",
+            ),
+            (
+                lambda doc: doc["space"]["cells"][0].pop("weight"),
+                "error: ValidationError: space.cells[0].weight: missing",
+            ),
+            (
+                lambda doc: (
+                    doc["space"].update({"p": 1.0}),
+                    doc["functions"].update(
+                        {
+                            "big": {"values": {"[0,1]": 1e308, "(1,2]": 1e308}},
+                            "low": {"values": {"[0,1]": -1e308, "(1,2]": -1e308}},
+                        }
+                    ),
+                    doc["commands"].append({"op": "dist", "f": "big", "g": "low", "c": "A"}),
+                ),
+                "error: NonFiniteValue: commands[3]: distance overflows",
+            ),
         ],
         ids=[
             "condexp-without-c",
@@ -438,6 +477,10 @@ class TestCliMain:
             "block-cells-not-a-list",
             "generators-not-a-list",
             "generators-a-string",
+            "profile-lacks-a-cell",
+            "sublattice-without-blocks-or-generators",
+            "cell-without-weight",
+            "dist-overflow-names-its-command",
         ],
     )
     def test_malformed_field_exit_two(self, tmp_path, capsys, edit, message):

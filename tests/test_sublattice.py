@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from conftest import brute_intersection, reference_cond_exp, reference_join
+from conftest import (
+    brute_intersection,
+    reference_cond_exp,
+    reference_dcl,
+    reference_join,
+    reference_keyed_join,
+)
 from lplattice import (
     NonFiniteValue,
     Space,
@@ -354,20 +360,43 @@ def scaled_blocks(rng, space, scale):
     )
 
 
+def join_pairs(seed):
+    """The (A, C) pairs of a random instance that the join tests run on."""
+    inst = random_instance(seed, 12)
+    C, B, D = inst.chain
+    f0, f1 = inst.functions[0], inst.functions[1]
+    space = inst.space
+    return [
+        (C, B),
+        (B, D),
+        (C, dcl(space, [f0, f1])),
+        (dcl(space, [f0]), dcl(space, [f1])),
+    ]
+
+
+def scaled_pairs():
+    """3,000 pairs of scaled_blocks lattices on 2 to 10 unit cells."""
+    for seed in range(3000):
+        rng = random.Random(seed)
+        space = make_space([(f"c{i}", 1.0) for i in range(rng.randint(2, 10))], 2.0)
+        scale = {cid: rng.choice((0.1, 0.3, 0.7, 1.1, 1.3)) for cid in space.ids()}
+        yield scaled_blocks(rng, space, scale), scaled_blocks(rng, space, scale)
+
+
+def assert_keyed_join(A, C):
+    """The join is the shared grouping over A's and then C's block profiles:
+    to the bit dcl of A.generators() + C.generators(), and the keyed join
+    with its own bucket loop that it replaced."""
+    joined = lattice_join(A, C)
+    for ref in (dcl(A.space, A.generators() + C.generators()), reference_keyed_join(A, C)):
+        assert joined.blocks == ref.blocks
+        assert joined.profile == ref.profile
+
+
 class TestKeyedJoin:
     @pytest.mark.parametrize("seed", range(300))
     def test_agrees_with_reference_join(self, seed):
-        inst = random_instance(seed, 12)
-        C, B, D = inst.chain
-        f0, f1 = inst.functions[0], inst.functions[1]
-        space = inst.space
-        pairs = [
-            (C, B),
-            (B, D),
-            (C, dcl(space, [f0, f1])),
-            (dcl(space, [f0]), dcl(space, [f1])),
-        ]
-        for A, E in pairs:
+        for A, E in join_pairs(seed):
             joined, ref = lattice_join(A, E), reference_join(A, E)
             assert joined.blocks == ref.blocks
             assert joined.equals(ref)
@@ -377,12 +406,7 @@ class TestKeyedJoin:
         # factors 1, 3, 7, so that cells group: the keyed join keeps dcl's
         # arithmetic (earliest cell, the larger profile there as anchor,
         # ties to A) to the last bit
-        for seed in range(3000):
-            rng = random.Random(seed)
-            space = make_space([(f"c{i}", 1.0) for i in range(rng.randint(2, 10))], 2.0)
-            scale = {cid: rng.choice((0.1, 0.3, 0.7, 1.1, 1.3)) for cid in space.ids()}
-            A = scaled_blocks(rng, space, scale)
-            C = scaled_blocks(rng, space, scale)
+        for A, C in scaled_pairs():
             joined, ref = lattice_join(A, C), reference_join(A, C)
             assert joined.blocks == ref.blocks
             assert joined.profile == ref.profile
@@ -397,6 +421,7 @@ class TestKeyedJoin:
         C = Sublattice.make(space, [(("x", "y"), {"x": 1.0, "y": 1.0})])
         assert reference_join(A, C).blocks == (("x", "y"), ("z",))
         assert lattice_join(A, C).blocks == (("x",), ("y",), ("z",))
+        assert_keyed_join(A, C)
 
     def test_tolerance_runs_stay_within_a_key(self):
         # x, y, z share A's block; x and z share a C-block, y has its own.
@@ -416,6 +441,65 @@ class TestKeyedJoin:
         joined = lattice_join(A, C)
         assert joined.blocks == (("q",), ("x", "z"), ("y",))
         assert joined.profile["x"] == joined.profile["z"] == 1.0
+        assert_keyed_join(A, C)
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_is_dcl_of_the_generators(self, seed):
+        for A, E in join_pairs(seed):
+            assert_keyed_join(A, E)
+
+    def test_scaled_pairs_are_dcl_of_the_generators(self):
+        for A, C in scaled_pairs():
+            assert_keyed_join(A, C)
+
+
+class TestKeyedDcl:
+    @staticmethod
+    def generator_lists(seed):
+        """The four generator lists: the four functions; the first two; C's
+        generators plus f0; B's generators plus D's."""
+        inst = random_instance(seed, 12, n_functions=4)
+        C, B, D = inst.chain
+        fs = list(inst.functions)
+        return inst.space, [
+            fs,
+            fs[:2],
+            [*C.generators(), fs[0]],
+            [*B.generators(), *D.generators()],
+        ]
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_agrees_with_reference_dcl(self, seed):
+        space, lists = self.generator_lists(seed)
+        for gens in lists:
+            keyed, dense = dcl(space, gens), reference_dcl(space, gens)
+            assert keyed.blocks == dense.blocks
+            assert keyed.profile == dense.profile
+
+    def test_near_zero_generator_stays_apart(self):
+        # a is 1e-12 on x and 1 on z, c is 1 on x and y.  The dense dcl reads
+        # a's scaled value on x as within tol of 0 and merges x with y; the
+        # keyed dcl keeps them apart, since a is nonzero on x and not on y.
+        space = make_space([("x", 1.0), ("y", 1.0), ("z", 1.0)], 2.0)
+        a = StepFunction(space, {"x": 1e-12, "z": 1.0})
+        c = StepFunction(space, {"x": 1.0, "y": 1.0})
+        assert reference_dcl(space, [a, c]).blocks == (("x", "y"), ("z",))
+        assert dcl(space, [a, c]).blocks == (("x",), ("y",), ("z",))
+
+    def test_tolerance_runs_stay_within_a_support(self):
+        # a is nonzero on q, x, y, z; c1 on x and z, c2 on y.  Scaled a values:
+        # y 0.5, x 0.5 + 0.6e-9, z 0.5 + 1.2e-9.  The dense dcl runs tolerance
+        # over all four cells, so a run starts at y and ends before z, which
+        # splits x from z; the keyed dcl compares x with z alone, and they are
+        # within tol.
+        space = make_space([(cid, 1.0) for cid in "qxyz"], 2.0)
+        a = StepFunction(space, {"q": 1.0, "x": 0.5 + 0.6e-9, "y": 0.5, "z": 0.5 + 1.2e-9})
+        c1 = StepFunction(space, {"x": 1.0, "z": 1.0})
+        c2 = StepFunction(space, {"y": 1.0})
+        assert reference_dcl(space, [a, c1, c2]).blocks == (("q",), ("x",), ("y",), ("z",))
+        keyed = dcl(space, [a, c1, c2])
+        assert keyed.blocks == (("q",), ("x", "z"), ("y",))
+        assert keyed.profile["x"] == keyed.profile["z"] == 1.0
 
 
 class TestIntersectsWell:
