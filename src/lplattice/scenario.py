@@ -9,8 +9,9 @@ Document formats (UTF-8 JSON, numbers emitted with 17 significant digits):
     scenario   {"space": ..., "functions": {name: function},
                 "sublattices": {name: sublattice}, "commands": [command]}
 
-Commands are records {"op": ..., field: value}; `_FIELDS` lists the ops, the
-fields each reads and their kinds.  Commands that refine the space (realize,
+Commands are records {"op": ..., field: value}; `_OPS` holds one entry per op:
+the fields it reads and their kinds, the function it calls, and how its result
+is written and bound under "as".  Commands that refine the space (realize,
 extend, maharam) thread the refinement through everything registered, and
 the report logs it.
 """
@@ -23,12 +24,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Iterable
 
 from .core import DEFAULT_TOL, Refinement, Space, StepFunction, lift, step_function
-from .errors import (
-    NonFiniteValue,
-    ParseError,
-    UnknownReference,
-    ValidationError,
-)
+from .errors import LatticeError, ParseError, UnknownReference, ValidationError
 from .independence import (
     IndependenceVerdict,
     canonical_base,
@@ -112,16 +108,20 @@ def space_to_doc(space: Space) -> dict:
 
 
 def _number(value: Any, path: str, key: Any = None) -> float:
-    """A document number as a float; a value that float() refuses is a
+    """A document number as a finite float; any other value is a
     ValidationError naming its path, path.key when a key is given (built only
     then: objects of numbers hold thousands of values)."""
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        where = path if key is None else f"{path}.{key}"
-        if isinstance(exc, OverflowError):  # an integer past the float range
-            raise ValidationError(f"{where}: number past the float range") from None
-        raise ValidationError(f"{where}: {value!r} is not a number") from None
+        x = float(value)
+        if math.isfinite(x):
+            return x
+        problem = "number past the float range"  # json reads 1e400 as inf
+    except OverflowError:  # an integer past the float range
+        problem = "number past the float range"
+    except (TypeError, ValueError):
+        problem = f"{value!r} is not a number"
+    where = path if key is None else f"{path}.{key}"
+    raise ValidationError(f"{where}: {problem}")
 
 
 def _require(doc: Any, path: str, fields: Iterable[str]) -> None:
@@ -211,29 +211,70 @@ def refinement_to_doc(r: Refinement) -> dict:
 
 # --- execution ----------------------------------------------------------------
 
-# the kinds of value a command field can hold: (description, test)
-_NAME = ("a name", lambda v: isinstance(v, str))
-_NAMES = ("a list of names", lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v))
-_SIDE = ("a name or a list of names", lambda v: _NAME[1](v) or _NAMES[1](v))
-_NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
-_CELLS = ("a list of cells", lambda v: isinstance(v, list))
+# the kinds of value a document field can hold: (description, test); a command
+# field's kind adds how its value becomes the op's argument, (runner, value, path) -> argument
+_FN = ("a name", lambda v: isinstance(v, str), lambda run, v, at: run.named("function", v, at))
+_SUB = _FN[:2] + (lambda run, v, at: run.named("sublattice", v, at),)
+_FNS = (
+    "a list of names",
+    lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+    lambda run, v, at: [run.named("function", n, at) for n in v],
+)
+_SIDE = (
+    "a name or a list of names",
+    lambda v: _FN[1](v) or _FNS[1](v),
+    lambda run, v, at: (_SUB if isinstance(v, str) else _FNS)[2](run, v, at),
+)
+_NUM = (
+    "a number",
+    lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    lambda run, v, at: _number(v, at),
+)
+_CELLS = ("a list of cells", lambda v: isinstance(v, list), lambda run, v, at: [str(c) for c in v])
 _LIST = ("a list", lambda v: isinstance(v, list))
 _OBJECT = ("an object", lambda v: isinstance(v, dict))
 
-# per op, the fields it reads and the kind of each; all are required but "as"
-_FIELDS = {
-    "condexp": {"f": _NAME, "c": _NAME, "as": _NAME},
-    "slice": {"f": _NAME, "c": _NAME, "r": _NUMBER, "as": _NAME},
-    "profile": {"f": _NAME, "c": _NAME},
-    "dist": {"f": _NAME, "g": _NAME, "c": _NAME},
-    "typeeq": {"fs": _NAMES, "gs": _NAMES, "c": _NAME},
-    "indep": {"a": _SIDE, "b": _SIDE, "c": _SIDE},
-    "productcheck": {"a": _NAME, "b": _NAME, "c": _NAME},
-    "cb": {"fs": _NAMES, "a": _NAME, "as": _NAME},
-    "realize": {"f": _NAME, "c": _NAME, "as": _NAME},
-    "extend": {"fs": _NAMES, "c": _NAME, "b": _NAME, "as": _NAMES},
-    "maharam": {"cells": _CELLS, "c": _NAME, "target": _NAME},
+# One entry per op: the function it calls, the fields it reads in that
+# function's argument order (tol follows them), the writer of its result into
+# the report (None: written as it is), and the kind of name that "as" binds the
+# result to (None: the op takes no "as").  Functions and writers are named, and
+# looked up in this module's globals at each call, so that a wrapper installed
+# there sees the call.
+_OPS = {
+    "condexp": ("_cond_exp", {"f": _FN, "c": _SUB}, "function_to_doc", _FN),
+    "slice": ("conditional_slice", {"f": _FN, "c": _SUB, "r": _NUM}, "function_to_doc", _FN),
+    "profile": ("slice_profile", {"f": _FN, "c": _SUB}, "profile_to_doc", None),
+    "dist": ("_distance", {"f": _FN, "g": _FN, "c": _SUB}, None, None),
+    "typeeq": ("tuple_type_equal", {"fs": _FNS, "gs": _FNS, "c": _SUB}, None, None),
+    "indep": ("star_independent", {"a": _SIDE, "b": _SIDE, "c": _SIDE}, "verdict_to_doc", None),
+    "productcheck": ("product_check", {"a": _SUB, "b": _SUB, "c": _SUB}, None, None),
+    "cb": ("canonical_base", {"fs": _FNS, "a": _SUB}, "sublattice_to_doc", _SUB),
+    "realize": ("_realize", {"f": _FN, "c": _SUB}, "function_to_doc", _FN),
+    "extend": ("nonforking_extension", {"fs": _FNS, "c": _SUB, "b": _SUB}, "_functions_to_doc", _FNS),
+    "maharam": ("maharam_select", {"cells": _CELLS, "c": _SUB, "target": _FN}, "_selection_to_doc", None),
 }
+# the ops that refine the space: their function returns (space, refinement, result)
+_REFINING = ("realize", "extend", "maharam")
+
+
+def _cond_exp(f: StepFunction, C: Sublattice, tol: float) -> StepFunction:
+    return cond_exp(f, C)
+
+
+def _distance(f: StepFunction, g: StepFunction, C: Sublattice, tol: float) -> float:
+    return distance(type_datum(f, C, tol), type_datum(g, C, tol), tol)
+
+
+def _realize(f: StepFunction, C: Sublattice, tol: float) -> tuple:
+    return canonical_realization(type_datum(f, C, tol), tol)
+
+
+def _functions_to_doc(fs: Iterable[StepFunction]) -> list:
+    return [function_to_doc(f) for f in fs]
+
+
+def _selection_to_doc(selected: Iterable[str]) -> dict:
+    return {"selected": sorted(selected)}
 
 
 def _of_kind(value: Any, path: str, kind: tuple) -> Any:
@@ -243,19 +284,23 @@ def _of_kind(value: Any, path: str, kind: tuple) -> Any:
     return value
 
 
-def _check_fields(i: int, cmd: Any) -> None:
-    # a missing or ill-typed field is named as commands[i].field before the command runs
+def _check_fields(i: int, cmd: Any) -> tuple:
+    """The op's entry; a missing or ill-typed field is named as commands[i].field."""
     if not isinstance(cmd, dict) or "op" not in cmd:
         raise ValidationError(f"commands[{i}]: command records need an 'op'")
     op = cmd["op"]
-    if not isinstance(op, str) or op not in _FIELDS:
+    if not isinstance(op, str) or op not in _OPS:
         raise ValidationError(f"commands[{i}].op: unknown op {op!r}")
-    for field, (kind, test) in _FIELDS[op].items():
+    entry = _OPS[op]
+    fields, binds = entry[1], entry[3]
+    if binds is not None and "as" in cmd:  # "as" is optional
+        fields = {**fields, "as": binds}
+    for field, (kind, test, _) in fields.items():
         if field not in cmd:
-            if field != "as":
-                raise ValidationError(f"commands[{i}].{field}: {op} needs '{field}', {kind}")
-        elif not test(cmd[field]):
+            raise ValidationError(f"commands[{i}].{field}: {op} needs '{field}', {kind}")
+        if not test(cmd[field]):
             raise ValidationError(f"commands[{i}].{field}: {op}: '{field}' must be {kind}")
+    return entry
 
 
 class _Runner:
@@ -276,8 +321,9 @@ class _Runner:
         path = f"sublattices.{name}"
         _of_kind(doc, path, _OBJECT)
         if "generators" in doc:
-            names = _of_kind(doc["generators"], f"{path}.generators", _NAMES)
-            return dcl(self.space, [self.function(gen) for gen in names], self.tol)
+            where = f"{path}.generators"
+            generators = _FNS[2](self, _of_kind(doc["generators"], where, _FNS), where)
+            return dcl(self.space, generators, self.tol)
         if "blocks" in doc:
             blocks = []
             for j, b in enumerate(_of_kind(doc["blocks"], f"{path}.blocks", _LIST)):
@@ -289,23 +335,13 @@ class _Runner:
             return Sublattice.make(self.space, blocks)
         raise ValidationError(f"{path}: sublattice document needs 'blocks' or 'generators'")
 
-    def function(self, name: str) -> StepFunction:
+    def named(self, kind: str, name: str, where: str) -> Any:
+        """The function or sublattice named; else an UnknownReference naming where."""
+        registry = self.functions if kind == "function" else self.sublattices
         try:
-            return self.functions[name]
+            return registry[name]
         except KeyError:
-            raise UnknownReference(f"no function named {name!r}") from None
-
-    def sub(self, name: str) -> Sublattice:
-        try:
-            return self.sublattices[name]
-        except KeyError:
-            raise UnknownReference(f"no sublattice named {name!r}") from None
-
-    def side(self, arg: Any):
-        # a sublattice name or a list of function names
-        if isinstance(arg, str):
-            return self.sub(arg)
-        return [self.function(name) for name in arg]
+            raise UnknownReference(f"{where}: no {kind} named {name!r}") from None
 
     def _apply_refinement(self, refinement: Refinement) -> None:
         self.space = refinement.child
@@ -317,83 +353,22 @@ class _Runner:
         }
         self.refinements.append(refinement_to_doc(refinement))
 
-    def run(self, i: int, cmd: dict) -> dict:
-        _check_fields(i, cmd)
-        op = cmd["op"]
-        record: dict[str, Any] = dict(cmd)
-        if op == "condexp":
-            result = cond_exp(self.function(cmd["f"]), self.sub(cmd["c"]))
-            record["result"] = function_to_doc(result)
-            self._maybe_store(cmd, result)
-        elif op == "slice":
-            result = conditional_slice(
-                self.function(cmd["f"]), self.sub(cmd["c"]), float(cmd["r"]), self.tol
-            )
-            record["result"] = function_to_doc(result)
-            self._maybe_store(cmd, result)
-        elif op == "profile":
-            prof = slice_profile(self.function(cmd["f"]), self.sub(cmd["c"]), self.tol)
-            record["result"] = profile_to_doc(prof)
-        elif op == "dist":
-            C = self.sub(cmd["c"])
-            t1 = type_datum(self.function(cmd["f"]), C, self.tol)
-            t2 = type_datum(self.function(cmd["g"]), C, self.tol)
-            record["result"] = distance(t1, t2, self.tol)
-        elif op == "typeeq":
-            record["result"] = tuple_type_equal(
-                [self.function(n) for n in cmd["fs"]],
-                [self.function(n) for n in cmd["gs"]],
-                self.sub(cmd["c"]),
-                self.tol,
-            )
-        elif op == "indep":
-            verdict = star_independent(
-                self.side(cmd["a"]), self.side(cmd["b"]), self.side(cmd["c"]), self.tol
-            )
-            record["result"] = verdict_to_doc(verdict)
-        elif op == "productcheck":
-            record["result"] = product_check(
-                self.sub(cmd["a"]), self.sub(cmd["b"]), self.sub(cmd["c"]), self.tol
-            )
-        elif op == "cb":
-            base = canonical_base(
-                [self.function(n) for n in cmd["fs"]], self.sub(cmd["a"]), self.tol
-            )
-            record["result"] = sublattice_to_doc(base)
-            if "as" in cmd:
-                self.sublattices[cmd["as"]] = base
-        elif op == "realize":
-            C = self.sub(cmd["c"])
-            t = type_datum(self.function(cmd["f"]), C, self.tol)
-            _, refinement, g = canonical_realization(t, self.tol)
-            self._apply_refinement(refinement)
-            record["result"] = function_to_doc(g)
-            self._maybe_store(cmd, g)
-        elif op == "extend":
-            names = cmd.get("as", [])
-            fs = [self.function(n) for n in cmd["fs"]]
-            _, refinement, gs = nonforking_extension(
-                fs, self.sub(cmd["c"]), self.sub(cmd["b"]), self.tol
-            )
-            self._apply_refinement(refinement)
-            record["result"] = [function_to_doc(g) for g in gs]
-            for name, g in zip(names, gs):
-                self.functions[name] = g
-        elif op == "maharam":
-            C = self.sub(cmd["c"])
-            _, refinement, selected = maharam_select(
-                [str(c) for c in cmd["cells"]],
-                C,
-                self.function(cmd["target"]),
-                self.tol,
-            )
-            self._apply_refinement(refinement)
-            record["result"] = {"selected": sorted(selected)}
-        return record
-
-    def _maybe_store(self, cmd: dict, f: StepFunction) -> None:
-        if "as" in cmd:
-            self.functions[cmd["as"]] = f
+    def run(self, i: int, cmd: Any) -> dict:
+        function, fields, writer, binds = _check_fields(i, cmd)
+        at = f"commands[{i}]."
+        args = [arg(self, cmd[field], at + field) for field, (_, _, arg) in fields.items()]
+        try:
+            result = globals()[function](*args, self.tol)
+            if cmd["op"] in _REFINING:
+                _, refinement, result = result
+                self._apply_refinement(refinement)
+        except LatticeError as exc:  # raised deep inside the command: name it
+            raise type(exc)(f"commands[{i}]: {exc}") from None
+        if binds is not None and "as" in cmd:
+            registry = self.sublattices if binds is _SUB else self.functions
+            name = cmd["as"]
+            registry.update(zip(name, result) if isinstance(name, list) else [(name, result)])
+        return {**cmd, "result": result if writer is None else globals()[writer](result)}
 
 
 def execute_scenario_doc(doc: Any, tol: float = DEFAULT_TOL) -> dict:
@@ -407,16 +382,10 @@ def execute_scenario_doc(doc: Any, tol: float = DEFAULT_TOL) -> dict:
         raise ValidationError("scenario must be a JSON object")
     runner = _Runner(doc, tol)
     commands = _of_kind(doc.get("commands", []), "commands", _LIST)
-    results = []
-    for i, cmd in enumerate(commands):
-        try:
-            results.append(runner.run(i, cmd))
-        except NonFiniteValue as exc:  # raised deep inside the command: name it
-            raise NonFiniteValue(f"commands[{i}]: {exc}") from None
     return {
         "tol": tol,
         "scenario": doc,
-        "results": results,
+        "results": [runner.run(i, cmd) for i, cmd in enumerate(commands)],
         "refinements": runner.refinements,
         "space": space_to_doc(runner.space),
     }

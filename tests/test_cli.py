@@ -52,6 +52,10 @@ def masked_dependence_scenario() -> dict:
 
 DATA = Path(__file__).resolve().parent / "data"
 
+# written into a scenario's text as the literal 1e400, which json reads as inf
+# (json.dumps(inf) would write Infinity, which fails to parse instead)
+PAST_FLOAT_RANGE = "<1e400>"
+
 # documents of every kind the serializer writes, nested
 LEAVES = (
     st.none()
@@ -247,35 +251,18 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert '"independent": false' in out
 
-    def test_readme_report_is_golden(self, capsys):
-        assert main(["run", str(DATA / "readme_scenario.json")]) == 0
-        assert capsys.readouterr().out.encode("utf-8") == (DATA / "readme_report.json").read_bytes()
-
-    def test_compose_report_is_golden(self, capsys):
-        assert main(["run", str(DATA / "compose_scenario.json")]) == 0
-        assert capsys.readouterr().out.encode("utf-8") == (DATA / "compose_report.json").read_bytes()
-
-    def test_cb_report_is_golden(self, capsys):
-        assert main(["run", str(DATA / "cb_scenario.json")]) == 0
-        assert capsys.readouterr().out.encode("utf-8") == (DATA / "cb_report.json").read_bytes()
-
-    def test_types_report_is_golden(self, capsys):
-        assert main(["run", str(DATA / "types_scenario.json")]) == 0
-        assert capsys.readouterr().out.encode("utf-8") == (DATA / "types_report.json").read_bytes()
-
-    def test_indep_report_is_golden(self, capsys):
-        assert main(["run", str(DATA / "indep_scenario.json")]) == 0
-        assert capsys.readouterr().out.encode("utf-8") == (DATA / "indep_report.json").read_bytes()
-
-    def test_merge_sum_report_is_golden(self, capsys):
-        # ten masses of 0.1 merged into one atom: sum() would round differently from 3.12 on
-        assert main(["run", str(DATA / "merge_sum_scenario.json")]) == 0
-        assert capsys.readouterr().out.encode("utf-8") == (DATA / "merge_sum_report.json").read_bytes()
-
-    def test_dcl_report_is_golden(self, capsys):
-        # sublattices and indep sides given by generators with partly overlapping supports
-        assert main(["run", str(DATA / "dcl_scenario.json")]) == 0
-        assert capsys.readouterr().out.encode("utf-8") == (DATA / "dcl_report.json").read_bytes()
+    # merge_sum: ten masses of 0.1 merged into one atom, where sum() would round
+    # differently from 3.12 on; dcl: sublattices and indep sides given by generators
+    # with partly overlapping supports
+    @pytest.mark.parametrize(
+        "scenario",
+        sorted(DATA.glob("*_scenario.json")),
+        ids=lambda path: path.name[: -len("_scenario.json")],
+    )
+    def test_report_is_golden(self, capsys, scenario):
+        report = scenario.with_name(scenario.name.replace("_scenario.json", "_report.json"))
+        assert main(["run", str(scenario)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == report.read_bytes()
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_exit_two(self, tmp_path, capsys, token):
@@ -457,6 +444,31 @@ class TestCliMain:
                 ),
                 "error: NonFiniteValue: commands[3]: distance overflows",
             ),
+            (
+                lambda doc: doc["space"].update({"p": PAST_FLOAT_RANGE}),
+                "error: ValidationError: space.p: number past the float range",
+            ),
+            (
+                lambda doc: doc["space"]["cells"][0].update({"weight": PAST_FLOAT_RANGE}),
+                "error: ValidationError: space.cells[0].weight: number past the float range",
+            ),
+            (
+                lambda doc: doc["functions"]["f"]["values"].update({"(2,3]": PAST_FLOAT_RANGE}),
+                "error: ValidationError: functions.f.values.(2,3]: number past the float range",
+            ),
+            (
+                lambda doc: doc["sublattices"]["B"]["blocks"][0]["profile"].update(
+                    {"[0,1]": PAST_FLOAT_RANGE}
+                ),
+                "error: ValidationError: sublattices.B.blocks[0].profile.[0,1]: number past the "
+                "float range",
+            ),
+            (
+                lambda doc: doc["commands"].append(
+                    {"op": "slice", "f": "f", "c": "C", "r": PAST_FLOAT_RANGE}
+                ),
+                "error: ValidationError: commands[3].r: number past the float range",
+            ),
         ],
         ids=[
             "condexp-without-c",
@@ -481,13 +493,18 @@ class TestCliMain:
             "sublattice-without-blocks-or-generators",
             "cell-without-weight",
             "dist-overflow-names-its-command",
+            "p-literal-past-float-range",
+            "weight-literal-past-float-range",
+            "value-literal-past-float-range",
+            "profile-literal-past-float-range",
+            "slice-r-literal-past-float-range",
         ],
     )
     def test_malformed_field_exit_two(self, tmp_path, capsys, edit, message):
         doc = masked_dependence_scenario()
         edit(doc)
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc).replace(json.dumps(PAST_FLOAT_RANGE), "1e400"))
         assert main(["run", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(message)
@@ -505,6 +522,86 @@ class TestCliMain:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
         assert main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "cmd, message",
+        [
+            (
+                {"op": "condexp", "f": "h", "c": "C"},
+                "UnknownReference: commands[0].f: no function named 'h'",
+            ),
+            (
+                {"op": "condexp", "f": "f", "c": "D"},
+                "UnknownReference: commands[0].c: no sublattice named 'D'",
+            ),
+            (
+                {"op": "indep", "a": ["chi", "h"], "b": "B", "c": "C"},
+                "UnknownReference: commands[0].a: no function named 'h'",
+            ),
+            # two dangling names: the first in the op's field order is named
+            (
+                {"op": "dist", "f": "h", "g": "chi", "c": "D"},
+                "UnknownReference: commands[0].f: no function named 'h'",
+            ),
+            (
+                {"op": "realize", "f": "h", "c": "D"},
+                "UnknownReference: commands[0].f: no function named 'h'",
+            ),
+            (
+                {"op": "maharam", "cells": ["[0,1]"], "c": "D", "target": "h"},
+                "UnknownReference: commands[0].c: no sublattice named 'D'",
+            ),
+            (
+                {"op": "extend", "fs": ["f"], "c": "B", "b": "C"},
+                "PreconditionFailed: commands[0]: C is not a sublattice of B",
+            ),
+            (
+                {"op": "slice", "f": "f", "c": "C", "r": 1.5},
+                "BadR: commands[0]: r must lie in (0,1), got 1.5",
+            ),
+        ],
+        ids=[
+            "dangling-function",
+            "dangling-sublattice",
+            "dangling-name-in-a-list-side",
+            "dist-names-f-before-c",
+            "realize-names-f-before-c",
+            "maharam-names-c-before-target",
+            "extend-over-c-not-below-b",
+            "slice-r-outside-0-1",
+        ],
+    )
+    def test_error_inside_a_command_names_it(self, tmp_path, capsys, cmd, message):
+        doc = masked_dependence_scenario()
+        doc["commands"] = [cmd]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_ops_look_up_their_functions_at_each_call(self, monkeypatch):
+        # wrappers installed in the module's globals (as a tracer does) see every call
+        import lplattice.scenario as scenario
+
+        calls = []
+
+        def counting(name):
+            original = getattr(scenario, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(scenario, "star_independent", counting("star_independent"))
+        monkeypatch.setattr(scenario, "verdict_to_doc", counting("verdict_to_doc"))
+        doc = masked_dependence_scenario()
+        doc["commands"] = [{"op": "indep", "a": "A", "b": "B", "c": "C"}]
+        execute_scenario_doc(doc)
+        assert calls == ["star_independent", "verdict_to_doc"]
 
     @pytest.mark.parametrize(
         "cmd, message",
