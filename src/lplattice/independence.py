@@ -127,6 +127,12 @@ def _gap(space: Space, over_b: dict[str, float], over_c: dict[str, float]) -> fl
     return _norm(space, _finite_values(diff))
 
 
+def _require_sublattice(C: Sublattice, B: Sublattice, name: str, tol: float) -> None:
+    """The precondition C <= B; PreconditionFailed names B as `name`."""
+    if not is_sublattice_of(C, B, tol):
+        raise PreconditionFailed(f"C is not a sublattice of {name}")
+
+
 def restricted_star_check(
     A: Sublattice, B: Sublattice, C: Sublattice, tol: float = DEFAULT_TOL
 ) -> bool:
@@ -135,8 +141,7 @@ def restricted_star_check(
     Valid only when C <= B and A intersects C well; under those
     preconditions the verdict agrees with star_independent.
     """
-    if not is_sublattice_of(C, B, tol):
-        raise PreconditionFailed("C is not a sublattice of B")
+    _require_sublattice(C, B, "B", tol)
     if not intersects_well(A, C, tol):
         raise PreconditionFailed("A and C do not intersect well")
     return all(gap <= tol for gap in _expectation_gaps(A, B, C))
@@ -155,10 +160,8 @@ def product_check(
     for name, lat in (("A", A), ("B", B), ("C", C)):
         if any(not close(v, 1.0, tol) for v in lat.profile.values()):
             raise PreconditionFailed(f"{name} does not have an indicator profile")
-    if not is_sublattice_of(C, A, tol):
-        raise PreconditionFailed("C is not a sublattice of A")
-    if not is_sublattice_of(C, B, tol):
-        raise PreconditionFailed("C is not a sublattice of B")
+    _require_sublattice(C, A, "A", tol)
+    _require_sublattice(C, B, "B", tol)
     if (A.support & B.support) != C.support:
         raise PreconditionFailed("supp(A) & supp(B) differs from supp(C)")
     space = A.space
@@ -181,8 +184,7 @@ def slice_independent(
 ) -> IndependenceVerdict:
     """Slice characterization: f is independent from B over C exactly when
     the conditional slices of f over B and over C agree at every r."""
-    if not is_sublattice_of(C, B, tol):
-        raise PreconditionFailed("C is not a sublattice of B")
+    _require_sublattice(C, B, "B", tol)
     prof_b = slice_profile(f, B, tol)
     prof_c = slice_profile(f, C, tol)
     worst, worst_gap = None, tol
@@ -213,8 +215,7 @@ def nonforking_extension(
     given C) and moves the orthogonal parts onto fresh cells disjoint from
     B.  Both postconditions are asserted by the callers' tests.
     """
-    if not is_sublattice_of(C, B, tol):
-        raise PreconditionFailed("C is not a sublattice of B")
+    _require_sublattice(C, B, "B", tol)
     d = cond_distribution(fs, C, tol)
     return realize_cond_distribution(d, C, tol)
 
@@ -234,8 +235,7 @@ def stationarity_check(
 ) -> StationarityResult:
     """If both tuples share a type over C and are independent from B over C,
     they must share a type over B; vacuously true when hypotheses fail."""
-    if not is_sublattice_of(C, B, tol):
-        raise PreconditionFailed("C is not a sublattice of B")
+    _require_sublattice(C, B, "B", tol)
     hypotheses = (
         tuple_type_equal(f1s, f2s, C, tol)
         and star_independent(f1s, B, C, tol).independent
@@ -274,11 +274,11 @@ def canonical_base(
         for _, values in _read_intervals([layout for _, _, layout in kept])
         for d in range(len(fs))
     )
-    blocks = []
+    blocks, profile = [], {}
     for group in tolerance_groups(len(kept), columns, tol):
-        profile = {cid: kept[i][1] * A.profile[cid] for i in group for cid in kept[i][0]}
-        blocks.append((tuple(profile), profile))
-    cb = Sublattice.make(A.space, blocks)
+        profile.update((cid, kept[i][1] * A.profile[cid]) for i in group for cid in kept[i][0])
+        blocks.append(A.space.sort_cells(cid for i in group for cid in kept[i][0]))
+    cb = Sublattice._canonical(A.space, blocks, profile)
     verdict = star_independent(fs, A, cb, tol)
     if not verdict.independent:
         raise CertificationFailed(

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .core import DEFAULT_TOL, Refinement, Space, StepFunction, lift, step_function
 from .errors import LatticeError, ParseError, UnknownReference, ValidationError
@@ -138,13 +139,25 @@ def _numbers(doc: Any, path: str) -> dict[str, float]:
     return {str(k): _number(v, path, k) for k, v in doc.items()}
 
 
+@contextmanager
+def _naming(where: str) -> Iterator[None]:
+    """A LatticeError raised inside is raised again as the same class, its
+    message prefixed with `where: `."""
+    try:
+        yield
+    except LatticeError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 def space_from_doc(doc: Any) -> Space:
     _require(doc, "space", ("p", "cells"))
     cells = []
     for j, c in enumerate(_of_kind(doc["cells"], "space.cells", _LIST)):
         _require(c, f"space.cells[{j}]", ("id", "weight"))
         cells.append((str(c["id"]), _number(c["weight"], f"space.cells[{j}].weight")))
-    return Space(tuple(cells), _number(doc["p"], "space.p"))
+    p = _number(doc["p"], "space.p")
+    with _naming("space"):
+        return Space(tuple(cells), p)
 
 
 def function_to_doc(f: StepFunction) -> dict:
@@ -312,8 +325,10 @@ class _Runner:
         self.refinements: list[dict] = []
         for name, fdoc in _of_kind(doc.get("functions", {}), "functions", _OBJECT).items():
             _require(fdoc, f"functions.{name}", ("values",))
-            values = _numbers(fdoc["values"], f"functions.{name}.values")
-            self.functions[name] = step_function(self.space, values)
+            where = f"functions.{name}.values"
+            values = _numbers(fdoc["values"], where)
+            with _naming(where):
+                self.functions[name] = step_function(self.space, values)
         for name, sdoc in _of_kind(doc.get("sublattices", {}), "sublattices", _OBJECT).items():
             self.sublattices[name] = self._sublattice_from_doc(name, sdoc)
 
@@ -323,7 +338,8 @@ class _Runner:
         if "generators" in doc:
             where = f"{path}.generators"
             generators = _FNS[2](self, _of_kind(doc["generators"], where, _FNS), where)
-            return dcl(self.space, generators, self.tol)
+            with _naming(path):
+                return dcl(self.space, generators, self.tol)
         if "blocks" in doc:
             blocks = []
             for j, b in enumerate(_of_kind(doc["blocks"], f"{path}.blocks", _LIST)):
@@ -332,7 +348,8 @@ class _Runner:
                 prof = _numbers(b["profile"], f"{path}.blocks[{j}].profile")
                 _require(prof, f"{path}.blocks[{j}].profile", cells)
                 blocks.append((cells, prof))
-            return Sublattice.make(self.space, blocks)
+            with _naming(path):
+                return Sublattice.make(self.space, blocks)
         raise ValidationError(f"{path}: sublattice document needs 'blocks' or 'generators'")
 
     def named(self, kind: str, name: str, where: str) -> Any:
@@ -357,13 +374,11 @@ class _Runner:
         function, fields, writer, binds = _check_fields(i, cmd)
         at = f"commands[{i}]."
         args = [arg(self, cmd[field], at + field) for field, (_, _, arg) in fields.items()]
-        try:
+        with _naming(f"commands[{i}]"):  # an error raised deep inside the command
             result = globals()[function](*args, self.tol)
             if cmd["op"] in _REFINING:
                 _, refinement, result = result
                 self._apply_refinement(refinement)
-        except LatticeError as exc:  # raised deep inside the command: name it
-            raise type(exc)(f"commands[{i}]: {exc}") from None
         if binds is not None and "as" in cmd:
             registry = self.sublattices if binds is _SUB else self.functions
             name = cmd["as"]

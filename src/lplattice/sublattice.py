@@ -36,7 +36,7 @@ class Sublattice:
     Members are exactly the combinations sum_k c_k * (profile restricted to
     block k) with arbitrary real coefficients.  Canonical form: the profile
     peaks at 1 on every block and blocks are listed by least cell id.
-    Construct through `make`.
+    Construct through `make`; the package's own builders use `_canonical`.
     """
 
     space: Space
@@ -50,30 +50,38 @@ class Sublattice:
         blocks_with_profiles: Iterable[tuple[Sequence[str], dict[str, float]]],
     ) -> "Sublattice":
         seen: set[str] = set()
-        canon = []
+        blocks, profile = [], {}
         for cells, prof in blocks_with_profiles:
             cells = tuple(cells)
             if not cells:
                 raise ValidationError("empty block")
-            vals = {}
             for cid in cells:
                 if cid not in space:
                     raise UnknownCell(f"no cell {cid!r}")
                 if cid in seen:
                     raise ValidationError(f"cell {cid!r} lies in two blocks")
                 seen.add(cid)
-                v = float(prof[cid])
-                if not math.isfinite(v) or v <= 0.0:
+                profile[cid] = float(prof[cid])
+            blocks.append(space.sort_cells(cells))
+        return cls._canonical(space, blocks, profile)
+
+    @classmethod
+    def _canonical(
+        cls, space: Space, blocks: Iterable[Sequence[str]], profile: Mapping[str, float]
+    ) -> "Sublattice":
+        """The canonical form of disjoint non-empty blocks, their cells in space
+        order: each profile value checked positive and finite, each block
+        scaled to peak 1, the blocks listed by least cell id (string order)."""
+        canon = []
+        for cells in blocks:
+            for cid in cells:
+                v = profile[cid]
+                if not 0.0 < v < math.inf:
                     raise ValidationError(f"profile on {cid!r} must be positive, got {v!r}")
-                vals[cid] = v
-            top = max(vals.values())
-            ordered = space.sort_cells(cells)
-            canon.append((ordered, {cid: vals[cid] / top for cid in ordered}))
-        canon.sort(key=lambda item: min(item[0]))
-        profile: dict[str, float] = {}
-        for _, prof in canon:
-            profile.update(prof)
-        return cls(space, tuple(item[0] for item in canon), profile)
+            canon.append((min(cells), tuple(cells), max(profile[cid] for cid in cells)))
+        canon.sort()  # by least cell id alone: the blocks are disjoint
+        scaled = {cid: profile[cid] / top for _, cells, top in canon for cid in cells}
+        return cls(space, tuple(cells for _, cells, _ in canon), scaled)
 
     @classmethod
     def trivial(cls, space: Space) -> "Sublattice":
@@ -155,40 +163,30 @@ class Sublattice:
 
     def subset(self, block_indices: Iterable[int]) -> "Sublattice":
         """The sublattice spanned by a subset of the blocks."""
-        keep = sorted(set(block_indices))
-        return Sublattice.make(
-            self.space,
-            [
-                (self.blocks[k], {cid: self.profile[cid] for cid in self.blocks[k]})
-                for k in keep
-            ],
-        )
+        keep = {range(len(self.blocks))[k] for k in block_indices}  # k < 0 counts from the end
+        return Sublattice._canonical(self.space, [self.blocks[k] for k in keep], self.profile)
 
     def lift(self, r: Refinement) -> "Sublattice":
         """Image of the sublattice on the refined space."""
         if self.space != r.parent:
             raise SpaceMismatch("sublattice does not live on the refinement's parent space")
-        out = []
+        blocks, profile = [], {}
         for block in self.blocks:
             cells = []
-            prof = {}
             for cid in block:
                 for kid, _ in r.splitting[cid]:
                     cells.append(kid)
-                    prof[kid] = self.profile[cid]
-            out.append((cells, prof))
-        return Sublattice.make(r.child, out)
+                    profile[kid] = self.profile[cid]
+            blocks.append(r.child.sort_cells(cells))
+        return Sublattice._canonical(r.child, blocks, profile)
 
     def density_push(self, dc: DensityChange) -> "Sublattice":
         """Transport across a density change: profiles become w/d."""
         if self.space != dc.source:
             raise SpaceMismatch("sublattice does not live on the density change's source")
-        return Sublattice.make(
-            dc.target,
-            [
-                (block, {cid: self.profile[cid] / dc.density[cid] for cid in block})
-                for block in self.blocks
-            ],
+        profile = {cid: w / dc.density[cid] for cid, w in self.profile.items()}
+        return Sublattice._canonical(
+            dc.target, [dc.target.sort_cells(block) for block in self.blocks], profile
         )
 
 
@@ -232,27 +230,30 @@ def _proportional_blocks(
     for cid in space.ids():
         if cid in bucket_of:
             buckets.setdefault(bucket_of[cid], []).append(cid)
-    blocks = []
+    blocks, profile = [], {}
     for b, cells in buckets.items():
         if len(cells) == 1:
-            blocks.append((cells, {cells[0]: 1.0}))
+            blocks.append(cells)
+            profile[cells[0]] = 1.0
             continue
         coords = [[generators[j][1][cid] for cid in cells] for j in keys[b]]
         tops = [max(map(abs, vec)) for vec in zip(*coords)]
         columns = ([x / top for x, top in zip(coord, tops)] for coord in coords)
         for group in tolerance_groups(len(cells), columns, tol):
-            first = min(group)
+            group.sort()  # into space order
+            first = group[0]
             anchor = max(coords, key=lambda coord: abs(coord[first]))
-            members = {cells[first]: 1.0}
+            members = []
             for i in group:
                 lam = anchor[i] / anchor[first]
                 if lam > 0.0:
-                    members[cells[i]] = lam
-                else:
-                    # only a tol of 1 or more groups vectors of opposite sign
-                    blocks.append(((cells[i],), {cells[i]: 1.0}))
-            blocks.append((tuple(members), members))
-    return Sublattice.make(space, blocks)
+                    members.append(cells[i])
+                    profile[cells[i]] = lam
+                else:  # only a tol of 1 or more groups vectors of opposite sign
+                    blocks.append((cells[i],))
+                    profile[cells[i]] = 1.0
+            blocks.append(members)
+    return Sublattice._canonical(space, blocks, profile)
 
 
 def contains(
@@ -261,28 +262,39 @@ def contains(
     """Per-block coefficients expressing f in C, or None if f is no member."""
     if C.space != f.space:
         raise SpaceMismatch("function lives on a different space")
+    touched = _coefficients(C, f.values, tol)
     # a block f does not touch has coefficient 0 and passes every check
-    coeffs = dict.fromkeys(range(len(C.blocks)), 0.0)
-    block_of = C._block_of
-    for k in sorted({block_of[cid] for cid in f.values if cid in block_of}):
+    return None if touched is None else {**dict.fromkeys(range(len(C.blocks)), 0.0), **touched}
+
+
+def _coefficients(C: Sublattice, values: Mapping[str, float], tol: float) -> Optional[dict]:
+    """For the function with these values (0 elsewhere), its coefficients on
+    the blocks of C it touches, or None if it is no member; visits those only."""
+    profile, block_of = C.profile, C._block_of
+    coeffs = {}
+    for k in {block_of[cid] for cid in values if cid in block_of}:
         block = C.blocks[k]
-        anchor = max(block, key=lambda cid: C.profile[cid])
-        c = f[anchor] / C.profile[anchor]
+        anchor = max(block, key=profile.__getitem__)
+        c = values.get(anchor, 0.0) / profile[anchor]
         for cid in block:
-            if not close(f[cid], c * C.profile[cid], tol):
+            if not close(values.get(cid, 0.0), c * profile[cid], tol):
                 return None
         coeffs[k] = c
-    for cid, v in f.values.items():
-        if cid not in C.support and not close(v, 0.0, tol):
+    for cid, v in values.items():
+        if cid not in block_of and not close(v, 0.0, tol):
             return None
     return coeffs
 
 
 def is_sublattice_of(C: Sublattice, B: Sublattice, tol: float = DEFAULT_TOL) -> bool:
-    """True when every block profile of C is a member of B."""
+    """True when every block profile of C is a member of B: each C-block is
+    checked against the B-blocks its cells touch (O(n) when C <= B)."""
     if C.space != B.space:
         raise SpaceMismatch("sublattices live on different spaces")
-    return all(contains(B, g, tol) is not None for g in C.generators())
+    return all(
+        _coefficients(B, {cid: C.profile[cid] for cid in block}, tol) is not None
+        for block in C.blocks
+    )
 
 
 def band_decompose(f: StepFunction, C: Sublattice) -> tuple[StepFunction, StepFunction]:
@@ -379,11 +391,8 @@ def lattice_intersection(
         if not common.issuperset(block)
         for cid in block
     }
-    kept = []
-    for comp, consistent in components:
-        if consistent and leaky.isdisjoint(comp):
-            kept.append((tuple(comp), {cid: x[cid] for cid in comp}))
-    return Sublattice.make(space, kept)
+    kept = [comp for comp, consistent in components if consistent and leaky.isdisjoint(comp)]
+    return Sublattice._canonical(space, [space.sort_cells(comp) for comp in kept], x)
 
 
 def lattice_join(A: Sublattice, C: Sublattice, tol: float = DEFAULT_TOL) -> Sublattice:

@@ -22,7 +22,9 @@ from lplattice import (
     SpaceMismatch,
     StepFunction,
     Sublattice,
+    UnknownCell,
     ValidationError,
+    close,
     dcl,
     is_sublattice_of,
     lattice_join,
@@ -42,6 +44,76 @@ from lplattice.independence import (
 )
 from lplattice.oracles import proportionality_classes
 from lplattice.typespace import Segment, _merge_atoms
+
+
+# --- reference constructor and sublattice test -----------------------------------
+# `Sublattice.make` from before the canonical form moved into
+# `Sublattice._canonical`, when every builder checked its own output through
+# it, and `is_sublattice_of` from before it checked each block against the
+# blocks it touches (with the dense `contains` it called), kept verbatim as
+# the references their differential tests compare against.  The references
+# below build through `reference_make`, so none of them reaches
+# `Sublattice._canonical`.
+
+def reference_make(
+    space: Space,
+    blocks_with_profiles: Iterable[tuple[Sequence[str], dict[str, float]]],
+) -> Sublattice:
+    seen: set[str] = set()
+    canon = []
+    for cells, prof in blocks_with_profiles:
+        cells = tuple(cells)
+        if not cells:
+            raise ValidationError("empty block")
+        vals = {}
+        for cid in cells:
+            if cid not in space:
+                raise UnknownCell(f"no cell {cid!r}")
+            if cid in seen:
+                raise ValidationError(f"cell {cid!r} lies in two blocks")
+            seen.add(cid)
+            v = float(prof[cid])
+            if not math.isfinite(v) or v <= 0.0:
+                raise ValidationError(f"profile on {cid!r} must be positive, got {v!r}")
+            vals[cid] = v
+        top = max(vals.values())
+        ordered = space.sort_cells(cells)
+        canon.append((ordered, {cid: vals[cid] / top for cid in ordered}))
+    canon.sort(key=lambda item: min(item[0]))
+    profile: dict[str, float] = {}
+    for _, prof in canon:
+        profile.update(prof)
+    return Sublattice(space, tuple(item[0] for item in canon), profile)
+
+
+def _reference_contains(
+    C: Sublattice, f: StepFunction, tol: float = DEFAULT_TOL
+) -> Optional[dict[int, float]]:
+    """Per-block coefficients expressing f in C, or None if f is no member."""
+    if C.space != f.space:
+        raise SpaceMismatch("function lives on a different space")
+    # a block f does not touch has coefficient 0 and passes every check
+    coeffs = dict.fromkeys(range(len(C.blocks)), 0.0)
+    block_of = C._block_of
+    for k in sorted({block_of[cid] for cid in f.values if cid in block_of}):
+        block = C.blocks[k]
+        anchor = max(block, key=lambda cid: C.profile[cid])
+        c = f[anchor] / C.profile[anchor]
+        for cid in block:
+            if not close(f[cid], c * C.profile[cid], tol):
+                return None
+        coeffs[k] = c
+    for cid, v in f.values.items():
+        if cid not in C.support and not close(v, 0.0, tol):
+            return None
+    return coeffs
+
+
+def reference_is_sublattice_of(C: Sublattice, B: Sublattice, tol: float = DEFAULT_TOL) -> bool:
+    """True when every block profile of C is a member of B."""
+    if C.space != B.space:
+        raise SpaceMismatch("sublattices live on different spaces")
+    return all(_reference_contains(B, g, tol) is not None for g in C.generators())
 
 
 def brute_intersection(A: Sublattice, C: Sublattice, tol: float = 1e-9) -> Sublattice:
@@ -69,7 +141,7 @@ def brute_intersection(A: Sublattice, C: Sublattice, tol: float = 1e-9) -> Subla
     if not keep:
         return Sublattice.trivial(space)
     # 1e-7 for a zero column and, relative, for proportional columns
-    return Sublattice.make(space, proportionality_classes(ids, np.array(keep), 1e-7))
+    return reference_make(space, proportionality_classes(ids, np.array(keep), 1e-7))
 
 
 # --- reference dcl and joins ---------------------------------------------------
@@ -89,7 +161,7 @@ def reference_dcl(
         if g.space != space:
             raise SpaceMismatch("generator lives on a different space")
     cells = [cid for cid in space.ids() if any(cid in g.values for g in gens)]
-    return Sublattice.make(
+    return reference_make(
         space, _reference_proportional_blocks(cells, [[g[cid] for cid in cells] for g in gens], tol)
     )
 
@@ -160,7 +232,7 @@ def reference_keyed_join(A: Sublattice, C: Sublattice, tol: float = DEFAULT_TOL)
     for cells in buckets.values():
         coords = [[lat.profile.get(cid, 0.0) for cid in cells] for lat in (A, C)]
         blocks += _reference_proportional_blocks(cells, coords, tol)
-    return Sublattice.make(A.space, blocks)
+    return reference_make(A.space, blocks)
 
 
 # --- reference canonical base ---------------------------------------------------

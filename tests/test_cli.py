@@ -469,6 +469,26 @@ class TestCliMain:
                 ),
                 "error: ValidationError: commands[3].r: number past the float range",
             ),
+            (
+                lambda doc: doc["functions"]["f"]["values"].update({"zz": 1.0}),
+                "error: UnknownCell: functions.f.values: no cell 'zz'",
+            ),
+            (
+                lambda doc: doc["sublattices"]["B"]["blocks"][0]["profile"].update({"[0,1]": -1}),
+                "error: ValidationError: sublattices.B: profile on '[0,1]' must be positive, "
+                "got -1.0",
+            ),
+            (
+                lambda doc: doc["space"]["cells"][0].update({"weight": -1}),
+                "error: NonPositiveWeight: space: cell '[0,1]' has weight -1.0",
+            ),
+            (
+                lambda doc: (
+                    doc["sublattices"]["B"]["blocks"][0]["cells"].append("(2,3]"),
+                    doc["sublattices"]["B"]["blocks"][0]["profile"].update({"(2,3]": 1.0}),
+                ),
+                "error: ValidationError: sublattices.B: cell '(2,3]' lies in two blocks",
+            ),
         ],
         ids=[
             "condexp-without-c",
@@ -498,6 +518,10 @@ class TestCliMain:
             "value-literal-past-float-range",
             "profile-literal-past-float-range",
             "slice-r-literal-past-float-range",
+            "value-on-unknown-cell",
+            "negative-profile",
+            "negative-weight",
+            "cell-in-two-blocks",
         ],
     )
     def test_malformed_field_exit_two(self, tmp_path, capsys, edit, message):
@@ -675,6 +699,11 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert "PASS masked-dependence-fixture" in out
         assert "FAIL" not in out
+
+    def test_verify_output_is_golden(self, capsys):
+        assert main(["verify", "--seed", "0", "--trials", "60"]) == 0
+        golden = (DATA / "verify_report.txt").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == golden
 
     def test_verify_fault_injection(self, capsys):
         assert main(["verify", "--trials", "2", "--tol", "1e302"]) == 1

@@ -7,16 +7,21 @@ from conftest import (
     brute_intersection,
     reference_cond_exp,
     reference_dcl,
+    reference_is_sublattice_of,
     reference_join,
     reference_keyed_join,
+    reference_make,
 )
 from lplattice import (
+    DensityChange,
     NonFiniteValue,
+    Refinement,
     Space,
     SpaceMismatch,
     StepFunction,
     Sublattice,
     UnknownCell,
+    ValidationError,
     band_decompose,
     canonical_base,
     close,
@@ -33,6 +38,7 @@ from lplattice import (
     lattice_join,
     make_space,
     norm,
+    refine_space,
     star_independent,
     step_function,
     type_datum,
@@ -120,6 +126,16 @@ class TestIsSublatticeOf:
     def test_trivial_in_everything(self):
         space = unit_space(2)
         assert is_sublattice_of(Sublattice.trivial(space), dcl(space, [indicator(space, ["c0"])]))
+
+    def test_block_outside_the_support(self):
+        # c1's block touches no block of the other lattice: no coefficient
+        # can make it a member
+        space = unit_space(2)
+        one = dcl(space, [indicator(space, ["c0"])])
+        assert not is_sublattice_of(dcl(space, [indicator(space, ["c1"])]), one)
+        assert not is_sublattice_of(dcl(space, [indicator(space, space.ids())]), one)
+        cells = Sublattice.make(space, [(["c0"], {"c0": 1.0}), (["c1"], {"c1": 1.0})])
+        assert is_sublattice_of(one, cells)
 
 
 class TestBandDecompose:
@@ -658,3 +674,110 @@ class TestCellOrder:
         C = dcl(space, [f])
         assert_cell_order_free([f, g], C, order)
         assert dcl(space, [f, g]).dim == 2
+
+
+def reversed_refinement(space):
+    """Each cell split into two halves, the child space listing every child
+    in the reverse of the order a lift visits them."""
+    splitting = {cid: ((f"{cid}#0", w / 2), (f"{cid}#1", w / 2)) for cid, w in space.cells}
+    kids = [kid for cid in space.ids() for kid in splitting[cid]]
+    child = Space(tuple(reversed(kids)), space.p)
+    return Refinement(space, child, splitting)
+
+
+def assert_canonical(L):
+    """L is reference_make of its own (block, profile) pairs given in reversed
+    order: blocks, cell order and profile items all equal."""
+    ref = reference_make(L.space, [(b, {c: L.profile[c] for c in b}) for b in reversed(L.blocks)])
+    assert L.blocks == ref.blocks
+    assert list(L.profile.items()) == list(ref.profile.items())
+
+
+class TestCanonicalConstructor:
+    @staticmethod
+    def built(seed):
+        """The outputs of every in-package builder on one random instance."""
+        inst = random_instance(seed, 12, n_functions=4)
+        space, (C, B, D), fs = inst.space, inst.chain, list(inst.functions)
+        rng = random.Random(seed)
+        A = dcl(space, fs)
+        yield A
+        yield dcl(space, [*C.generators(), fs[0]])
+        yield lattice_join(C, A)
+        yield lattice_join(B, D)
+        yield lattice_intersection(A, C)
+        yield lattice_intersection(D, dcl(space, fs[:2]))
+        yield canonical_base(fs[:2], _nontrivial_sublattice(inst, seed))
+        yield D.subset(k for k in range(D.dim) if rng.random() < 0.5)
+        plan = {cid: (0.25, 0.75) for cid in space.ids() if rng.random() < 0.5}
+        _, r = refine_space(space, plan, [("fresh", 1.0)])
+        yield D.lift(r)
+        yield B.lift(reversed_refinement(space))
+        d = step_function(space, {c: rng.choice((0.5, 1.0, 2.0, 4.0)) for c in space.ids()})
+        dc = density_change(space, d)
+        yield C.density_push(dc)
+        target = Space(tuple(reversed(dc.target.cells)), space.p)
+        yield D.density_push(DensityChange(space, target, d))
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_builders_return_the_canonical_form(self, seed):
+        for L in self.built(seed):
+            assert_canonical(L)
+
+    def test_tolerance_group_in_space_order(self):
+        # x and y are proportional within tol; y sorts first on c's scaled
+        # column, and the block still lists x first
+        space = make_space([("x", 1.0), ("y", 1.0)], 2.0)
+        a = StepFunction(space, {"x": 1.0, "y": 1.0})
+        c = StepFunction(space, {"x": 1.0, "y": 1.0 - 1e-10})
+        assert_canonical(dcl(space, [a, c]))
+        assert dcl(space, [a, c]).blocks == (("x", "y"),)
+
+    def test_canonical_base_block_in_space_order(self):
+        # A's blocks are listed a, b (string order); f has the same law on
+        # both, so the base merges them into one block, in space order b, a
+        space = make_space([("b", 1.0), ("a", 1.0)], 2.0)
+        A = Sublattice.make(space, [(["b"], {"b": 1.0}), (["a"], {"a": 1.0})])
+        cb = canonical_base([indicator(space, ["a", "b"])], A)
+        assert_canonical(cb)
+        assert cb.blocks == (("b", "a"),)
+
+    def test_subset_takes_a_negative_index_once(self):
+        space = make_space([("x", 1.0), ("y", 1.0)], 2.0)
+        C = Sublattice.make(space, [(["x"], {"x": 1.0}), (["y"], {"y": 1.0})])
+        assert C.subset([1, -1]).blocks == (("y",),)
+        assert C.subset([-2, 0, 1]) == C
+
+    def test_overflowing_profile_is_rejected(self):
+        space = make_space([("a", 1.0), ("b", 1.0)], 2.0)
+        f = StepFunction(space, {"a": 1e-300, "b": 1e300})
+        with pytest.raises(ValidationError) as err:
+            dcl(space, [f])
+        assert str(err.value) == "profile on 'b' must be positive, got inf"
+
+    def test_lift_sorts_children_into_the_child_order(self):
+        space = make_space([("x", 2.0), ("y", 1.0), ("z", 1.0)], 2.0)
+        C = Sublattice.make(space, [(["x", "z"], {"x": 1.0, "z": 0.5}), (["y"], {"y": 1.0})])
+        r = reversed_refinement(space)
+        lifted = C.lift(r)
+        # the blocks and profile the lift made before it sorted, through the reference
+        ref = reference_make(
+            r.child,
+            [
+                (["x#0", "x#1", "z#0", "z#1"], {"x#0": 1.0, "x#1": 1.0, "z#0": 0.5, "z#1": 0.5}),
+                (["y#0", "y#1"], {"y#0": 1.0, "y#1": 1.0}),
+            ],
+        )
+        # cells in the child's order, blocks by least cell id ("x#0" before "y#0")
+        assert lifted.blocks == ref.blocks == (("z#1", "z#0", "x#1", "x#0"), ("y#1", "y#0"))
+        assert lifted.profile == ref.profile
+
+
+class TestSublatticeOfReference:
+    @pytest.mark.parametrize("seed", range(300))
+    def test_agrees_with_reference(self, seed):
+        inst = random_instance(seed, 12, n_functions=4)
+        C, B, D = inst.chain
+        A = dcl(inst.space, inst.functions[:1])
+        for X, Y in ((C, B), (B, C), (B, D), (A, C)):
+            assert is_sublattice_of(X, Y) == reference_is_sublattice_of(X, Y)
