@@ -279,7 +279,7 @@ def _distance(f: StepFunction, g: StepFunction, C: Sublattice, tol: float) -> fl
 
 
 def _realize(f: StepFunction, C: Sublattice, tol: float) -> tuple:
-    return canonical_realization(type_datum(f, C, tol), tol)
+    return canonical_realization(type_datum(f, C, tol))
 
 
 def _functions_to_doc(fs: Iterable[StepFunction]) -> list:

@@ -430,7 +430,6 @@ def _lay_out(
     per_block: Sequence[Layout],
     fresh: Sequence[tuple[str, float, tuple[float, ...]]],
     arity: int,
-    tol: float,
 ) -> tuple[Space, Refinement, tuple[StepFunction, ...]]:
     """Lay out `arity` functions on one refinement of C's space.
 
@@ -443,9 +442,7 @@ def _lay_out(
     for block, segs in zip(C.blocks, per_block):
         if len(segs) > 1:
             plan.update(dict.fromkeys(block, tuple(length for length, _ in segs)))
-    child, refinement = refine_space(
-        C.space, plan, [(fid, weight) for fid, weight, _ in fresh], tol
-    )
+    child, refinement = refine_space(C.space, plan, [(fid, weight) for fid, weight, _ in fresh])
     value_maps: list[dict[str, float]] = [{} for _ in range(arity)]
     for block, segs in zip(C.blocks, per_block):
         for cid in block:
@@ -474,9 +471,7 @@ def _orth_cells(
     return cells
 
 
-def canonical_realization(
-    t: TypeDatum, tol: float = DEFAULT_TOL
-) -> tuple[Space, Refinement, StepFunction]:
+def canonical_realization(t: TypeDatum) -> tuple[Space, Refinement, StepFunction]:
     """The unique decreasing realization of a 1-type.
 
     Every support cell is split along the profile's r-breakpoints with the
@@ -488,7 +483,7 @@ def canonical_realization(
         tuple((length, (value,)) for length, value in segs) for segs in t.profile.per_block
     ]
     fresh = _orth_cells(C.space, (t.orth_pos,), (t.orth_neg,))
-    child, refinement, (g,) = _lay_out(C, per_block, fresh, 1, tol)
+    child, refinement, (g,) = _lay_out(C, per_block, fresh, 1)
     return child, refinement, g
 
 
@@ -512,7 +507,7 @@ def realize_cond_distribution(
         (fid, mass, vec)
         for fid, (vec, mass) in zip(fresh_ids(C.space, len(d.orth)), d.orth)
     ]
-    return _lay_out(C, per_block, fresh, d.arity, tol)
+    return _lay_out(C, per_block, fresh, d.arity)
 
 
 def realize_common(
@@ -529,7 +524,7 @@ def realize_common(
         for layouts in zip(t1.profile.per_block, t2.profile.per_block)
     ]
     fresh = _orth_cells(C.space, (t1.orth_pos, t2.orth_pos), (t1.orth_neg, t2.orth_neg))
-    _, _, (f, g) = _lay_out(C, per_block, fresh, 2, tol)
+    _, _, (f, g) = _lay_out(C, per_block, fresh, 2)
     return f, g
 
 
@@ -577,7 +572,7 @@ def maharam_select(
                 plan[cid] = (phi, 1.0 - phi)
                 selected.append(f"{cid}#0")
                 need = 0.0
-    child, refinement = refine_space(space, plan, (), tol)
+    child, refinement = refine_space(space, plan)
     return child, refinement, frozenset(selected)
 
 

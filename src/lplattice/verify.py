@@ -3,7 +3,8 @@ checks, and oracle agreements.
 
 Each checker returns None on success or a human-readable failure detail.
 `run_suites` runs them from the suite tables for the CLI, attaching to every
-failure the one-line call that re-runs the failing check.
+failure the one-line call that re-runs the failing check; a LatticeError
+raised inside a checker is its suite's failure.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import (
     norm,
     step_function,
 )
+from .errors import LatticeError
 from .independence import (
     slice_independent,
     star_independent,
@@ -481,8 +483,11 @@ def run_suites(
     for name, checker, args, summary in suites:
         result = SuiteResult(name, True, summary, None)
         for arg in args:
-            # looked up per call, so that a wrapper installed on this module sees it
-            detail = globals()[checker](arg, tol)
+            try:
+                # looked up per call, so that a wrapper installed on this module sees it
+                detail = globals()[checker](arg, tol)
+            except LatticeError as exc:
+                detail = f"{arg!r}: {type(exc).__name__}: {exc}"
             if detail is not None:
                 call = f"from lplattice.verify import {checker} as c; print(c({arg!r}, {tol!r}))"
                 result = SuiteResult(name, False, detail, f"python3 -c '{call}'")

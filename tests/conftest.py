@@ -332,7 +332,6 @@ def _lay_out(
     per_block: Sequence[tuple[Sequence[float], Sequence[tuple[float, ...]]]],
     fresh: Sequence[tuple[str, float, tuple[float, ...]]],
     arity: int,
-    tol: float,
 ) -> tuple[Space, Refinement, tuple[StepFunction, ...]]:
     """Lay out `arity` functions on one refinement of C's space.
 
@@ -347,7 +346,7 @@ def _lay_out(
             for cid in block:
                 plan[cid] = fractions
     child, refinement = refine_space(
-        C.space, plan, [(fid, weight) for fid, weight, _ in fresh], tol
+        C.space, plan, [(fid, weight) for fid, weight, _ in fresh]
     )
     value_maps: list[dict[str, float]] = [{} for _ in range(arity)]
     for block, (_, vectors) in zip(C.blocks, per_block):
@@ -386,7 +385,7 @@ def reference_realize_cond_distribution(
         (fid, mass, vec)
         for fid, (vec, mass) in zip(fresh_ids(C.space, len(d.orth)), d.orth)
     ]
-    return _lay_out(C, per_block, fresh, d.arity, tol)
+    return _lay_out(C, per_block, fresh, d.arity)
 
 
 # --- reference conditional expectation -------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from conftest import reference_dumps
 from hypothesis import given, settings, strategies as st
 
-from lplattice import UnknownReference, ValidationError
+from lplattice import MassMismatch, UnknownReference, ValidationError
 from lplattice.cli import main
 from lplattice.scenario import dumps, execute_scenario, execute_scenario_doc
 from lplattice.verify import run_suites
@@ -263,6 +263,16 @@ class TestCliMain:
         report = scenario.with_name(scenario.name.replace("_scenario.json", "_report.json"))
         assert main(["run", str(scenario)]) == 0
         assert capsys.readouterr().out.encode("utf-8") == report.read_bytes()
+
+    def test_exact_splits_run_at_tol_zero(self, capsys):
+        # realize and extend split cells by fractions whose float sum is not 1;
+        # tol compares data, so tol 0 changes nothing in this report but its own line
+        scenario = DATA / "exact_split_scenario.json"
+        assert main(["run", str(scenario), "--tol", "0"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        golden = (DATA / "exact_split_report.json").read_text().splitlines()
+        assert out[1] == '  "tol": 0.0,'
+        assert out[:1] + out[2:] == golden[:1] + golden[2:]
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_exit_two(self, tmp_path, capsys, token):
@@ -704,6 +714,23 @@ class TestCliMain:
         assert main(["verify", "--seed", "0", "--trials", "60"]) == 0
         golden = (DATA / "verify_report.txt").read_bytes()
         assert capsys.readouterr().out.encode("utf-8") == golden
+
+    def test_verify_reports_a_raising_checker(self, monkeypatch, capsys):
+        import lplattice.verify as verify
+
+        def raising(seed, tol):
+            raise MassMismatch(f"raised on {seed}")
+
+        monkeypatch.setattr(verify, "check_distance", raising)
+        assert main(["verify", "--seed", "0", "--trials", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        i = lines.index("FAIL type-distance: 20000: MassMismatch: raised on 20000")
+        assert lines[i + 1] == (
+            "replay: python3 -c 'from lplattice.verify import check_distance as c; "
+            "print(c(20000, 1e-09))'"
+        )
+        # the other suites still run
+        assert len([line for line in lines if line.startswith("PASS ")]) == len(lines) - 2
 
     def test_verify_fault_injection(self, capsys):
         assert main(["verify", "--trials", "2", "--tol", "1e302"]) == 1

@@ -173,9 +173,23 @@ class TestSplitCell:
         with pytest.raises(BadFractions):
             split_cell(unit_space(1), "c0", (0.5, 0.4))
 
+    # the split's sum is checked once, by the Refinement, relative to the
+    # parent's weight: a cell far below weight 1 loses no mass unnoticed
+    @pytest.mark.parametrize("fractions", [(0.5, 0.4), (0.5, 0.5000001)])
+    @pytest.mark.parametrize("weight", [1.0, 1e-10])
+    def test_fractions_must_sum_to_one(self, fractions, weight):
+        with pytest.raises(BadFractions):
+            split_cell(make_space([("c0", weight)], 2.0), "c0", fractions)
+
+    def test_zero_fraction(self):
+        with pytest.raises(BadFractions) as err:
+            split_cell(unit_space(1), "c0", (1.0, 0.0))
+        assert str(err.value) == "fractions for 'c0' must be positive"
+
     def test_unknown_cell(self):
-        with pytest.raises(UnknownCell):
+        with pytest.raises(UnknownCell) as err:
             split_cell(unit_space(1), "zz", (0.5, 0.5))
+        assert str(err.value) == "no cell 'zz'"
 
 
 class TestLift:
@@ -313,3 +327,44 @@ class TestRefinementValidation:
         bad_child = make_space([("c0#0", 0.4), ("c0#1", 0.4)], 2.0)
         with pytest.raises((BadFractions, SpaceMismatch)):
             Refinement(space, bad_child, {"c0": (("c0#0", 0.4), ("c0#1", 0.4))})
+
+    @pytest.mark.parametrize(
+        "child, splitting, error, message",
+        [
+            (
+                [("c0", 1.0), ("c1", 1.0)],
+                {"c0": (("c0", 1.0),), "c1": (("c1", 1.0),), "zz": (("c0", 1.0),)},
+                UnknownCell,
+                "splitting mentions unknown cell 'zz'",
+            ),
+            (
+                [("c0", 1.0), ("c1", 1.0)],
+                {"c0": (("c0", 1.0),), "c1": ()},
+                BadFractions,
+                "parent cell 'c1' has no children",
+            ),
+            (
+                [("c0", 1.0), ("c1", 1.0)],
+                {"c0": (("c0", 1.0),), "c1": (("c0", 1.0),)},
+                DuplicateId,
+                "child cell 'c0' appears twice",
+            ),
+            (
+                [("c0#0", 0.5), ("c0#1", 0.5), ("c1", 1.0)],
+                {"c0": (("c0#0", 0.6), ("c0#1", 0.5)), "c1": (("c1", 1.0),)},
+                SpaceMismatch,
+                "child cell 'c0#0' disagrees with the child space",
+            ),
+            (
+                [("c0#0", 0.4), ("c0#1", 0.4), ("c1", 1.0)],
+                {"c0": (("c0#0", 0.4), ("c0#1", 0.4)), "c1": (("c1", 1.0),)},
+                BadFractions,
+                "children of 'c0' sum to 0.8, expected 1.0",
+            ),
+        ],
+        ids=["unknown-key", "no-children", "child-twice", "child-disagrees", "wrong-sum"],
+    )
+    def test_hand_built_errors(self, child, splitting, error, message):
+        with pytest.raises(error) as err:
+            Refinement(unit_space(2), make_space(child, 2.0), splitting)
+        assert str(err.value) == message
