@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import add
+from itertools import chain
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -27,6 +28,10 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
+
+_FLOAT = {float}
+_TUPLE = {tuple}
+_WEIGHT = itemgetter(1)  # of a (cell id, weight) pair
 
 
 def close(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
@@ -90,6 +95,28 @@ class Space:
     p: float
 
     def __post_init__(self) -> None:
+        # settle the cells in bulk; anything unsettled goes through
+        # _check_cells, which names the first bad cell
+        try:
+            weights = dict(self.cells)
+            settled = (
+                len(weights) == len(self.cells)
+                and set(map(type, weights.values())) <= _FLOAT
+                and all(map(math.isfinite, weights.values()))
+                and (not weights or min(weights.values()) > 0.0)
+            )
+        except (TypeError, ValueError):
+            settled = False
+        if not settled:
+            self._check_cells()
+            weights = dict(self.cells)
+        _finite(self.p, "exponent p")
+        if self.p < 1.0:
+            raise BadExponent(f"p must be >= 1, got {self.p!r}")
+        self.__dict__["_weights"] = weights  # seeds the cached property
+
+    def _check_cells(self) -> None:
+        """The per-cell check: raises on the first bad cell."""
         seen = set()
         for cid, w in self.cells:
             if cid in seen:
@@ -98,9 +125,6 @@ class Space:
             _finite(w, f"weight of cell {cid!r}")
             if w <= 0.0:
                 raise NonPositiveWeight(f"cell {cid!r} has weight {w!r}")
-        _finite(self.p, "exponent p")
-        if self.p < 1.0:
-            raise BadExponent(f"p must be >= 1, got {self.p!r}")
 
     @cached_property
     def _weights(self) -> dict[str, float]:
@@ -110,8 +134,12 @@ class Space:
     def _index(self) -> dict[str, int]:
         return {cid: i for i, (cid, _) in enumerate(self.cells)}
 
+    @cached_property
+    def _ids(self) -> tuple[str, ...]:
+        return tuple(self._weights)
+
     def ids(self) -> tuple[str, ...]:
-        return tuple(cid for cid, _ in self.cells)
+        return self._ids
 
     def __contains__(self, cid: str) -> bool:
         return cid in self._weights
@@ -122,15 +150,12 @@ class Space:
         except KeyError:
             raise UnknownCell(f"no cell {cid!r}") from None
 
-    def index_of(self, cid: str) -> int:
-        try:
-            return self._index[cid]
-        except KeyError:
-            raise UnknownCell(f"no cell {cid!r}") from None
-
     def sort_cells(self, cids: Iterable[str]) -> tuple[str, ...]:
         """Cells sorted into this space's cell order."""
-        return tuple(sorted(cids, key=self.index_of))
+        try:
+            return tuple(sorted(cids, key=self._index.__getitem__))
+        except KeyError as exc:
+            raise UnknownCell(f"no cell {exc.args[0]!r}") from None
 
 
 def make_space(cells: Iterable[tuple[str, float]], p: float) -> Space:
@@ -146,6 +171,24 @@ class StepFunction:
     values: dict[str, float]
 
     def __post_init__(self) -> None:
+        values = self.values
+        if (
+            type(values) is dict
+            and set(map(type, values.values())) <= _FLOAT
+            and all(map(math.isfinite, values.values()))
+            and values.keys() <= self.space._weights.keys()
+        ):
+            if 0.0 in values.values():  # -0.0 too
+                values = {cid: v for cid, v in values.items() if v != 0.0}
+            else:
+                values = dict(values)
+        else:
+            values = self._checked_values()
+        object.__setattr__(self, "values", values)
+
+    def _checked_values(self) -> dict[str, float]:
+        """The per-cell check: raises on the first bad cell, else the values
+        as floats with exact zeros pruned."""
         pruned = {}
         for cid, v in self.values.items():
             if cid not in self.space:
@@ -153,7 +196,7 @@ class StepFunction:
             v = _finite(v, f"value on cell {cid!r}")
             if v != 0.0:
                 pruned[cid] = v
-        object.__setattr__(self, "values", pruned)
+        return pruned
 
     def _require_same(self, other: "StepFunction") -> None:
         if self.space != other.space:
@@ -289,6 +332,41 @@ class Refinement:
     splitting: dict[str, tuple[tuple[str, float], ...]]
 
     def __post_init__(self) -> None:
+        if not self._settled():
+            self._check_splitting()
+
+    def _settled(self) -> bool:
+        """True when passes over whole tables settle every check that
+        _check_splitting makes: the parents' ids, the children's (id, weight)
+        pairs against the child space, and the split sums.  False sends the
+        splitting through _check_splitting, which names the first bad cell."""
+        splitting = self.splitting
+        parent = self.parent._weights
+        if type(splitting) is not dict or not set(map(type, splitting.values())) <= _TUPLE:
+            return False
+        try:
+            kids = dict(chain.from_iterable(splitting.values()))
+        except (TypeError, ValueError):
+            return False
+        if not (
+            splitting.keys() <= parent.keys()
+            and len(splitting) == len(parent)
+            and all(splitting.values())
+            and len(kids) == sum(map(len, splitting.values()))
+            and kids.items() <= self.child._weights.items()
+        ):
+            return False
+        for cid, w in parent.items():
+            split = splitting[cid]
+            # one child of its parent's very weight sums to it exactly
+            if (len(split) > 1 or split[0][1] != w) and not close(
+                left_sum(map(_WEIGHT, split)) / w, 1.0
+            ):
+                return False
+        return True
+
+    def _check_splitting(self) -> None:
+        """The per-cell check: raises on the first bad cell."""
         stray = set(self.splitting) - set(self.parent.ids())
         if stray:
             raise UnknownCell(f"splitting mentions unknown cell {sorted(stray)[0]!r}")

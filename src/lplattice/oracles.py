@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Space, StepFunction, close
+from .core import DEFAULT_TOL, Space, StepFunction
 from .errors import (
     BadR,
     GuardExceeded,
@@ -31,6 +31,9 @@ CLOSURE_TOL = 1e-7
 CLOSURE_ROUNDS = 50
 # a coupling's mass left this small after subtracting `take` is rounding residue
 COUPLING_RESIDUE = 1e-15
+# two totals of one block's nu-mass differ by at most this, relative to their
+# size, through rounding alone (derived in wasserstein_block)
+MASS_ROUNDING = 1e-12
 
 # draw pools of random_instance; part of the generator's replay contract
 WEIGHT_POOL = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
@@ -178,10 +181,22 @@ def wasserstein_block(
 
     Computed by the sorted (comonotone) coupling, which is optimal in one
     dimension; equals the L_p distance of the quantile functions.
+
+    The total masses must agree.  The callers pass two laws of one block B,
+    each total being nu(B) in exact arithmetic: a law's masses are its
+    segment lengths m_j/M times nu(B), and the lengths sum to 1.  In floats
+    each total carries rounding of about (c + 2s)u relative to its size, for
+    c cells in B (the sums behind M and nu(B)), s segments (one quotient and
+    one product each, then the sum here) and u = 2**-53.  MASS_ROUNDING
+    covers both totals up to c + 2s of about 4,500, far below DEFAULT_TOL.
+    So the totals are compared at the larger of tol and MASS_ROUNDING
+    relative to their size: tol = 0 asks for exact data, not for exact
+    arithmetic.
     """
     m1 = sum(m for _, m in d1)
     m2 = sum(m for _, m in d2)
-    if not close(m1, m2, tol):
+    bound = max(tol * max(1.0, abs(m1), abs(m2)), MASS_ROUNDING * max(abs(m1), abs(m2)))
+    if not abs(m1 - m2) <= bound:
         raise MassMismatch(f"total masses {m1!r} and {m2!r} differ")
     a = sorted(((v, m) for v, m in d1 if m > 0.0), key=lambda t: -t[0])
     b = sorted(((v, m) for v, m in d2 if m > 0.0), key=lambda t: -t[0])

@@ -313,6 +313,12 @@ def _check_fields(i: int, cmd: Any) -> tuple:
             raise ValidationError(f"commands[{i}].{field}: {op} needs '{field}', {kind}")
         if not test(cmd[field]):
             raise ValidationError(f"commands[{i}].{field}: {op}: '{field}' must be {kind}")
+    # a list of names binds one function per entry of 'fs' (extend's result)
+    if binds is _FNS and "as" in cmd and len(cmd["as"]) != len(cmd["fs"]):
+        raise ValidationError(
+            f"commands[{i}].as: {op}: 'as' must hold one name per 'fs' entry: "
+            f"{len(cmd['fs'])}, got {len(cmd['as'])}"
+        )
     return entry
 
 

@@ -340,16 +340,51 @@ def _block_laws(
 ) -> Iterator[tuple[tuple[Atom, ...], float]]:
     """Per block of C, the merged law of the profile-normalized value vectors
     and its nu-mass.  Lazy, so only the block in hand is alive; the space
-    check runs at the first step."""
+    check runs at the first step.  One function keys the masses by the float
+    value itself and merges them with _merge_values, with no 1-tuples and no
+    tolerance_groups round trip; its laws are bit-equal to the general path."""
     for f in fs:
         if f.space != C.space:
             raise SpaceMismatch("function lives on a different space")
     _, nu, mass = C.nu_table
+    if len(fs) == 1:
+        values = fs[0].values
+        profile = C.profile
+        for block, total in zip(C.blocks, mass):
+            acc: dict[float, float] = {}
+            for cid in block:
+                v = values.get(cid, 0.0) / profile[cid]
+                acc[v] = acc.get(v, 0.0) + nu[cid]
+            yield _merge_values(acc, tol), total
+        return
     for block, total in zip(C.blocks, mass):
         # one column per function, paired up per cell; an empty tuple is () on every cell
         columns = [[f[cid] / C.profile[cid] for cid in block] for f in fs]
         vecs = zip(*columns) if fs else [()] * len(block)
         yield _merge_atoms(zip(vecs, [nu[cid] for cid in block]), tol), total
+
+
+def _merge_values(acc: dict[float, float], tol: float) -> tuple[Atom, ...]:
+    """_merge_atoms on 1-tuples, given the masses already summed per value:
+    one pass over the sorted values, each run ending before the first value
+    not close to the run's first."""
+    runs: list[list[float]] = []
+    for v in sorted(acc):
+        if runs and close(runs[-1][0], v, tol):
+            runs[-1].append(v)
+        else:
+            runs.append([v])
+    merged = []
+    for run in runs:
+        if len(run) == 1:
+            v = run[0]
+            total = acc[v]
+        else:
+            total = left_sum([acc[v] for v in run])
+            v = left_sum([v * acc[v] for v in run]) / total
+        if total > 0.0:
+            merged.append(((v,), total))
+    return tuple(merged)
 
 
 def _atoms_equal(a: tuple[Atom, ...], b: tuple[Atom, ...], tol: float) -> bool:

@@ -5,15 +5,19 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from lplattice import (
     DEFAULT_TOL,
+    BadExponent,
+    BadFractions,
     CertificationFailed,
     ConditionalDistribution,
+    DuplicateId,
     InvalidDistribution,
+    NonPositiveWeight,
     NonTermination,
     PreconditionFailed,
     Refinement,
@@ -34,7 +38,7 @@ from lplattice import (
     slice_profile,
     star_independent,
 )
-from lplattice.core import fresh_ids, tolerance_groups
+from lplattice.core import _finite, fresh_ids, left_sum, tolerance_groups
 from lplattice.independence import (
     IndependenceVerdict,
     SideInput,
@@ -43,7 +47,7 @@ from lplattice.independence import (
     _space_of,
 )
 from lplattice.oracles import proportionality_classes
-from lplattice.typespace import Segment, _merge_atoms
+from lplattice.typespace import Atom, Segment, _merge_atoms
 
 
 # --- reference constructor and sublattice test -----------------------------------
@@ -548,3 +552,100 @@ def reference_dumps(doc: Any) -> str:
     _write(doc, 0, out)
     out.append("\n")
     return "".join(out)
+
+
+# --- reference constructor checks and block laws ---------------------------------
+# The per-cell checks `Space`, `StepFunction` and `Refinement` ran on every
+# construction before they settled their invariants in bulk, and
+# `typespace._block_laws` with `_merge_atoms` from before one function got
+# its own loop, kept verbatim (the checks as functions of the constructor's
+# fields) as the references their differential tests compare against.
+
+def reference_space_check(cells: tuple, p: float) -> None:
+    seen = set()
+    for cid, w in cells:
+        if cid in seen:
+            raise DuplicateId(f"duplicate cell id {cid!r}")
+        seen.add(cid)
+        _finite(w, f"weight of cell {cid!r}")
+        if w <= 0.0:
+            raise NonPositiveWeight(f"cell {cid!r} has weight {w!r}")
+    _finite(p, "exponent p")
+    if p < 1.0:
+        raise BadExponent(f"p must be >= 1, got {p!r}")
+
+
+def reference_step_values(space: Space, values: Mapping[str, Any]) -> dict[str, float]:
+    """The values StepFunction keeps: floats, exact zeros pruned."""
+    pruned = {}
+    for cid, v in values.items():
+        if cid not in space:
+            raise UnknownCell(f"no cell {cid!r}")
+        v = _finite(v, f"value on cell {cid!r}")
+        if v != 0.0:
+            pruned[cid] = v
+    return pruned
+
+
+def reference_refinement_check(parent: Space, child: Space, splitting: dict) -> None:
+    stray = set(splitting) - set(parent.ids())
+    if stray:
+        raise UnknownCell(f"splitting mentions unknown cell {sorted(stray)[0]!r}")
+    seen: set[str] = set()
+    for cid, w in parent.cells:
+        kids = splitting.get(cid)
+        if not kids:
+            raise BadFractions(f"parent cell {cid!r} has no children")
+        total = 0.0
+        for kid, kw in kids:
+            if kid in seen:
+                raise DuplicateId(f"child cell {kid!r} appears twice")
+            seen.add(kid)
+            if kid not in child or not close(child.weight(kid), kw):
+                raise SpaceMismatch(f"child cell {kid!r} disagrees with the child space")
+            total += kw
+        # a split is exact (its fractions sum to 1), so its children sum
+        # to w up to rounding relative to w: this bounds that rounding,
+        # and is not the caller's data tol
+        if not close(total / w, 1.0):
+            raise BadFractions(f"children of {cid!r} sum to {total!r}, expected {w!r}")
+
+
+def reference_merge_atoms(atoms: Iterable[Atom], tol: float) -> tuple[Atom, ...]:
+    """Atoms with equal vectors summed, then each tolerance group replaced by
+    its mass-weighted mean; increasing order, zero masses dropped."""
+    acc: dict[tuple[float, ...], float] = {}
+    for vec, mass in atoms:
+        acc[vec] = acc.get(vec, 0.0) + mass
+    vecs = sorted(acc)
+    merged = []
+    for group in tolerance_groups(len(vecs), zip(*vecs), tol):
+        if len(group) == 1:
+            vec = vecs[group[0]]
+            total = acc[vec]
+        else:
+            total = left_sum(acc[vecs[i]] for i in group)
+            vec = tuple(
+                left_sum(vecs[i][d] * acc[vecs[i]] for i in group) / total
+                for d in range(len(vecs[group[0]]))
+            )
+        if total > 0.0:
+            merged.append((vec, total))
+    return tuple(merged)
+
+
+def reference_block_laws(
+    fs: tuple[StepFunction, ...], C: Sublattice, tol: float
+) -> Iterator[tuple[tuple[Atom, ...], float]]:
+    """Per block of C, the merged law of the profile-normalized value vectors
+    and its nu-mass.  Lazy, so only the block in hand is alive; the space
+    check runs at the first step."""
+    for f in fs:
+        if f.space != C.space:
+            raise SpaceMismatch("function lives on a different space")
+    _, nu, mass = C.nu_table
+    for block, total in zip(C.blocks, mass):
+        # one column per function, paired up per cell; an empty tuple is () on every cell
+        columns = [[f[cid] / C.profile[cid] for cid in block] for f in fs]
+        vecs = zip(*columns) if fs else [()] * len(block)
+        yield reference_merge_atoms(zip(vecs, [nu[cid] for cid in block]), tol), total

@@ -264,6 +264,38 @@ class TestCliMain:
         assert main(["run", str(scenario)]) == 0
         assert capsys.readouterr().out.encode("utf-8") == report.read_bytes()
 
+    @pytest.mark.parametrize(
+        "scenario",
+        sorted(DATA.glob("*_scenario.json")),
+        ids=lambda path: path.name[: -len("_scenario.json")],
+    )
+    def test_golden_scenario_runs_at_tol_zero(self, capsys, scenario):
+        # tol compares data only; the package's own splits never depend on it
+        assert main(["run", str(scenario), "--tol", "0"]) == 0
+        capsys.readouterr()
+
+    def test_golden_scenarios_stay_off_the_per_cell_checks(self, monkeypatch):
+        # valid input is settled in bulk: the per-cell loops only name a bad cell
+        import lplattice.core as core
+
+        entries = []
+        for cls, name in [
+            (core.Space, "_check_cells"),
+            (core.StepFunction, "_checked_values"),
+            (core.Refinement, "_check_splitting"),
+        ]:
+            def counting(self, original=getattr(cls, name), name=name):
+                entries.append(name)
+                return original(self)
+
+            monkeypatch.setattr(cls, name, counting)
+        for scenario in sorted(DATA.glob("*_scenario.json")):
+            dumps(execute_scenario(str(scenario)))
+        assert entries == []
+        # the count sees a loop entered: an int weight is not settled in bulk
+        core.Space((("a", 1),), 2.0)
+        assert entries == ["_check_cells"]
+
     def test_exact_splits_run_at_tol_zero(self, capsys):
         # realize and extend split cells by fractions whose float sum is not 1;
         # tol compares data, so tol 0 changes nothing in this report but its own line
@@ -499,6 +531,13 @@ class TestCliMain:
                 ),
                 "error: ValidationError: sublattices.B: cell '(2,3]' lies in two blocks",
             ),
+            (
+                lambda doc: doc["commands"].append(
+                    {"op": "extend", "fs": ["f"], "c": "C", "b": "B", "as": ["g", "h"]}
+                ),
+                "error: ValidationError: commands[3].as: extend: 'as' must hold one name per "
+                "'fs' entry: 1, got 2",
+            ),
         ],
         ids=[
             "condexp-without-c",
@@ -532,6 +571,7 @@ class TestCliMain:
             "negative-profile",
             "negative-weight",
             "cell-in-two-blocks",
+            "extend-as-of-wrong-length",
         ],
     )
     def test_malformed_field_exit_two(self, tmp_path, capsys, edit, message):

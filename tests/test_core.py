@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from conftest import reference_refinement_check, reference_space_check, reference_step_values
 from hypothesis import given, strategies as st
 
 from lplattice import (
@@ -9,7 +11,9 @@ from lplattice import (
     NonPositiveDensity,
     NonPositiveWeight,
     Refinement,
+    Space,
     SpaceMismatch,
+    StepFunction,
     UnknownCell,
     add_fresh_cells,
     close,
@@ -21,6 +25,7 @@ from lplattice import (
     lift,
     make_space,
     norm,
+    refine_space,
     split_cell,
     step_function,
     zero,
@@ -368,3 +373,155 @@ class TestRefinementValidation:
         with pytest.raises(error) as err:
             Refinement(unit_space(2), make_space(child, 2.0), splitting)
         assert str(err.value) == message
+
+
+def _outcome(build):
+    """What a construction gives: its result, or its error's class and text."""
+    try:
+        return "accepted", build()
+    except Exception as exc:  # every error the checks raise, whatever its class
+        return type(exc), str(exc)
+
+
+class TestBulkChecks:
+    """The constructors' bulk checks against the per-cell checks they replaced
+    (tests/conftest.py): the same error class and text, or the same object."""
+
+    @pytest.mark.parametrize(
+        "cells, p",
+        [
+            ((("a", 1.0), ("b", 2.0)), 2.0),
+            ((), 1.0),
+            ((("a", 1.0), ("a", 2.0)), 2.0),
+            ((("a", -1.0), ("a", 2.0)), 2.0),
+            ((("a", 1.0), ("b", float("inf"))), 2.0),
+            ((("a", 1.0), ("b", float("nan"))), 2.0),
+            ((("a", 1.0), ("b", 0.0)), 2.0),
+            ((("a", 1.0), ("b", -0.0)), 2.0),
+            ((("a", 1.0), ("b", -3.5)), 2.0),
+            ((("a", 1), ("b", 2)), 2.0),
+            ((("a", 1.0), ("b", 0)), 2.0),
+            ((("a", np.float64(1.5)), ("b", 2.0)), 2.0),
+            ((("a", 1.0), ("b", np.float64(-1.5))), 2.0),
+            ((("a", 1.0), ("b", "x")), 2.0),
+            ((("a", 1.0), ("b", 2.0, 3.0)), 2.0),
+            ((("a", 1.0),), 0.5),
+            ((("a", 1.0),), float("nan")),
+            ((("a", 1.0),), float("inf")),
+            ((("a", 0.0),), 0.5),
+        ],
+        ids=[
+            "valid", "empty", "duplicate-id", "bad-weight-before-duplicate", "inf-weight",
+            "nan-weight", "zero-weight", "negative-zero-weight", "negative-weight",
+            "int-weights", "int-zero-weight", "numpy-weight", "negative-numpy-weight",
+            "string-weight", "triple", "small-p", "nan-p", "inf-p", "bad-weight-and-p",
+        ],
+    )
+    def test_space(self, cells, p):
+        want = _outcome(lambda: reference_space_check(cells, p))
+        got = _outcome(lambda: Space(cells, p))
+        if want[0] != "accepted":
+            assert got == want
+            return
+        space = got[1]
+        assert space.ids() == tuple(cid for cid, _ in cells)
+        weights = [(cid, w, type(w)) for cid, w in cells]
+        assert [(cid, w, type(w)) for cid, w in space._weights.items()] == weights
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"c1": 2.5, "c0": -1.0},
+            {},
+            {"c0": 1.0, "zz": 2.0},
+            {"c0": float("inf")},
+            {"c0": 1.0, "c1": float("nan")},
+            {"c0": float("nan"), "zz": 1.0},
+            {"c0": 3, "c1": 0},
+            {"c0": -0.0, "c1": 0.0, "c2": 1.0},
+            {"c0": np.float64(2.0), "c1": np.float64(0.0)},
+            {"c0": True},
+            {"c0": "x"},
+        ],
+        ids=[
+            "valid", "empty", "unknown-cell", "inf-value", "nan-value",
+            "nan-before-unknown-cell", "int-values", "signed-zeros", "numpy-values",
+            "bool-value", "string-value",
+        ],
+    )
+    def test_step_function(self, values):
+        space = unit_space(3)
+        want = _outcome(lambda: reference_step_values(space, values))
+        got = _outcome(lambda: StepFunction(space, dict(values)).values)
+        assert got == want
+        if want[0] == "accepted":
+            assert [type(v) for v in got[1].values()] == [float] * len(want[1])
+
+    def test_step_function_keeps_no_alias(self):
+        values = {"c0": 1.0}
+        f = StepFunction(unit_space(1), values)
+        values["c0"] = 2.0
+        assert f.values == {"c0": 1.0}
+
+    @pytest.mark.parametrize(
+        "child, splitting",
+        [
+            ([("c0#0", 0.5), ("c0#1", 0.5), ("c1", 1.0)],
+             {"c0": (("c0#0", 0.5), ("c0#1", 0.5)), "c1": (("c1", 1.0),)}),
+            ([("c0", 1.0), ("c1", 1.0), ("fresh0", 3.0)],
+             {"c0": (("c0", 1.0),), "c1": (("c1", 1.0),)}),
+            ([("c0", 1.0), ("c1", 1.0)],
+             {"c0": (("c0", 1.0),), "c1": (("c1", 1.0),), "zz": (("c0", 1.0),)}),
+            ([("c0", 1.0), ("c1", 1.0)], {"c0": (("c0", 1.0),)}),
+            ([("c0", 1.0), ("c1", 1.0)], {"c0": (("c0", 1.0),), "c1": ()}),
+            ([("c0", 1.0), ("c1", 1.0)], {"c0": (("c0", 1.0),), "c1": (("c0", 1.0),)}),
+            ([("c0#0", 0.5), ("c0#1", 0.5), ("c1", 1.0)],
+             {"c0": (("c0#0", 0.5), ("c0#0", 0.5)), "c1": (("c1", 1.0),)}),
+            ([("c0#0", 0.5), ("c0#1", 0.5), ("c1", 1.0)],
+             {"c0": (("c0#0", 0.5000000000000001), ("c0#1", 0.5)), "c1": (("c1", 1.0),)}),
+            ([("c0#0", 0.5), ("c0#1", 0.5), ("c1", 1.0)],
+             {"c0": (("c0#0", 0.6), ("c0#1", 0.5)), "c1": (("c1", 1.0),)}),
+            ([("c0", 1.0), ("c1", 1.0)],
+             {"c0": (("c0", 1.0),), "c1": (("c9", 1.0),)}),
+            ([("c0", 1.0), ("c1", 1.0)],
+             {"c0": (("c0", 1.0000000000000002),), "c1": (("c1", 1.0),)}),
+            ([("c0#0", 0.4), ("c0#1", 0.4), ("c1", 1.0)],
+             {"c0": (("c0#0", 0.4), ("c0#1", 0.4)), "c1": (("c1", 1.0),)}),
+            ([("c0", 0.5), ("c1", 1.0)], {"c0": (("c0", 0.5),), "c1": (("c1", 1.0),)}),
+            ([("c0#0", 0.1), ("c0#1", 0.2), ("c0#2", 0.7), ("c1", 1.0)],
+             {"c0": (("c0#0", 0.1), ("c0#1", 0.2), ("c0#2", 0.7)), "c1": (("c1", 1.0),)}),
+            ([("c0", 1.0), ("c1", 1.0)], {"c0": [("c0", 1.0)], "c1": (("c1", 1.0),)}),
+        ],
+        ids=[
+            "valid", "fresh-cell", "stray-parent", "parent-missing", "parent-without-children",
+            "child-under-two-parents", "child-twice-in-one-split", "child-off-by-rounding",
+            "child-off-by-data", "child-not-in-child-space", "one-child-off-by-rounding",
+            "wrong-split-sum", "one-child-wrong-weight", "split-sum-off-by-rounding",
+            "list-of-children",
+        ],
+    )
+    def test_refinement(self, child, splitting):
+        parent, child = unit_space(2), make_space(child, 2.0)
+        want = _outcome(lambda: reference_refinement_check(parent, child, splitting))
+        got = _outcome(lambda: Refinement(parent, child, splitting))
+        if want[0] == "accepted":
+            assert got[0] == "accepted" and got[1].splitting == splitting
+        else:
+            assert got == want
+
+    def test_refinements_of_random_instances(self):
+        # refine_space's own splits: fractions whose float sums are not 1
+        for seed in range(50):
+            space = random_instance(seed, 8).space
+            plan = {cid: (0.1, 0.2, 0.3, 0.4) for cid in space.ids()[::2]}
+            child, r = refine_space(space, plan)
+            assert _outcome(lambda: reference_refinement_check(space, child, r.splitting)) == (
+                "accepted", None
+            )
+
+    def test_sort_cells_names_the_unknown_cell(self):
+        space = unit_space(3)
+        assert space.sort_cells(["c2", "c0"]) == ("c0", "c2")
+        with pytest.raises(UnknownCell) as err:
+            space.sort_cells(["c2", "zz", "yy"])
+        assert str(err.value) == "no cell 'zz'"

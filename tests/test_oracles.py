@@ -14,6 +14,7 @@ from lplattice import (
     step_function,
     type_datum,
 )
+from lplattice.core import DEFAULT_TOL
 from lplattice.oracles import (
     brute_dcl_closure,
     coupling_upper_bounds,
@@ -103,6 +104,18 @@ class TestWasserstein:
     def test_mass_mismatch(self):
         with pytest.raises(MassMismatch):
             wasserstein_block([(1.0, 1.0)], [(1.0, 0.5)], 1.0)
+
+    @pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL])
+    def test_masses_apart_by_rounding_agree(self, tol):
+        # one block's nu-mass summed in two orders (verify --seed 0 --tol 0, type-distance)
+        d1 = [(1.0, 1.0), (0.5, 0.9082482904638627)]
+        d2 = [(1.0, 1.0), (0.5, 0.9082482904638631)]
+        assert wasserstein_block(d1, d2, 2.0, tol) < 1e-8
+
+    @pytest.mark.parametrize("masses", [(1.0, 0.5), (1e-20, 2e-20), (1.0, 1.0 + 1e-11)])
+    def test_masses_apart_by_data_differ_at_tol_zero(self, masses):
+        with pytest.raises(MassMismatch):
+            wasserstein_block([(1.0, masses[0])], [(1.0, masses[1])], 1.0, 0.0)
 
 
 class TestCouplingUpperBounds:

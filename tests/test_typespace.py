@@ -1,7 +1,11 @@
 import random
 
 import pytest
-from conftest import reference_realize_cond_distribution, reference_slice_profile
+from conftest import (
+    reference_block_laws,
+    reference_realize_cond_distribution,
+    reference_slice_profile,
+)
 
 from lplattice import (
     ArityMismatch,
@@ -39,7 +43,7 @@ from lplattice import (
 from lplattice import lift_type_datum
 from lplattice.core import DEFAULT_TOL
 from lplattice.oracles import random_instance
-from lplattice.typespace import realize_common
+from lplattice.typespace import _block_laws, realize_common
 from lplattice.verify import masked_dependence_example, pairwise_independence_example
 
 
@@ -609,3 +613,49 @@ class TestRealizeCommon:
         f = indicator(space, ["c0", "c1"])
         with pytest.raises(SublatticeMismatch):
             realize_common(type_datum(f, C), type_datum(f, D))
+
+
+class TestOneFunctionBlockLaws:
+    """_block_laws' one-function loop against the general path it leaves
+    (tests/conftest.py::reference_block_laws): the same floats, bit for bit."""
+
+    TOLS = [0.0, 1e-9, 1e-3, 1e302]
+
+    @staticmethod
+    def _both(f, C, tol):
+        got = list(_block_laws((f,), C, tol))
+        want = list(reference_block_laws((f,), C, tol))
+        assert got == want
+        assert repr(got) == repr(want)  # -0.0 and 0.0 too
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_random_instances(self, tol):
+        for seed in range(300):
+            inst = random_instance(seed, 12)
+            for C in inst.chain:
+                for f in inst.functions:
+                    self._both(f, C, tol)
+
+    @pytest.mark.parametrize("tol", TOLS)
+    @pytest.mark.parametrize("a", [-2.5, -1.0, 0.0, 0.25, 1.0, 3.0])
+    def test_near_tie_chains(self, tol, a):
+        chain = [a, a + 0.6 * tol, a + 1.2 * tol]
+        order = [2, 0, 1, 0, 2, 1]
+        space = make_space([(f"c{i}", 0.5 + i) for i in range(9)], 2.0)
+        scales = [1.0, 0.5, 0.25]
+        C = Sublattice.make(
+            space,
+            [
+                ([f"c{i}" for i in range(6)], {f"c{i}": 1.0 for i in range(6)}),
+                ([f"c{i}" for i in range(6, 9)], {f"c{6 + j}": s for j, s in enumerate(scales)}),
+            ],
+        )
+        values = {f"c{i}": chain[k] for i, k in enumerate(order)}
+        values.update({f"c{6 + j}": chain[j] * s for j, s in enumerate(scales)})
+        self._both(step_function(space, values), C, tol)
+
+    def test_space_check_runs_first(self):
+        space, C = one_block_space()
+        other = make_space([("c0", 1.0)], 1.0)
+        with pytest.raises(SpaceMismatch):
+            next(_block_laws((step_function(other, {"c0": 1.0}),), C, DEFAULT_TOL))
