@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
-from operator import add, itemgetter
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -31,7 +31,6 @@ DEFAULT_TOL = 1e-9
 
 _FLOAT = {float}
 _TUPLE = {tuple}
-_WEIGHT = itemgetter(1)  # of a (cell id, weight) pair
 
 
 def close(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
@@ -323,13 +322,13 @@ def _norm(space: Space, values: Mapping[str, float]) -> float:
 class Refinement:
     """Exact replacement of parent cells by children of the same total weight.
 
-    Every parent cell maps to at least one child.  Cells of the child space
-    appearing under no parent are fresh; lifted objects are zero there.
+    Every parent cell maps to its children's ids, at least one.  Cells of the
+    child space appearing under no parent are fresh; lifted objects are zero there.
     """
 
     parent: Space
     child: Space
-    splitting: dict[str, tuple[tuple[str, float], ...]]
+    splitting: dict[str, tuple[str, ...]]
 
     def __post_init__(self) -> None:
         if not self._settled():
@@ -337,32 +336,35 @@ class Refinement:
 
     def _settled(self) -> bool:
         """True when passes over whole tables settle every check that
-        _check_splitting makes: the parents' ids, the children's (id, weight)
-        pairs against the child space, and the split sums.  False sends the
-        splitting through _check_splitting, which names the first bad cell."""
+        _check_splitting makes: the parents' ids, the children's ids against
+        the child space, and the split sums.  False sends the splitting
+        through _check_splitting, which names the first bad cell."""
         splitting = self.splitting
         parent = self.parent._weights
         if type(splitting) is not dict or not set(map(type, splitting.values())) <= _TUPLE:
             return False
-        try:
-            kids = dict(chain.from_iterable(splitting.values()))
-        except (TypeError, ValueError):
+        kids = list(chain.from_iterable(splitting.values()))
+        try:  # one lookup per child; KeyError: not in the child space, TypeError: unhashable
+            weights = list(map(self.child._weights.__getitem__, kids))
+        except (KeyError, TypeError):
             return False
         if not (
             splitting.keys() <= parent.keys()
             and len(splitting) == len(parent)
             and all(splitting.values())
-            and len(kids) == sum(map(len, splitting.values()))
-            and kids.items() <= self.child._weights.items()
+            and len(set(kids)) == len(kids)
         ):
             return False
-        for cid, w in parent.items():
-            split = splitting[cid]
+        start = 0  # weights[start:stop] are the children of cid
+        for cid, split in splitting.items():
+            w = parent[cid]
+            stop = start + len(split)
             # one child of its parent's very weight sums to it exactly
-            if (len(split) > 1 or split[0][1] != w) and not close(
-                left_sum(map(_WEIGHT, split)) / w, 1.0
+            if (len(split) > 1 or weights[start] != w) and not close(
+                left_sum(weights[start:stop]) / w, 1.0
             ):
                 return False
+            start = stop
         return True
 
     def _check_splitting(self) -> None:
@@ -376,13 +378,13 @@ class Refinement:
             if not kids:
                 raise BadFractions(f"parent cell {cid!r} has no children")
             total = 0.0
-            for kid, kw in kids:
+            for kid in kids:
                 if kid in seen:
                     raise DuplicateId(f"child cell {kid!r} appears twice")
                 seen.add(kid)
-                if kid not in self.child or not close(self.child.weight(kid), kw):
+                if kid not in self.child:
                     raise SpaceMismatch(f"child cell {kid!r} disagrees with the child space")
-                total += kw
+                total += self.child.weight(kid)
             # a split is exact (its fractions sum to 1), so its children sum
             # to w up to rounding relative to w: this bounds that rounding,
             # and is not the caller's data tol
@@ -391,26 +393,24 @@ class Refinement:
 
     @classmethod
     def identity(cls, space: Space) -> "Refinement":
-        return cls(space, space, {cid: ((cid, w),) for cid, w in space.cells})
+        return cls(space, space, {cid: (cid,) for cid in space.ids()})
 
     def children_of(self, cid: str) -> tuple[str, ...]:
-        return tuple(kid for kid, _ in self.splitting[cid])
+        return self.splitting[cid]
 
     @cached_property
     def fresh_cells(self) -> tuple[str, ...]:
-        under = {kid for kids in self.splitting.values() for kid, _ in kids}
+        under = set(chain.from_iterable(self.splitting.values()))
         return tuple(cid for cid in self.child.ids() if cid not in under)
 
     def then(self, other: "Refinement") -> "Refinement":
         """Composite refinement: self followed by other."""
         if self.child != other.parent:
             raise SpaceMismatch("refinements do not chain")
-        splitting = {}
-        for cid in self.parent.ids():
-            kids = []
-            for kid, _ in self.splitting[cid]:
-                kids.extend(other.splitting[kid])
-            splitting[cid] = tuple(kids)
+        splitting = {
+            cid: tuple(chain.from_iterable(map(other.splitting.__getitem__, kids)))
+            for cid, kids in self.splitting.items()
+        }
         return Refinement(self.parent, other.child, splitting)
 
 
@@ -432,16 +432,16 @@ def refine_space(
     cells: list[tuple[str, float]] = []
     for cid, w in space.cells:
         if cid in plan:
-            fr = [float(x) for x in plan[cid]]
-            if not fr or any(not math.isfinite(x) or x <= 0.0 for x in fr):
+            fr = tuple(map(float, plan[cid]))
+            if not (fr and all(map(math.isfinite, fr)) and min(fr) > 0.0):
                 raise BadFractions(f"fractions for {cid!r} must be positive")
-            kids = tuple((f"{cid}#{k}", w * x) for k, x in enumerate(fr))
+            kids = tuple(f"{cid}#{k}" for k in range(len(fr)))
+            cells.extend(zip(kids, [w * x for x in fr]))
         else:
-            kids = ((cid, w),)
+            kids = (cid,)
+            cells.append((cid, w))
         splitting[cid] = kids
-        cells.extend(kids)
-    for cid, w in fresh:
-        cells.append((str(cid), float(w)))
+    cells.extend((str(cid), float(w)) for cid, w in fresh)
     child = Space(tuple(cells), space.p)
     return child, Refinement(space, child, splitting)
 
@@ -455,10 +455,7 @@ def lift(f: StepFunction, r: Refinement) -> StepFunction:
     """Transport a step function to the refined space (constant on children)."""
     if f.space != r.parent:
         raise SpaceMismatch("function does not live on the refinement's parent space")
-    out = {}
-    for cid, v in f.values.items():
-        for kid, _ in r.splitting[cid]:
-            out[kid] = v
+    out = {kid: v for cid, v in f.values.items() for kid in r.splitting[cid]}
     return StepFunction(r.child, out)
 
 

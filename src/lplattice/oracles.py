@@ -132,9 +132,7 @@ def brute_dcl_closure(space: Space, generators: Iterable[StepFunction]) -> Subla
     raise NonTermination("closure did not stabilize within the round guard")
 
 
-def slice_by_definition(
-    f: StepFunction, C: Sublattice, r: float, tol: float = DEFAULT_TOL
-) -> StepFunction:
+def slice_by_definition(f: StepFunction, C: Sublattice, r: float) -> StepFunction:
     """Conditional slice by candidate-coefficient maximization.
 
     Per block, scans c over {0} and the values of f/w, maximizing subject to

@@ -210,9 +210,9 @@ def verdict_to_doc(v: IndependenceVerdict) -> dict:
 
 def refinement_to_doc(r: Refinement) -> dict:
     splitting = {
-        cid: [{"id": kid, "weight": w} for kid, w in kids]
+        cid: [{"id": kid, "weight": r.child.weight(kid)} for kid in kids]
         for cid, kids in ((cid, r.splitting[cid]) for cid in r.parent.ids())
-        if len(kids) > 1 or kids[0][0] != cid
+        if len(kids) > 1 or kids[0] != cid
     }
     return {
         "splitting": splitting,

@@ -170,14 +170,11 @@ class Sublattice:
         """Image of the sublattice on the refined space."""
         if self.space != r.parent:
             raise SpaceMismatch("sublattice does not live on the refinement's parent space")
-        blocks, profile = [], {}
-        for block in self.blocks:
-            cells = []
-            for cid in block:
-                for kid, _ in r.splitting[cid]:
-                    cells.append(kid)
-                    profile[kid] = self.profile[cid]
-            blocks.append(r.child.sort_cells(cells))
+        blocks = [
+            r.child.sort_cells(kid for cid in block for kid in r.splitting[cid])
+            for block in self.blocks
+        ]
+        profile = {kid: w for cid, w in self.profile.items() for kid in r.splitting[cid]}
         return Sublattice._canonical(r.child, blocks, profile)
 
     def density_push(self, dc: DensityChange) -> "Sublattice":

@@ -325,14 +325,18 @@ def cond_distribution(
     """The joint conditional distribution of a tuple over C."""
     fs = tuple(fs)
     per_block = tuple(atoms for atoms, _ in _block_laws(fs, C, tol))
-    orth_atoms = []
-    for cid in C.space.ids():
-        vec = tuple(f[cid] for f in fs)
-        if cid not in C.support and any(x != 0.0 for x in vec):
-            orth_atoms.append((vec, C.space.weight(cid)))
     # opposite atoms can merge to a mean at the origin, which is off the law
-    orth = [(vec, m) for vec, m in _merge_atoms(orth_atoms, tol) if any(vec)]
+    orth = [(vec, m) for vec, m in _merge_atoms(_orth_atoms(fs, C), tol) if any(vec)]
     return ConditionalDistribution(C, len(fs), per_block, tuple(orth))
+
+
+def _orth_atoms(fs: tuple[StepFunction, ...], C: Sublattice) -> Iterator[Atom]:
+    """(value vector, mu) of each cell off C's support where some f is nonzero, in space order."""
+    for cid, mu in C.space.cells:
+        if cid not in C.support:
+            vec = tuple(f[cid] for f in fs)
+            if any(vec):
+                yield vec, mu
 
 
 def _block_laws(
@@ -422,14 +426,17 @@ def tuple_type_equal(
 def _orth_rays(fs: tuple[StepFunction, ...], C: Sublattice, tol: float) -> tuple[Atom, ...]:
     """The orthogonal law with each cell's atom (v, m) taken to its direction
     v/s with mass m*s^p, s = max|v_i| > 0, before merging, so that a merged
-    mean is a mean of directions and never the origin."""
+    mean is a mean of directions and never the origin; NonFiniteValue if a mass overflows."""
     rays = []
-    for cid in C.space.ids():
-        if cid not in C.support:
-            vec = tuple(f[cid] for f in fs)
-            s = max(map(abs, vec), default=0.0)
-            if s > 0.0:
-                rays.append((tuple(x / s for x in vec), C.space.weight(cid) * s**C.space.p))
+    for vec, m in _orth_atoms(fs, C):
+        s = max(map(abs, vec))
+        try:
+            mass = m * s**C.space.p
+        except OverflowError:  # a finite float ** p past the float range
+            mass = math.inf
+        if mass == math.inf:
+            raise NonFiniteValue("type equality overflows: an orthogonal ray mass m*s**p is inf")
+        rays.append((tuple(x / s for x in vec), mass))
     return _merge_atoms(rays, tol)
 
 
@@ -482,7 +489,7 @@ def _lay_out(
     for block, segs in zip(C.blocks, per_block):
         for cid in block:
             scale = C.profile[cid]
-            for (kid, _), (_, vec) in zip(refinement.splitting[cid], segs):
+            for kid, (_, vec) in zip(refinement.splitting[cid], segs):
                 for i in range(arity):
                     value_maps[i][kid] = vec[i] * scale
     for fid, _, vec in fresh:
@@ -605,10 +612,10 @@ def maharam_select(
             else:
                 phi = need / a
                 plan[cid] = (phi, 1.0 - phi)
-                selected.append(f"{cid}#0")
+                selected.append(cid)
                 need = 0.0
     child, refinement = refine_space(space, plan)
-    return child, refinement, frozenset(selected)
+    return child, refinement, frozenset(refinement.children_of(cid)[0] for cid in selected)
 
 
 def lift_profile(profile: SliceProfile, r: Refinement) -> SliceProfile:

@@ -196,7 +196,7 @@ def check_slice_oracle(seed: int, tol: float = DEFAULT_TOL) -> Optional[str]:
     for _ in range(5):
         r = rng.uniform(0.05, 0.95)
         fast = conditional_slice(f, C, r, tol)
-        slow = slice_by_definition(f, C, r, tol)
+        slow = slice_by_definition(f, C, r)
         if not function_close(fast, slow, 1e-9):
             return f"seed {seed}: slice mismatch at r={r}"
     prof = slice_profile(f, C, tol)
@@ -373,7 +373,7 @@ def check_canonical_base(seed: int, tol: float = DEFAULT_TOL) -> Optional[str]:
     if not star_independent([f], A, cb, tol).independent:
         return f"seed {seed}: f is not independent from A over its base"
     prof = slice_profile(f, A, tol)
-    slices = [slice_by_definition(f, A, r, tol) for r in merged_midpoints(prof)]
+    slices = [slice_by_definition(f, A, r) for r in merged_midpoints(prof)]
     if not cb.equals(dcl(inst.space, slices, tol), tol):
         return f"seed {seed}: n=1 base differs from the dcl of the slice values"
     pair = [inst.functions[0], inst.functions[1]]

@@ -356,7 +356,7 @@ def _lay_out(
     for block, (_, vectors) in zip(C.blocks, per_block):
         for cid in block:
             scale = C.profile[cid]
-            for (kid, _), vec in zip(refinement.splitting[cid], vectors):
+            for kid, vec in zip(refinement.splitting[cid], vectors):
                 for i in range(arity):
                     value_maps[i][kid] = vec[i] * scale
     for fid, _, vec in fresh:
@@ -597,13 +597,13 @@ def reference_refinement_check(parent: Space, child: Space, splitting: dict) -> 
         if not kids:
             raise BadFractions(f"parent cell {cid!r} has no children")
         total = 0.0
-        for kid, kw in kids:
+        for kid in kids:
             if kid in seen:
                 raise DuplicateId(f"child cell {kid!r} appears twice")
             seen.add(kid)
-            if kid not in child or not close(child.weight(kid), kw):
+            if kid not in child:
                 raise SpaceMismatch(f"child cell {kid!r} disagrees with the child space")
-            total += kw
+            total += child.weight(kid)
         # a split is exact (its fractions sum to 1), so its children sum
         # to w up to rounding relative to w: this bounds that rounding,
         # and is not the caller's data tol

@@ -11,9 +11,16 @@ import pytest
 from conftest import reference_dumps
 from hypothesis import given, settings, strategies as st
 
-from lplattice import MassMismatch, UnknownReference, ValidationError
+from lplattice import (
+    MassMismatch,
+    Refinement,
+    UnknownReference,
+    ValidationError,
+    make_space,
+    refine_space,
+)
 from lplattice.cli import main
-from lplattice.scenario import dumps, execute_scenario, execute_scenario_doc
+from lplattice.scenario import dumps, execute_scenario, execute_scenario_doc, refinement_to_doc
 from lplattice.verify import run_suites
 
 
@@ -243,6 +250,32 @@ class TestSerializer:
             dumps(np.float64("nan"))
 
 
+class TestRefinementToDoc:
+    """The refinement log reads every child's weight from the child space."""
+
+    def test_refine_space_then_and_identity(self):
+        space = make_space([("a", 1.0), ("b", 3.0), ("c", 2.0)], 2.0)
+        mid, first = refine_space(space, {"b": (0.25, 0.75)}, [("fresh0", 5.0)])
+        _, second = refine_space(mid, {"a": (0.5, 0.5), "b#1": (0.5, 0.5)})
+        assert refinement_to_doc(first) == {
+            "splitting": {"b": [{"id": "b#0", "weight": 0.75}, {"id": "b#1", "weight": 2.25}]},
+            "fresh": [{"id": "fresh0", "weight": 5.0}],
+        }
+        # the composite keeps its parent's order; fresh0 lies under none of its parents
+        assert refinement_to_doc(first.then(second)) == {
+            "splitting": {
+                "a": [{"id": "a#0", "weight": 0.5}, {"id": "a#1", "weight": 0.5}],
+                "b": [
+                    {"id": "b#0", "weight": 0.75},
+                    {"id": "b#1#0", "weight": 1.125},
+                    {"id": "b#1#1", "weight": 1.125},
+                ],
+            },
+            "fresh": [{"id": "fresh0", "weight": 5.0}],
+        }
+        assert refinement_to_doc(Refinement.identity(space)) == {"splitting": {}, "fresh": []}
+
+
 class TestCliMain:
     def test_run_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -382,6 +415,24 @@ class TestCliMain:
         assert capsys.readouterr().err.startswith(
             "error: NonFiniteValue: commands[0]: distance overflows"
         )
+
+    def test_orthogonal_ray_overflow_exit_two(self, tmp_path, capsys):
+        # the ray mass of f on v is 1e200**2, past the float range at p = 2
+        doc = {
+            "space": {"p": 2.0, "cells": [{"id": "u", "weight": 1.0}, {"id": "v", "weight": 1.0}]},
+            "functions": {"f": {"values": {"v": 1e200}}, "chi": {"values": {"u": 1.0}}},
+            "sublattices": {"C": {"generators": ["chi"]}},
+            "commands": [{"op": "typeeq", "fs": ["f"], "gs": ["f"], "c": "C"}],
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: NonFiniteValue: commands[0]: "
+            "type equality overflows: an orthogonal ray mass m*s**p is inf\n"
+        )
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -331,43 +331,37 @@ class TestRefinementValidation:
         space = unit_space(1)
         bad_child = make_space([("c0#0", 0.4), ("c0#1", 0.4)], 2.0)
         with pytest.raises((BadFractions, SpaceMismatch)):
-            Refinement(space, bad_child, {"c0": (("c0#0", 0.4), ("c0#1", 0.4))})
+            Refinement(space, bad_child, {"c0": ("c0#0", "c0#1")})
 
     @pytest.mark.parametrize(
         "child, splitting, error, message",
         [
             (
                 [("c0", 1.0), ("c1", 1.0)],
-                {"c0": (("c0", 1.0),), "c1": (("c1", 1.0),), "zz": (("c0", 1.0),)},
+                {"c0": ("c0",), "c1": ("c1",), "zz": ("c0",)},
                 UnknownCell,
                 "splitting mentions unknown cell 'zz'",
             ),
             (
                 [("c0", 1.0), ("c1", 1.0)],
-                {"c0": (("c0", 1.0),), "c1": ()},
+                {"c0": ("c0",), "c1": ()},
                 BadFractions,
                 "parent cell 'c1' has no children",
             ),
             (
                 [("c0", 1.0), ("c1", 1.0)],
-                {"c0": (("c0", 1.0),), "c1": (("c0", 1.0),)},
+                {"c0": ("c0",), "c1": ("c0",)},
                 DuplicateId,
                 "child cell 'c0' appears twice",
             ),
             (
-                [("c0#0", 0.5), ("c0#1", 0.5), ("c1", 1.0)],
-                {"c0": (("c0#0", 0.6), ("c0#1", 0.5)), "c1": (("c1", 1.0),)},
-                SpaceMismatch,
-                "child cell 'c0#0' disagrees with the child space",
-            ),
-            (
                 [("c0#0", 0.4), ("c0#1", 0.4), ("c1", 1.0)],
-                {"c0": (("c0#0", 0.4), ("c0#1", 0.4)), "c1": (("c1", 1.0),)},
+                {"c0": ("c0#0", "c0#1"), "c1": ("c1",)},
                 BadFractions,
                 "children of 'c0' sum to 0.8, expected 1.0",
             ),
         ],
-        ids=["unknown-key", "no-children", "child-twice", "child-disagrees", "wrong-sum"],
+        ids=["unknown-key", "no-children", "child-twice", "wrong-sum"],
     )
     def test_hand_built_errors(self, child, splitting, error, message):
         with pytest.raises(error) as err:
@@ -466,38 +460,29 @@ class TestBulkChecks:
     @pytest.mark.parametrize(
         "child, splitting",
         [
-            ([("c0#0", 0.5), ("c0#1", 0.5), ("c1", 1.0)],
-             {"c0": (("c0#0", 0.5), ("c0#1", 0.5)), "c1": (("c1", 1.0),)}),
-            ([("c0", 1.0), ("c1", 1.0), ("fresh0", 3.0)],
-             {"c0": (("c0", 1.0),), "c1": (("c1", 1.0),)}),
-            ([("c0", 1.0), ("c1", 1.0)],
-             {"c0": (("c0", 1.0),), "c1": (("c1", 1.0),), "zz": (("c0", 1.0),)}),
-            ([("c0", 1.0), ("c1", 1.0)], {"c0": (("c0", 1.0),)}),
-            ([("c0", 1.0), ("c1", 1.0)], {"c0": (("c0", 1.0),), "c1": ()}),
-            ([("c0", 1.0), ("c1", 1.0)], {"c0": (("c0", 1.0),), "c1": (("c0", 1.0),)}),
-            ([("c0#0", 0.5), ("c0#1", 0.5), ("c1", 1.0)],
-             {"c0": (("c0#0", 0.5), ("c0#0", 0.5)), "c1": (("c1", 1.0),)}),
-            ([("c0#0", 0.5), ("c0#1", 0.5), ("c1", 1.0)],
-             {"c0": (("c0#0", 0.5000000000000001), ("c0#1", 0.5)), "c1": (("c1", 1.0),)}),
-            ([("c0#0", 0.5), ("c0#1", 0.5), ("c1", 1.0)],
-             {"c0": (("c0#0", 0.6), ("c0#1", 0.5)), "c1": (("c1", 1.0),)}),
-            ([("c0", 1.0), ("c1", 1.0)],
-             {"c0": (("c0", 1.0),), "c1": (("c9", 1.0),)}),
-            ([("c0", 1.0), ("c1", 1.0)],
-             {"c0": (("c0", 1.0000000000000002),), "c1": (("c1", 1.0),)}),
-            ([("c0#0", 0.4), ("c0#1", 0.4), ("c1", 1.0)],
-             {"c0": (("c0#0", 0.4), ("c0#1", 0.4)), "c1": (("c1", 1.0),)}),
-            ([("c0", 0.5), ("c1", 1.0)], {"c0": (("c0", 0.5),), "c1": (("c1", 1.0),)}),
+            ([("c0#0", 0.5), ("c0#1", 0.5), ("c1", 1.0)], {"c0": ("c0#0", "c0#1"), "c1": ("c1",)}),
+            ([("c0", 1.0), ("c1", 1.0), ("fresh0", 3.0)], {"c0": ("c0",), "c1": ("c1",)}),
+            ([("c0", 1.0), ("c1", 1.0)], {"c0": ("c0",), "c1": ("c1",), "zz": ("c0",)}),
+            ([("c0", 1.0), ("c1", 1.0)], {"c0": ("c0",)}),
+            ([("c0", 1.0), ("c1", 1.0)], {"c0": ("c0",), "c1": ()}),
+            ([("c0", 1.0), ("c1", 1.0)], {"c0": ("c0",), "c1": ("c0",)}),
+            ([("c0#0", 0.5), ("c0#1", 0.5), ("c1", 1.0)], {"c0": ("c0#0", "c0#0"), "c1": ("c1",)}),
+            ([("c0", 1.0), ("c1", 1.0)], {"c0": ("c0",), "c1": ("c9",)}),
+            ([("c0#0", 0.4), ("c0#1", 0.4), ("c1", 1.0)], {"c0": ("c0#0", "c0#1"), "c1": ("c1",)}),
+            ([("c0", 0.5), ("c1", 1.0)], {"c0": ("c0",), "c1": ("c1",)}),
             ([("c0#0", 0.1), ("c0#1", 0.2), ("c0#2", 0.7), ("c1", 1.0)],
-             {"c0": (("c0#0", 0.1), ("c0#1", 0.2), ("c0#2", 0.7)), "c1": (("c1", 1.0),)}),
-            ([("c0", 1.0), ("c1", 1.0)], {"c0": [("c0", 1.0)], "c1": (("c1", 1.0),)}),
+             {"c0": ("c0#0", "c0#1", "c0#2"), "c1": ("c1",)}),
+            ([("c0", 1.0), ("c1", 1.0)], {"c0": ["c0"], "c1": ("c1",)}),
+            ([("c0", 1.0), ("c1", 1.0)], {"c0": (["c0"],), "c1": ("c1",)}),
+            ([("c0", 1.0), ("c1#0", 0.5), ("c1#1", 0.5)], {"c1": ("c1#0", "c1#1"), "c0": ("c0",)}),
+            ([("c0", 1.0), ("c1#0", 0.5), ("c1#1", 0.4)], {"c1": ("c1#0", "c1#1"), "c0": ("c0",)}),
         ],
         ids=[
             "valid", "fresh-cell", "stray-parent", "parent-missing", "parent-without-children",
-            "child-under-two-parents", "child-twice-in-one-split", "child-off-by-rounding",
-            "child-off-by-data", "child-not-in-child-space", "one-child-off-by-rounding",
+            "child-under-two-parents", "child-twice-in-one-split", "child-not-in-child-space",
             "wrong-split-sum", "one-child-wrong-weight", "split-sum-off-by-rounding",
-            "list-of-children",
+            "list-of-children", "unhashable-child", "parents-out-of-order",
+            "wrong-sum-out-of-order",
         ],
     )
     def test_refinement(self, child, splitting):

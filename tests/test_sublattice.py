@@ -679,8 +679,8 @@ class TestCellOrder:
 def reversed_refinement(space):
     """Each cell split into two halves, the child space listing every child
     in the reverse of the order a lift visits them."""
-    splitting = {cid: ((f"{cid}#0", w / 2), (f"{cid}#1", w / 2)) for cid, w in space.cells}
-    kids = [kid for cid in space.ids() for kid in splitting[cid]]
+    kids = [(f"{cid}#{k}", w / 2) for cid, w in space.cells for k in (0, 1)]
+    splitting = {cid: (f"{cid}#0", f"{cid}#1") for cid in space.ids()}
     child = Space(tuple(reversed(kids)), space.p)
     return Refinement(space, child, splitting)
 

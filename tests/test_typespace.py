@@ -315,6 +315,20 @@ class TestTupleTypeEqual:
         same = type_datum(f, C, tol).equals(type_datum(zero, C, tol), tol)
         assert tuple_type_equal([f], [zero], C, tol) is same
 
+    @pytest.mark.parametrize(
+        "weight, value",
+        # s**p overflows and raises; m * s**p overflows to inf without raising
+        [(1.0, 1e200), (1e300, 1e10)],
+        ids=["power-overflows", "mass-overflows"],
+    )
+    def test_orthogonal_ray_mass_overflow_raises_non_finite(self, weight, value):
+        space = make_space([("a", 1.0), ("x", weight)], 2.0)
+        C = dcl(space, [indicator(space, ["a"])])
+        f = step_function(space, {"x": value})
+        with pytest.raises(NonFiniteValue) as err:
+            tuple_type_equal([f], [f], C)
+        assert str(err.value) == "type equality overflows: an orthogonal ray mass m*s**p is inf"
+
 
 class TestDistance:
     def test_zero_for_equal(self):
