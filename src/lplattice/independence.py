@@ -34,9 +34,8 @@ from .sublattice import (
 from .typespace import (
     _block_laws,
     _layout,
-    _read_intervals,
+    _sweep,
     cond_distribution,
-    merged_midpoints,
     realize_cond_distribution,
     slice_profile,
     tuple_type_equal,
@@ -187,19 +186,21 @@ def slice_independent(
     _require_sublattice(C, B, "B", tol)
     prof_b = slice_profile(f, B, tol)
     prof_c = slice_profile(f, C, tol)
+    nb = len(B.blocks)
     worst, worst_gap = None, tol
-    for r in merged_midpoints(prof_b, prof_c):
+    for start, end, values in _sweep(prof_b.per_block + prof_c.per_block):
         gap = _gap(
             B.space,
-            B._member_values(enumerate(prof_b.coefficients_at(r))),
-            C._member_values(enumerate(prof_c.coefficients_at(r))),
+            B._member_values(enumerate(values[:nb])),
+            C._member_values(enumerate(values[nb:])),
         )
         if gap > worst_gap:
-            worst, worst_gap = r, gap
+            worst, worst_gap = ((start + end) / 2.0, values), gap
     if worst is None:
         return IndependenceVerdict(True, None)
-    over_b, over_c = prof_b.function_at(worst), prof_c.function_at(worst)
-    return IndependenceVerdict(False, Witness("slice", f, worst, over_b, over_c, worst_gap))
+    r, values = worst
+    over_b, over_c = B.member(values[:nb]), C.member(values[nb:])
+    return IndependenceVerdict(False, Witness("slice", f, r, over_b, over_c, worst_gap))
 
 
 def nonforking_extension(
@@ -256,7 +257,7 @@ def canonical_base(
 
     Block k's law is laid out on (0,1) in decreasing order, lengths
     m/nu(B_k), divided by s_k, its largest |value| (dropped if s_k = 0).
-    The layouts are read at the midpoints of all blocks' merged cuts and
+    The layouts are read on every interval of one _sweep over them all and
     grouped within tol; a group is one block of the base, with profile
     s_k * w on block k.  The base is certified by star_independent(fs, A,
     base) and never silently accepted.
@@ -268,10 +269,10 @@ def canonical_base(
         if scale > 0.0:
             scaled = [(tuple(x / scale for x in vec), mass) for vec, mass in atoms]
             kept.append((block, scale, _layout(scaled, nu)))
-    # column (r, d): coordinate d of every kept layout at the merged midpoint r
+    # column (r, d): coordinate d of every kept layout on the merged interval r
     columns = (
         [vec[d] for vec in values]
-        for _, values in _read_intervals([layout for _, _, layout in kept])
+        for _, _, values in _sweep([layout for _, _, layout in kept])
         for d in range(len(fs))
     )
     blocks, profile = [], {}

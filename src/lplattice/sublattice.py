@@ -61,7 +61,14 @@ class Sublattice:
                 if cid in seen:
                     raise ValidationError(f"cell {cid!r} lies in two blocks")
                 seen.add(cid)
-                profile[cid] = float(prof[cid])
+                if cid not in prof:
+                    raise ValidationError(f"cell {cid!r} has no profile value")
+                try:
+                    profile[cid] = float(prof[cid])
+                except (TypeError, ValueError):
+                    raise ValidationError(
+                        f"profile on {cid!r} must be a number, got {prof[cid]!r}"
+                    ) from None
             blocks.append(space.sort_cells(cells))
         return cls._canonical(space, blocks, profile)
 
@@ -157,6 +164,8 @@ class Sublattice:
 
     def equals(self, other: "Sublattice", tol: float = DEFAULT_TOL) -> bool:
         """Equality of canonical forms within tol."""
+        if self is other and tol >= 0.0:
+            return True
         if self.space != other.space or self.blocks != other.blocks:
             return False
         return all(close(self.profile[c], other.profile[c], tol) for c in self.profile)

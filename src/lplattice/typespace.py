@@ -7,6 +7,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -54,9 +55,12 @@ class SliceProfile:
     def __post_init__(self) -> None:
         if len(self.per_block) != len(self.sublattice.blocks):
             raise ValidationError("one segment list per block required")
-        for segments in self.per_block:
+        for k, segments in enumerate(self.per_block):
             if not segments:
                 raise ValidationError("empty segment list")
+            if not all(map(math.isfinite, chain.from_iterable(segments))):
+                j = next(j for j, seg in enumerate(segments) if not all(map(math.isfinite, seg)))
+                raise NonFiniteValue(f"block {k} segment {j} is not finite: {segments[j]!r}")
             total = 0.0
             last = math.inf
             for length, value in segments:
@@ -70,17 +74,16 @@ class SliceProfile:
                 raise ValidationError(f"segment lengths sum to {total!r}")
 
     @cached_property
-    def _cuts(self) -> tuple[list[float], ...]:  # per block, _cumulative of its segments
-        return tuple(_cumulative(segments) for segments in self.per_block)
+    def _cuts(self) -> tuple[list[float], ...]:  # per block, the running sums of its lengths
+        return tuple(list(accumulate(length for length, _ in segs)) for segs in self.per_block)
 
     def coefficient(self, block_index: int, r: float) -> float:
         """Right-continuous value of the rearrangement at r in (0,1)."""
         return _read([self.per_block[block_index]], [self._cuts[block_index]], r)[0]
 
     def breakpoints(self) -> tuple[float, ...]:
-        """Interior segment boundaries, merged across all blocks; boundaries
-        within _CUT_TOL of 0 or 1 are not interior."""
-        return tuple(_merge_cuts(c for cuts in self._cuts for c in cuts[:-1])[1:-1])
+        """Interior segment boundaries, merged across all blocks by _sweep."""
+        return tuple(start for start, _, _ in _sweep(self.per_block))[1:]
 
     def coefficients_at(self, r: float) -> list[float]:
         """Per block, the right-continuous value of the rearrangement at r."""
@@ -108,6 +111,9 @@ class TypeDatum:
     orth_neg: float
 
     def __post_init__(self) -> None:
+        for name, norm_ in (("orth_pos", self.orth_pos), ("orth_neg", self.orth_neg)):
+            if not math.isfinite(norm_):
+                raise NonFiniteValue(f"{name} is not finite: {norm_!r}")
         if self.orth_pos < 0.0 or self.orth_neg < 0.0:
             raise ValidationError("orthogonal part norms must be nonnegative")
 
@@ -122,7 +128,8 @@ class TypeDatum:
             return False
         if not close(self.orth_neg, other.orth_neg, tol):
             return False
-        return _profiles_equal(self.profile, other.profile, tol)
+        pairs = zip(self.profile.per_block, other.profile.per_block)
+        return all(_piecewise_pth_power(a, b, 1.0) <= tol for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -148,6 +155,8 @@ class ConditionalDistribution:
         for k, atoms in enumerate(self.per_block):
             total = 0.0
             for vec, mass in atoms:
+                if not (math.isfinite(mass) and all(map(math.isfinite, vec))):
+                    raise NonFiniteValue(f"block {k} atom ({vec!r}, {mass!r}) is not finite")
                 if len(vec) != self.arity:
                     raise InvalidDistribution("atom arity mismatch")
                 if mass < 0.0:
@@ -158,6 +167,8 @@ class ConditionalDistribution:
                     f"block {k} mass {total!r} differs from nu(block)"
                 )
         for vec, mass in self.orth:
+            if not (math.isfinite(mass) and all(map(math.isfinite, vec))):
+                raise NonFiniteValue(f"orthogonal atom ({vec!r}, {mass!r}) is not finite")
             if len(vec) != self.arity:
                 raise InvalidDistribution("atom arity mismatch")
             if mass < 0.0:
@@ -166,48 +177,9 @@ class ConditionalDistribution:
                 raise InvalidDistribution("orthogonal part carries mass at the origin")
 
 
-def _profiles_equal(a: SliceProfile, b: SliceProfile, tol: float) -> bool:
-    if len(a.per_block) != len(b.per_block):
-        return False
-    for segs_a, segs_b in zip(a.per_block, b.per_block):
-        if _piecewise_pth_power(segs_a, segs_b, 1.0) > tol:
-            return False
-    return True
-
-
-def _cumulative(segs: Sequence[Segment]) -> list[float]:
-    cuts = []
-    cum = 0.0
-    for length, _ in segs:
-        cum += length
-        cuts.append(cum)
-    return cuts
-
-
 # Two r-cuts closer than this are one point of (0,1).  Cuts are running sums
 # of segment lengths, so near-equal ones differ by rounding, not by data.
 _CUT_TOL = 1e-12
-
-# a rounding bound, not a data tolerance: _piecewise_pth_power steps past a cut this close
-_STEP_TOL = 1e-15
-
-
-def _merge_cuts(cuts: Iterable[float]) -> list[float]:
-    """0, the distinct interior cuts in increasing order, then 1.
-
-    Cuts within _CUT_TOL of 0 or 1 are absorbed by them.  Cuts within
-    _CUT_TOL of the smallest cut of their run count as one, represented by
-    the one seen first.
-    """
-    interior = [c for c in cuts if c > _CUT_TOL and 1.0 - c > _CUT_TOL]
-    groups = tolerance_groups(len(interior), [interior], _CUT_TOL)
-    return [0.0] + [interior[min(group)] for group in groups] + [1.0]
-
-
-def _intervals(cuts: Iterable[float]) -> list[tuple[float, float]]:
-    """(length, midpoint) of each interval the merged cuts cut out of (0,1)."""
-    merged = _merge_cuts(cuts)
-    return [(b - a, (a + b) / 2.0) for a, b in zip(merged, merged[1:])]
 
 
 def _layout(atoms: Sequence[Atom], total: float) -> Layout:
@@ -217,39 +189,52 @@ def _layout(atoms: Sequence[Atom], total: float) -> Layout:
 
 
 def _read(layouts: Sequence[Sequence[tuple]], cuts: Sequence[list[float]], r: float) -> list:
-    """Every layout's value at r, right-continuous: one bisect on its cuts
-    (_cumulative), and past its last cut, its last segment's value."""
+    """Every layout's value at a given r, right-continuous: one bisect on its
+    cuts (the running sums of its lengths), and past its last cut, its last
+    segment's value."""
     return [segs[bisect_right(c, r, 0, len(segs) - 1)][1] for segs, c in zip(layouts, cuts)]
 
 
-def _read_intervals(layouts: Sequence[Layout]) -> Iterator[tuple[float, list]]:
-    """Lazily, per interval of all the layouts' merged cuts: (length, values at its midpoint)."""
-    cuts = [_cumulative(segs) for segs in layouts]
-    for length, r in _intervals(c for cs in cuts for c in cs[:-1]):
-        yield length, _read(layouts, cuts, r)
+def _sweep(layouts: Sequence[Sequence[tuple]]) -> Iterator[tuple[float, float, tuple]]:
+    """Lazily, per interval that the layouts' merged cuts cut out of (0,1):
+    (start, end, every layout's value on it), in increasing order.
+
+    A run of cuts within _CUT_TOL of the run's smallest cut counts as one
+    cut, at that smallest value, so the merge does not depend on the order
+    of the layouts.  Cuts within _CUT_TOL of 0, of 1 or of the end are not
+    interior.  The last interval ends at the smallest last cut.
+    """
+    cuts, ends = [], []  # (cut, layout) of every cut but the last; every last cut
+    for k, segs in enumerate(layouts):
+        total = 0.0
+        for length, _ in segs:
+            total += length
+            cuts.append((total, k))
+        ends.append(cuts.pop()[0])
+    cuts.sort()
+    end = min(ends, default=1.0)
+    stop = min(end, 1.0)  # absorbs the cuts near it, and every later one
+    segments = [iter(segs) for segs in layouts]
+    values = [next(it)[1] for it in segments]
+    start = 0.0  # the smallest cut of the current run; 0 absorbs the cuts near it
+    for cut, k in cuts:
+        if stop - cut <= _CUT_TOL:
+            break
+        if cut - start > _CUT_TOL:
+            yield start, cut, tuple(values)
+            start = cut
+        values[k] = next(segments[k])[1]
+    yield start, end, tuple(values)
 
 
 def _piecewise_pth_power(
     segs1: Sequence[Segment], segs2: Sequence[Segment], p: float
 ) -> float:
-    # integral over (0,1) of |v1(r) - v2(r)|^p, exact on the merged breakpoints
-    cuts1 = _cumulative(segs1)
-    cuts2 = _cumulative(segs2)
+    # integral over (0,1) of |v1(r) - v2(r)|^p, exact on the merged cuts
     total = 0.0
-    i = j = 0
-    pos = 0.0
-    while True:
-        end = min(cuts1[i], cuts2[j])
-        total += (end - pos) * abs(segs1[i][1] - segs2[j][1]) ** p
-        pos = end
-        at_last1 = i == len(segs1) - 1
-        at_last2 = j == len(segs2) - 1
-        if at_last1 and at_last2:
-            return total
-        if cuts1[i] <= end + _STEP_TOL and not at_last1:
-            i += 1
-        if cuts2[j] <= end + _STEP_TOL and not at_last2:
-            j += 1
+    for start, end, (v1, v2) in _sweep([segs1, segs2]):
+        total += (end - start) * abs(v1 - v2) ** p
+    return total
 
 
 def cond_probability(event: Iterable[str], C: Sublattice) -> StepFunction:
@@ -561,10 +546,11 @@ def realize_common(
     C = t1.sublattice
     if not C.equals(t2.sublattice, tol):
         raise SublatticeMismatch("types live over different sublattices")
-    per_block = [
-        tuple((length, tuple(values)) for length, values in _read_intervals(layouts))
-        for layouts in zip(t1.profile.per_block, t2.profile.per_block)
-    ]
+    per_block = []
+    for layouts in zip(t1.profile.per_block, t2.profile.per_block):
+        starts, _, values = zip(*_sweep(layouts))
+        ends = starts[1:] + (1.0,)  # the last child runs to 1: a cell's fractions sum to 1
+        per_block.append(tuple((b - a, v) for a, b, v in zip(starts, ends, values)))
     fresh = _orth_cells(C.space, (t1.orth_pos, t2.orth_pos), (t1.orth_neg, t2.orth_neg))
     _, _, (f, g) = _lay_out(C, per_block, fresh, 2)
     return f, g
@@ -629,5 +615,7 @@ def lift_type_datum(t: TypeDatum, r: Refinement) -> TypeDatum:
 
 
 def merged_midpoints(*profiles: SliceProfile) -> tuple[float, ...]:
-    """Midpoints of the intervals cut out of (0,1) by all breakpoints."""
-    return tuple(mid for _, mid in _intervals(c for prof in profiles for c in prof.breakpoints()))
+    """Midpoints of the intervals that _sweep cuts out of (0,1) for all the
+    profiles' blocks together."""
+    layouts = [segs for prof in profiles for segs in prof.per_block]
+    return tuple((start + end) / 2.0 for start, end, _ in _sweep(layouts))

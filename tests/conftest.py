@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_right
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -17,6 +18,7 @@ from lplattice import (
     ConditionalDistribution,
     DuplicateId,
     InvalidDistribution,
+    NonFiniteValue,
     NonPositiveWeight,
     NonTermination,
     PreconditionFailed,
@@ -26,13 +28,13 @@ from lplattice import (
     SpaceMismatch,
     StepFunction,
     Sublattice,
+    SublatticeMismatch,
     UnknownCell,
     ValidationError,
     close,
     dcl,
     is_sublattice_of,
     lattice_join,
-    merged_midpoints,
     norm,
     refine_space,
     slice_profile,
@@ -47,7 +49,17 @@ from lplattice.independence import (
     _space_of,
 )
 from lplattice.oracles import proportionality_classes
-from lplattice.typespace import Atom, Segment, _merge_atoms
+from lplattice.typespace import (
+    Atom,
+    Layout,
+    Segment,
+    TypeDatum,
+    _block_laws,
+    _lay_out as _typespace_lay_out,
+    _layout,
+    _merge_atoms,
+    _orth_cells,
+)
 
 
 # --- reference constructor and sublattice test -----------------------------------
@@ -248,7 +260,7 @@ def reference_keyed_join(A: Sublattice, C: Sublattice, tol: float = DEFAULT_TOL)
 def _slice_members(f: StepFunction, A: Sublattice, tol: float) -> list[StepFunction]:
     # the conditional slices of f over A, one per interval; dcl absorbs repeats
     prof = slice_profile(f, A, tol)
-    return [prof.function_at(r) for r in merged_midpoints(prof)]
+    return [prof.function_at(r) for r in reference_merged_midpoints(prof)]
 
 
 # join-and-reslice rounds the tuple canonical base may take before NonTermination
@@ -468,7 +480,7 @@ def reference_slice_independent(
     prof_b = slice_profile(f, B, tol)
     prof_c = slice_profile(f, C, tol)
     worst: Optional[Witness] = None
-    for r in merged_midpoints(prof_b, prof_c):
+    for r in reference_merged_midpoints(prof_b, prof_c):
         over_b = prof_b.function_at(r)
         over_c = prof_c.function_at(r)
         gap = norm(over_b - over_c)
@@ -649,3 +661,207 @@ def reference_block_laws(
         columns = [[f[cid] / C.profile[cid] for cid in block] for f in fs]
         vecs = zip(*columns) if fs else [()] * len(block)
         yield reference_merge_atoms(zip(vecs, [nu[cid] for cid in block]), tol), total
+
+
+# --- reference r-axis readers ------------------------------------------------------
+# The two readers of (0,1) that `typespace._sweep` replaced, kept verbatim as
+# the references their differential tests compare against.  One merged cuts
+# at 1e-12, keeping the cut seen first and ending at 1, and read each layout
+# by bisect at the midpoints: realizations, canonical bases, merged midpoints
+# and the slice test used it.  The other, a two-pointer walk stepping past
+# cuts within 1e-15 and ending at the smaller last cut, served `distance` and
+# `TypeDatum.equals`.
+
+def _cumulative(segs: Sequence[Segment]) -> list[float]:
+    cuts = []
+    cum = 0.0
+    for length, _ in segs:
+        cum += length
+        cuts.append(cum)
+    return cuts
+
+
+# Two r-cuts closer than this are one point of (0,1).  Cuts are running sums
+# of segment lengths, so near-equal ones differ by rounding, not by data.
+_CUT_TOL = 1e-12
+
+# a rounding bound, not a data tolerance: _piecewise_pth_power steps past a cut this close
+_STEP_TOL = 1e-15
+
+
+def _merge_cuts(cuts: Iterable[float]) -> list[float]:
+    """0, the distinct interior cuts in increasing order, then 1.
+
+    Cuts within _CUT_TOL of 0 or 1 are absorbed by them.  Cuts within
+    _CUT_TOL of the smallest cut of their run count as one, represented by
+    the one seen first.
+    """
+    interior = [c for c in cuts if c > _CUT_TOL and 1.0 - c > _CUT_TOL]
+    groups = tolerance_groups(len(interior), [interior], _CUT_TOL)
+    return [0.0] + [interior[min(group)] for group in groups] + [1.0]
+
+
+def _intervals(cuts: Iterable[float]) -> list[tuple[float, float]]:
+    """(length, midpoint) of each interval the merged cuts cut out of (0,1)."""
+    merged = _merge_cuts(cuts)
+    return [(b - a, (a + b) / 2.0) for a, b in zip(merged, merged[1:])]
+
+
+def _read(layouts: Sequence[Sequence[tuple]], cuts: Sequence[list[float]], r: float) -> list:
+    """Every layout's value at r, right-continuous: one bisect on its cuts
+    (_cumulative), and past its last cut, its last segment's value."""
+    return [segs[bisect_right(c, r, 0, len(segs) - 1)][1] for segs, c in zip(layouts, cuts)]
+
+
+def _read_intervals(layouts: Sequence[Layout]) -> Iterator[tuple[float, list]]:
+    """Lazily, per interval of all the layouts' merged cuts: (length, values at its midpoint)."""
+    cuts = [_cumulative(segs) for segs in layouts]
+    for length, r in _intervals(c for cs in cuts for c in cs[:-1]):
+        yield length, _read(layouts, cuts, r)
+
+
+def reference_piecewise_pth_power(
+    segs1: Sequence[Segment], segs2: Sequence[Segment], p: float
+) -> float:
+    # integral over (0,1) of |v1(r) - v2(r)|^p, exact on the merged breakpoints
+    cuts1 = _cumulative(segs1)
+    cuts2 = _cumulative(segs2)
+    total = 0.0
+    i = j = 0
+    pos = 0.0
+    while True:
+        end = min(cuts1[i], cuts2[j])
+        total += (end - pos) * abs(segs1[i][1] - segs2[j][1]) ** p
+        pos = end
+        at_last1 = i == len(segs1) - 1
+        at_last2 = j == len(segs2) - 1
+        if at_last1 and at_last2:
+            return total
+        if cuts1[i] <= end + _STEP_TOL and not at_last1:
+            i += 1
+        if cuts2[j] <= end + _STEP_TOL and not at_last2:
+            j += 1
+
+
+def reference_breakpoints(prof: SliceProfile) -> tuple[float, ...]:
+    """Interior segment boundaries, merged across all blocks; boundaries
+    within _CUT_TOL of 0 or 1 are not interior."""
+    return tuple(_merge_cuts(c for cuts in map(_cumulative, prof.per_block) for c in cuts[:-1])[1:-1])
+
+
+def reference_merged_midpoints(*profiles: SliceProfile) -> tuple[float, ...]:
+    """Midpoints of the intervals cut out of (0,1) by all breakpoints."""
+    return tuple(mid for _, mid in _intervals(c for prof in profiles for c in reference_breakpoints(prof)))
+
+
+def documented_cuts(layouts: Sequence[Layout]) -> list[float]:
+    """0, the merged interior cuts and the smallest last cut, by the rules
+    `typespace._sweep` documents, built from the old `_merge_cuts`: in
+    sorted order the first cut seen in a run is its smallest."""
+    cuts = [_cumulative(segs) for segs in layouts]
+    merged = _merge_cuts(sorted(c for cs in cuts for c in cs[:-1]))
+    merged[-1] = min(cs[-1] for cs in cuts)
+    return merged
+
+
+def reference_type_equals(t1: TypeDatum, t2: TypeDatum, tol: float = DEFAULT_TOL) -> bool:
+    """`TypeDatum.equals` as it was, comparing the profiles block by block on the walk."""
+    if not t1.sublattice.equals(t2.sublattice, tol):
+        return False
+    if not close(t1.orth_pos, t2.orth_pos, tol):
+        return False
+    if not close(t1.orth_neg, t2.orth_neg, tol):
+        return False
+    a, b = t1.profile, t2.profile
+    if len(a.per_block) != len(b.per_block):
+        return False
+    for segs_a, segs_b in zip(a.per_block, b.per_block):
+        if reference_piecewise_pth_power(segs_a, segs_b, 1.0) > tol:
+            return False
+    return True
+
+
+def reference_distance(t1: TypeDatum, t2: TypeDatum, tol: float = DEFAULT_TOL) -> float:
+    """Distance between two 1-types over one sublattice.
+
+    d^p integrates the p-th power gap of the slice profiles block by block
+    (nu-weighted) and adds the gaps of the orthogonal part norms.  Raises
+    NonFiniteValue when that sum overflows.
+    """
+    C = t1.sublattice
+    if not C.equals(t2.sublattice, tol):
+        raise SublatticeMismatch("types live over different sublattices")
+    p = C.space.p
+    total = 0.0
+    try:
+        for k in range(len(C.blocks)):
+            total += C.nu_block(k) * reference_piecewise_pth_power(
+                t1.profile.per_block[k], t2.profile.per_block[k], p
+            )
+        total += abs(t1.orth_pos - t2.orth_pos) ** p
+        total += abs(t1.orth_neg - t2.orth_neg) ** p
+    except OverflowError:
+        # a finite float ** p past the float range raises instead of giving inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise NonFiniteValue(f"distance overflows: its p-th power sum is {total!r}")
+    return total ** (1.0 / p)
+
+
+def reference_realize_common(
+    t1: TypeDatum, t2: TypeDatum, tol: float = DEFAULT_TOL
+) -> tuple[StepFunction, StepFunction]:
+    """Realize two types over one C on a common refinement, sharing the fresh
+    cells that carry the orthogonal parts; the norm of the difference then
+    attains the type distance."""
+    C = t1.sublattice
+    if not C.equals(t2.sublattice, tol):
+        raise SublatticeMismatch("types live over different sublattices")
+    per_block = [
+        tuple((length, tuple(values)) for length, values in _read_intervals(layouts))
+        for layouts in zip(t1.profile.per_block, t2.profile.per_block)
+    ]
+    fresh = _orth_cells(C.space, (t1.orth_pos, t2.orth_pos), (t1.orth_neg, t2.orth_neg))
+    _, _, (f, g) = _typespace_lay_out(C, per_block, fresh, 2)
+    return f, g
+
+
+def reference_closed_canonical_base(
+    fs: Sequence[StepFunction],
+    A: Sublattice,
+    tol: float = DEFAULT_TOL,
+) -> Sublattice:
+    """The canonical base of tp(fs / A): A's blocks grouped by the law of
+    fs/w up to a positive scale.
+
+    Block k's law is laid out on (0,1) in decreasing order, lengths
+    m/nu(B_k), divided by s_k, its largest |value| (dropped if s_k = 0).
+    The layouts are read at the midpoints of all blocks' merged cuts and
+    grouped within tol; a group is one block of the base, with profile
+    s_k * w on block k.  The base is certified by star_independent(fs, A,
+    base) and never silently accepted.
+    """
+    fs = tuple(fs)
+    kept = []  # (A-block, s_k, layout of the law divided by s_k)
+    for block, (atoms, nu) in zip(A.blocks, _block_laws(fs, A, tol)):
+        scale = max((abs(x) for vec, _ in atoms for x in vec), default=0.0)
+        if scale > 0.0:
+            scaled = [(tuple(x / scale for x in vec), mass) for vec, mass in atoms]
+            kept.append((block, scale, _layout(scaled, nu)))
+    # column (r, d): coordinate d of every kept layout at the merged midpoint r
+    columns = (
+        [vec[d] for vec in values]
+        for _, values in _read_intervals([layout for _, _, layout in kept])
+        for d in range(len(fs))
+    )
+    blocks, profile = [], {}
+    for group in tolerance_groups(len(kept), columns, tol):
+        profile.update((cid, kept[i][1] * A.profile[cid]) for i in group for cid in kept[i][0])
+        blocks.append(A.space.sort_cells(cid for i in group for cid in kept[i][0]))
+    cb = Sublattice._canonical(A.space, blocks, profile)
+    verdict = star_independent(fs, A, cb, tol)
+    if not verdict.independent:
+        raise CertificationFailed(
+            "canonical base candidate failed the independence certificate"
+        )
+    return cb

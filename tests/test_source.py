@@ -55,3 +55,53 @@ def test_every_parameter_is_read():
         for function, param in unread_parameters(path.read_text(encoding="utf-8"))
     }
     assert found == UNREAD_ALLOWED
+
+
+# files whose small literals are allowed: verify.py's are the fixed bounds of its checks
+SMALL_LITERALS_EXEMPT = {"verify.py"}
+
+
+def small_float_literals(source: str):
+    """(line, value) of each float literal in (0, 1e-6) that is not the whole
+    value of a module-level `NAME = literal`: a hidden tolerance."""
+    tree = ast.parse(source)
+    named = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and isinstance(stmt.value, ast.Constant):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            if all(isinstance(t, ast.Name) for t in targets):
+                named.add(id(stmt.value))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, float)
+            and 0.0 < node.value < 1e-6
+            and id(node) not in named
+        ):
+            yield node.lineno, node.value
+
+
+def test_the_scan_finds_small_literals():
+    source = (
+        "TOL = 1e-12\n"
+        "BOUND: float = 1e-15\n"
+        "PAIR = (1e-9, 2)\n"
+        "def f(x):\n"
+        "    LOCAL = 1e-7\n"
+        "    return abs(x) <= 1e-15 or x == 0.0 or x > 1e-6 or x < -1e-8 + TOL\n"
+        "class K:\n"
+        "    EPS = 1e-13\n"
+    )
+    assert sorted(small_float_literals(source)) == [
+        (3, 1e-9), (5, 1e-7), (6, 1e-15), (6, 1e-8), (8, 1e-13)
+    ]
+
+
+def test_no_hidden_small_constants():
+    found = {
+        (path.name, line, value)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in SMALL_LITERALS_EXEMPT
+        for line, value in small_float_literals(path.read_text(encoding="utf-8"))
+    }
+    assert found == set()

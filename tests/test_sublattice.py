@@ -773,6 +773,47 @@ class TestCanonicalConstructor:
         assert lifted.profile == ref.profile
 
 
+class TestMakeChecksItsInput:
+    def test_cell_missing_from_its_profile(self):
+        space = unit_space(2)
+        with pytest.raises(ValidationError) as err:
+            Sublattice.make(space, [(["c0", "c1"], {"c0": 1.0})])
+        assert str(err.value) == "cell 'c1' has no profile value"
+
+    @pytest.mark.parametrize(
+        "value, shown", [("heavy", "'heavy'"), (None, "None"), ([1.0], "[1.0]")]
+    )
+    def test_profile_value_not_a_number(self, value, shown):
+        space = unit_space(2)
+        with pytest.raises(ValidationError) as err:
+            Sublattice.make(space, [(["c0", "c1"], {"c0": 1.0, "c1": value})])
+        assert str(err.value) == f"profile on 'c1' must be a number, got {shown}"
+
+    def test_numeric_strings_still_convert(self):
+        space = unit_space(2)
+        C = Sublattice.make(space, [(["c0", "c1"], {"c0": "2", "c1": 1})])
+        assert C.profile == {"c0": 1.0, "c1": 0.5}
+
+
+class TestEqualsItself:
+    def test_same_object_reads_no_profile(self, monkeypatch):
+        import lplattice.sublattice as sublattice
+
+        calls = []
+        real = sublattice.close
+        monkeypatch.setattr(sublattice, "close", lambda *a: calls.append(a) or real(*a))
+        C = random_instance(3, 12).chain[2]
+        assert C.dim > 0
+        assert C.equals(C) and C.equals(C, 0.0)
+        assert calls == []
+        # a different object still compares every profile value
+        twin = Sublattice(C.space, C.blocks, dict(C.profile))
+        assert C.equals(twin)
+        assert len(calls) == len(C.profile)
+        # below 0 no value is close to itself, so C, which has blocks, is not equal to itself
+        assert not C.equals(C, -1.0)
+
+
 class TestSublatticeOfReference:
     @pytest.mark.parametrize("seed", range(300))
     def test_agrees_with_reference(self, seed):

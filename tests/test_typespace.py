@@ -1,15 +1,28 @@
+import itertools
+import math
 import random
 
 import pytest
 from conftest import (
+    _cumulative,
+    _merge_cuts,
+    documented_cuts,
     reference_block_laws,
+    reference_closed_canonical_base,
+    reference_distance,
+    reference_merged_midpoints,
+    reference_piecewise_pth_power,
     reference_realize_cond_distribution,
+    reference_realize_common,
+    reference_slice_independent,
     reference_slice_profile,
+    reference_type_equals,
 )
 
 from lplattice import (
     ArityMismatch,
     BadR,
+    ConditionalDistribution,
     InvalidDistribution,
     NonFiniteValue,
     Sublattice,
@@ -17,6 +30,7 @@ from lplattice import (
     SpaceMismatch,
     SublatticeMismatch,
     TargetOutOfRange,
+    TypeDatum,
     band_decompose,
     canonical_realization,
     close,
@@ -43,7 +57,8 @@ from lplattice import (
 from lplattice import lift_type_datum
 from lplattice.core import DEFAULT_TOL
 from lplattice.oracles import random_instance
-from lplattice.typespace import _block_laws, realize_common
+from lplattice.independence import canonical_base, slice_independent
+from lplattice.typespace import _CUT_TOL, _block_laws, _piecewise_pth_power, _sweep, realize_common
 from lplattice.verify import masked_dependence_example, pairwise_independence_example
 
 
@@ -169,9 +184,9 @@ class TestMergedMidpoints:
         c = 0.5 + 4e-13
         a = self.one_block_profile([(0.5, 2.0), (0.5, 1.0)])
         b = self.one_block_profile([(c, 3.0), (1.0 - c, 1.0)])
-        # the cut seen first stands for the merged pair
+        # the smaller cut stands for the merged pair, whatever the argument order
         assert merged_midpoints(a, b) == (0.25, 0.75)
-        assert merged_midpoints(b, a) == (c / 2.0, (c + 1.0) / 2.0)
+        assert merged_midpoints(b, a) == (0.25, 0.75)
 
     def test_cuts_near_0_and_1_are_absorbed(self):
         prof = self.one_block_profile([(4e-13, 3.0), (1.0 - 8e-13, 2.0), (4e-13, 1.0)])
@@ -621,6 +636,19 @@ class TestRealizeCommon:
         f, g = realize_common(t1, t2)
         assert abs(norm(f - g) - distance(t1, t2)) <= 1e-9
 
+    def test_lengths_short_of_one(self):
+        # lengths may sum to 1 within DEFAULT_TOL; the last child still runs
+        # to 1, so each cell's children weigh what it weighs
+        _, C = one_block_space(2)
+        t1 = TypeDatum(SliceProfile(C, (((0.5, 2.0), (0.5 - 9e-10, 1.0)),)), 0.0, 0.0)
+        t2 = TypeDatum(SliceProfile(C, (((0.25, 3.0), (0.75, 0.0)),)), 0.0, 0.0)
+        f, g = realize_common(t1, t2)
+        assert [w for _, w in f.space.cells] == [0.25, 0.25, 0.5] * 2
+        assert (f.values, g.values) == (
+            {"c0#0": 2.0, "c0#1": 2.0, "c0#2": 1.0, "c1#0": 2.0, "c1#1": 2.0, "c1#2": 1.0},
+            {"c0#0": 3.0, "c1#0": 3.0},
+        )
+
     def test_sublattice_mismatch(self):
         space, C = one_block_space()
         D = dcl(space, [indicator(space, ["c0"])])
@@ -673,3 +701,218 @@ class TestOneFunctionBlockLaws:
         other = make_space([("c0", 1.0)], 1.0)
         with pytest.raises(SpaceMismatch):
             next(_block_laws((step_function(other, {"c0": 1.0}),), C, DEFAULT_TOL))
+
+
+def _result(fn, *args):
+    """What a call returned, or the class and message it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared with the reference's exception
+        return ("raised", type(exc), str(exc))
+
+
+def _base(fn, fs, A):
+    cb = _result(fn, fs, A)
+    return cb if isinstance(cb, tuple) else (cb.blocks, cb.profile)
+
+
+def _verdict(fn, f, B, C):
+    v = _result(fn, f, B, C)
+    return v if isinstance(v, tuple) else (v.independent, v.witness and v.witness.gap)
+
+
+def _assert_realizations_match(got, want, t1, t2):
+    # the same cells and values, and the same child weights unless a merged
+    # cut is now its run's smallest, where the old merge kept the first seen:
+    # then a child's r-length moves by rounding, within two cut tolerances
+    for g, w in zip(got, want, strict=True):
+        assert g.values == w.values
+    cells, old = got[0].space.cells, want[0].space.cells
+    assert [cid for cid, _ in cells] == [cid for cid, _ in old]
+    pairs = zip(t1.profile.per_block, t2.profile.per_block)
+    cuts = [[c for segs in pair for c in _cumulative(segs)[:-1]] for pair in pairs]
+    if all(_merge_cuts(cs) == _merge_cuts(sorted(cs)) for cs in cuts):
+        assert cells == old
+        return
+    bound = 2 * _CUT_TOL * max(weight for _, weight in old)
+    for (_, a), (_, b) in zip(cells, old):
+        assert abs(a - b) <= bound
+
+
+def _assert_midpoints_match(profiles):
+    # exactly the midpoints of the documented merge; against the old merge,
+    # which kept a run's first-seen cut and ended at 1, the same intervals
+    # with each midpoint within one ulp of 1
+    got = merged_midpoints(*profiles)
+    cuts = documented_cuts([segs for prof in profiles for segs in prof.per_block])
+    assert got == tuple((a + b) / 2.0 for a, b in zip(cuts, cuts[1:]))
+    want = reference_merged_midpoints(*profiles)
+    assert len(got) == len(want)
+    assert all(abs(a - b) <= math.ulp(1.0) for a, b in zip(got, want))
+
+
+class TestOneSweep:
+    """Every r-axis reader goes through `_sweep`; the cut merge and the
+    two-pointer walk it replaced are the references in tests/conftest.py."""
+
+    @pytest.mark.parametrize("first", range(0, 2000, 100))
+    def test_differential_against_the_old_readers(self, first):
+        for seed in range(first, first + 100):
+            inst = random_instance(seed, 8, n_functions=3)
+            fs = inst.functions
+            D = inst.chain[-1]  # C <= B <= D
+            for C in inst.chain:
+                types = [type_datum(f, C) for f in fs]
+                for t1, t2 in itertools.product(types, repeat=2):
+                    assert distance(t1, t2) == reference_distance(t1, t2), seed
+                    assert t1.equals(t2) == reference_type_equals(t1, t2), seed
+                for t1, t2 in itertools.combinations(types, 2):
+                    _assert_realizations_match(
+                        realize_common(t1, t2), reference_realize_common(t1, t2), t1, t2
+                    )
+                for arity in (1, 2):
+                    assert _base(canonical_base, fs[:arity], C) == _base(
+                        reference_closed_canonical_base, fs[:arity], C
+                    ), seed
+                for f, t in zip(fs, types):
+                    assert _verdict(slice_independent, f, D, C) == _verdict(
+                        reference_slice_independent, f, D, C
+                    ), seed
+                    for profiles in ((t.profile,), (slice_profile(f, D), t.profile)):
+                        _assert_midpoints_match(profiles)
+
+    def test_cuts_5e_13_apart_are_one_cut(self):
+        c = 0.5 + 5e-13
+        a = ((0.5, 2.0), (0.5, 1.0))
+        b = ((c, 3.0), (1.0 - c, 0.0))
+        assert [(s, e) for s, e, _ in _sweep([a, b])] == [(0.0, 0.5), (0.5, 1.0)]
+        assert [(s, e) for s, e, _ in _sweep([b, a])] == [(0.0, 0.5), (0.5, 1.0)]
+        for p in (1.0, 2.0, 3.0):
+            got = _piecewise_pth_power(a, b, p)
+            want = reference_piecewise_pth_power(a, b, p)
+            # the old walk kept the sliver (0.5, c) apart, where the values are 1 and 3
+            assert got != want
+            assert abs(got - want) <= (c - 0.5) * 2.0**p + 4 * math.ulp(want)
+
+    def test_segment_shorter_than_the_cut_tolerance(self):
+        # a middle segment of 4e-13 merges into the cut before it; the layout
+        # steps past it, so the interval after reads its next segment
+        a = ((0.5, 3.0), (4e-13, 2.0), (0.5 - 4e-13, 1.0))
+        b = ((1.0, 0.0),)
+        assert [(s, e, v) for s, e, v in _sweep([a, b])] == [
+            (0.0, 0.5, (3.0, 0.0)),
+            (0.5, 1.0, (1.0, 0.0)),
+        ]
+        # the old walk read 2 on the sliver
+        got, want = _piecewise_pth_power(a, b, 1.0), reference_piecewise_pth_power(a, b, 1.0)
+        assert abs(got - want) <= 4e-13 * 1.0 + 4 * math.ulp(want)
+
+    def test_cuts_near_0_and_1_are_not_interior(self):
+        a = ((4e-13, 3.0), (1.0 - 8e-13, 2.0), (4e-13, 1.0))
+        b = ((1.0, 0.0),)
+        end = 1.0  # the smallest last cut: 4e-13 + (1 - 8e-13) + 4e-13 rounds to 1
+        # the layout is past its first segment from 0 on and never reaches its last
+        assert list(_sweep([a, b])) == [(0.0, end, (2.0, 0.0))]
+        prof = SliceProfile(one_block_space(2)[1], (a,))
+        assert merged_midpoints(prof) == reference_merged_midpoints(prof) == (0.5,)
+        got, want = _piecewise_pth_power(a, b, 1.0), reference_piecewise_pth_power(a, b, 1.0)
+        assert abs(got - want) <= 4e-13 * (3.0 - 2.0) + 4e-13 * (2.0 - 1.0) + 4 * math.ulp(want)
+
+    def test_last_interval_ends_at_the_smallest_last_cut(self):
+        a = ((0.5, 2.0), (0.5 - 2e-10, 1.0))
+        b = ((0.25, 1.0), (0.75, 0.0))
+        assert [(s, e) for s, e, _ in _sweep([a, b])] == [(0.0, 0.25), (0.25, 0.5), (0.5, 1.0 - 2e-10)]
+        # the old walk ends there too
+        assert _piecewise_pth_power(a, b, 2.0) == reference_piecewise_pth_power(a, b, 2.0)
+
+    def test_cuts_near_the_end_are_not_interior(self):
+        # lengths summing short of 1: a cut within _CUT_TOL of the smallest
+        # last cut leaves no sliver before it
+        a = ((0.5, 2.0), (0.5 - 5e-10, 1.0))
+        end = 0.5 + (0.5 - 5e-10)
+        b = ((end - 5e-13, 3.0), (1.0 - (end - 5e-13), 0.0))
+        assert list(_sweep([a, b])) == [(0.0, 0.5, (2.0, 3.0)), (0.5, end, (1.0, 3.0))]
+
+    def test_no_layouts_is_one_interval(self):
+        assert list(_sweep([])) == [(0.0, 1.0, ())]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_merged_midpoints_ignore_the_order_of_profiles(self, seed):
+        rng = random.Random(seed)
+        space, C = one_block_space(2)
+        profiles = []
+        for _ in range(4):
+            # cuts on a grid of 1/8, each jittered below the cut tolerance
+            cuts = sorted(rng.sample(range(1, 8), 3))
+            edges = [0.0] + [k / 8 + rng.uniform(-0.4, 0.4) * _CUT_TOL for k in cuts] + [1.0]
+            lengths = [b - a for a, b in zip(edges, edges[1:])]
+            profiles.append(SliceProfile(C, (tuple(zip(lengths, (4.0, 3.0, 2.0, 1.0))),)))
+        perms = list(itertools.permutations(profiles))
+        assert len({merged_midpoints(*perm) for perm in perms}) == 1
+        # the old merge kept the cut seen first, so the order showed
+        assert len({reference_merged_midpoints(*perm) for perm in perms}) > 1
+
+
+class TestNonFiniteRecords:
+    """The public type-space records name a non-finite number before any
+    other check reads it."""
+
+    @pytest.mark.parametrize(
+        "segments, message",
+        [
+            (((0.5, 2.0), (0.5, -math.inf)), "block 0 segment 1 is not finite: (0.5, -inf)"),
+            (((0.5, 2.0), (0.5, math.nan)), "block 0 segment 1 is not finite: (0.5, nan)"),
+            # this one used to read "segment values must strictly decrease"
+            (((0.5, math.inf), (0.5, 1.0)), "block 0 segment 0 is not finite: (0.5, inf)"),
+            (((math.inf, 2.0),), "block 0 segment 0 is not finite: (inf, 2.0)"),
+        ],
+        ids=["value-minus-inf", "value-nan", "first-value-inf", "length-inf"],
+    )
+    def test_slice_profile(self, segments, message):
+        _, C = one_block_space(2)
+        with pytest.raises(NonFiniteValue) as err:
+            SliceProfile(C, (segments,))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "pos, neg, message",
+        [
+            (math.inf, 0.0, "orth_pos is not finite: inf"),
+            (0.0, math.nan, "orth_neg is not finite: nan"),
+        ],
+        ids=["pos-inf", "neg-nan"],
+    )
+    def test_type_datum(self, pos, neg, message):
+        _, C = one_block_space(2)
+        profile = SliceProfile(C, (((1.0, 0.0),),))
+        with pytest.raises(NonFiniteValue) as err:
+            TypeDatum(profile, pos, neg)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "block, orth, message",
+        [
+            ((((math.inf,), 2.0),), (), "block 0 atom ((inf,), 2.0) is not finite"),
+            ((((1.0,), 2.0),), (((math.nan,), 1.0),), "orthogonal atom ((nan,), 1.0) is not finite"),
+            ((((1.0,), 2.0),), (((1.0,), math.inf),), "orthogonal atom ((1.0,), inf) is not finite"),
+        ],
+        ids=["atom-entry-inf", "orth-vector-nan", "orth-mass-inf"],
+    )
+    def test_conditional_distribution(self, block, orth, message):
+        space = make_space([("a", 1.0), ("b", 1.0), ("x", 1.0)], 1.0)
+        C = dcl(space, [indicator(space, ["a", "b"])])
+        with pytest.raises(NonFiniteValue) as err:
+            ConditionalDistribution(C, 1, (block,), orth)
+        assert str(err.value) == message
+
+    def test_profiles_ending_apart(self):
+        # lengths may sum to 1 within DEFAULT_TOL; a cut of the other profile
+        # past the smaller end used to send the old walk round forever
+        _, C = one_block_space(1)
+        a = ((1.0 - 5e-10, 1.0),)
+        b = ((1.0 - 1e-11, 2.0), (1e-11, 1.0))
+        assert list(_sweep([a, b])) == [(0.0, 1.0 - 5e-10, (1.0, 2.0))]
+        t1 = TypeDatum(SliceProfile(C, (a,)), 0.0, 0.0)
+        t2 = TypeDatum(SliceProfile(C, (b,)), 0.0, 0.0)
+        assert distance(t1, t2) == 1.0 - 5e-10
+        assert not t1.equals(t2)
