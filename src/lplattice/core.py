@@ -34,8 +34,10 @@ _TUPLE = {tuple}
 
 
 def close(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
-    """Tolerance comparison; relative once magnitudes exceed 1."""
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    """Tolerance comparison; relative once magnitudes exceed 1.  Never true
+    when a - b is not finite: an infinite bound would pass any gap."""
+    gap = abs(a - b)
+    return gap <= tol * max(1.0, abs(a), abs(b)) and gap < math.inf
 
 
 def tolerance_groups(

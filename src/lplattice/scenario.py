@@ -14,6 +14,17 @@ the fields it reads and their kinds, the function it calls, and how its result
 is written and bound under "as".  Commands that refine the space (realize,
 extend, maharam) thread the refinement through everything registered, and
 the report logs it.
+
+The serializer writes a document column by column, so that its cost goes to
+C-level passes rather than to one Python call per value.  The items of all
+the containers at one depth under one parent sequence are written as one
+sequence: exact floats through a memo that formats each distinct value once
+per `dumps` (zeros are never kept, as 0.0 == -0.0), exact strings in one
+quoting pass.  Records, lists of more dicts than keys that share one tuple of
+string keys (space cells, blocks, profile segments, refinement children), go
+through one %-template per key tuple, each column written at once.  The bytes
+are those of the item-by-item writer, and an unwritable value is named in
+document order: a record list that meets one re-writes itself record by record.
 """
 
 from __future__ import annotations
@@ -21,8 +32,9 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from .core import DEFAULT_TOL, Refinement, Space, StepFunction, lift, step_function
 from .errors import LatticeError, ParseError, UnknownReference, ValidationError
@@ -55,7 +67,78 @@ def _format_number(x: float) -> str:
     return s if "." in s or "e" in s else s + ".0"
 
 
-def _encode(doc: Any, newline: str) -> str:
+class _Floats(dict):
+    """The text of each exact float met in one `dumps`, formatted on its first
+    miss.  Zeros are formatted every time and never kept: 0.0 == -0.0, so one
+    entry would serve both."""
+
+    __slots__ = ()
+
+    def __missing__(self, x: float) -> str:
+        text = _format_number(x)
+        if x:
+            self[x] = text
+        return text
+
+
+def _texts(seq: Sequence, newline: str, floats: _Floats) -> Iterator[str]:
+    """The text of each item of seq, each written on a line that `newline` opens.
+
+    Items of one kind are written together: exact floats through the memo,
+    exact strings through one quoting pass, and lists or dicts by writing all
+    their items (values) as one sequence, column by column.  Every other
+    sequence is written item by item.  Either way the first unwritable value
+    in document order is the one named.  Texts are made as they are read, so
+    that each is freed once its container has joined it."""
+    kinds = set(map(type, seq))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind is float:
+            return map(floats.__getitem__, seq)
+        if kind is str:
+            return map(_quote, seq)
+        if kind is dict:
+            return iter(_dicts(seq, newline, floats))
+        if kind is list or kind is tuple:
+            return iter(_lists(seq, newline, floats))
+    return map(_encode, seq, repeat(newline), repeat(floats))
+
+
+def _lists(seq: Sequence, newline: str, floats: _Floats) -> list[str]:
+    """The text of each list in seq: their items are written as one sequence."""
+    inner = newline + "  "
+    sep = "," + inner
+    items = _texts(list(chain.from_iterable(seq)), inner, floats)
+    return ["[" + inner + sep.join(islice(items, n)) + newline + "]" if n else "[]" for n in map(len, seq)]
+
+
+def _dicts(seq: Sequence, newline: str, floats: _Floats) -> list[str]:
+    """The text of each dict in seq: their values are written as one sequence,
+    or, for records, as one sequence per column."""
+    inner = newline + "  "
+    sep = "," + inner
+    keys = seq[0].keys()
+    # records: more dicts than keys, all with the same string keys in the same
+    # order, go through one %-template with each column written at once
+    if (
+        0 < len(keys) < len(seq)
+        and len(set(map(tuple, seq))) == 1
+        and set(map(type, chain.from_iterable(seq))) == {str}
+    ):
+        fields = sep.join([_quote(key).replace("%", "%%") + ": %s" for key in keys])
+        template = "{" + inner + fields + newline + "}"
+        try:
+            columns = [_texts(column, inner, floats) for column in zip(*map(dict.values, seq))]
+            return list(map(template.__mod__, zip(*columns)))
+        except ValidationError:  # columns meet the values out of document order
+            return [_encode(record, newline, floats) for record in seq]
+    values = _texts(list(chain.from_iterable(map(dict.values, seq))), inner, floats)
+    names = map(_quote, map(str, chain.from_iterable(seq)))
+    items = map(str.__add__, map(str.__add__, names, repeat(": ")), values)
+    return ["{" + inner + sep.join(islice(items, n)) + newline + "}" if n else "{}" for n in map(len, seq)]
+
+
+def _encode(doc: Any, newline: str, floats: _Floats) -> str:
     """The text of `doc`; `newline` is a line break and the indent of its line."""
     kind = type(doc)
     if kind is float:
@@ -63,17 +146,9 @@ def _encode(doc: Any, newline: str) -> str:
     if kind is str:
         return _quote(doc)
     if kind is dict:
-        if not doc:
-            return "{}"
-        inner = newline + "  "
-        items = [_quote(str(key)) + ": " + _encode(value, inner) for key, value in doc.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return _dicts((doc,), newline, floats)[0]
     if kind is list or kind is tuple:
-        if not doc:
-            return "[]"
-        inner = newline + "  "
-        items = [_encode(item, inner) for item in doc]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return _lists((doc,), newline, floats)[0]
     if doc is None:
         return "null"
     if kind is bool:
@@ -88,15 +163,15 @@ def _encode(doc: Any, newline: str) -> str:
     if isinstance(doc, str):
         return _quote(doc)
     if isinstance(doc, (list, tuple)):
-        return _encode(list(doc), newline)
+        return _encode(list(doc), newline, floats)
     if isinstance(doc, dict):
-        return _encode(dict(doc.items()), newline)
+        return _encode(dict(doc.items()), newline, floats)
     raise ValidationError(f"cannot serialize {type(doc).__name__}")
 
 
 def dumps(doc: Any) -> str:
     """Serialize a report or scenario document with stable bytes."""
-    return _encode(doc, "\n") + "\n"
+    return _encode(doc, "\n", _Floats()) + "\n"
 
 
 # --- document <-> object ------------------------------------------------------

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 from bisect import bisect_right
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -565,6 +566,63 @@ def reference_dumps(doc: Any) -> str:
     out.append("\n")
     return "".join(out)
 
+
+
+# --- reference joined serializer -----------------------------------------------
+# `lplattice.scenario._encode` from before it wrote containers column by column:
+# one joined string per value, written item by item.  Kept verbatim, with its
+# number formatter, as the second reference the serializer's differential tests
+# compare against.
+
+def _joined_number(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValidationError(f"cannot serialize non-finite number {x!r}")
+    s = format(float(x), ".17g")
+    return s if "." in s or "e" in s else s + ".0"
+
+
+def _joined_encode(doc: Any, newline: str) -> str:
+    """The text of `doc`; `newline` is a line break and the indent of its line."""
+    kind = type(doc)
+    if kind is float:
+        return _joined_number(doc)
+    if kind is str:
+        return encode_basestring_ascii(doc)
+    if kind is dict:
+        if not doc:
+            return "{}"
+        inner = newline + "  "
+        items = [encode_basestring_ascii(str(key)) + ": " + _joined_encode(value, inner) for key, value in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not doc:
+            return "[]"
+        inner = newline + "  "
+        items = [_joined_encode(item, inner) for item in doc]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if doc is None:
+        return "null"
+    if kind is bool:
+        return "true" if doc else "false"
+    if kind is int:
+        return str(doc)
+    # subclasses (numpy.float64, OrderedDict, ...) are written as their base type
+    if isinstance(doc, int):
+        return str(doc)
+    if isinstance(doc, float):
+        return _joined_number(doc)
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    if isinstance(doc, (list, tuple)):
+        return _joined_encode(list(doc), newline)
+    if isinstance(doc, dict):
+        return _joined_encode(dict(doc.items()), newline)
+    raise ValidationError(f"cannot serialize {type(doc).__name__}")
+
+
+def joined_dumps(doc: Any) -> str:
+    """Serialize a report or scenario document with stable bytes."""
+    return _joined_encode(doc, "\n") + "\n"
 
 # --- reference constructor checks and block laws ---------------------------------
 # The per-cell checks `Space`, `StepFunction` and `Refinement` ran on every

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_dumps
+from conftest import joined_dumps, reference_dumps
 from hypothesis import given, settings, strategies as st
 
 from lplattice import (
@@ -78,6 +79,80 @@ DOCUMENTS = st.recursive(
     | st.dictionaries(st.text() | st.integers() | st.booleans(), children),
     max_leaves=40,
 )
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# containers whose items are all containers: whole levels are written as one
+# sequence and regrouped
+NESTED = st.recursive(
+    st.lists(FINITE, max_size=4) | st.lists(st.text(max_size=2), max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=2), children, max_size=4),
+    max_leaves=30,
+)
+
+
+class FloatSub(float):
+    pass
+
+
+def _twin(key):
+    """A key equal to `key` that is written differently (1 and True), else key."""
+    if type(key) is bool:
+        return int(key)
+    if type(key) is int and key in (0, 1):
+        return bool(key)
+    return key
+
+
+RECORD_KEYS = st.sampled_from(["%", "%s", "%%d", "é", "ключ", "x"]) | st.integers(-2, 2) | st.booleans() | st.text(max_size=3)
+RECORD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e16, 2.0**53, 1e17, 123456789012345678.0]),
+    st.integers(10**16, 10**20).map(float),
+    FINITE,
+    FINITE.map(FloatSub),
+    FINITE.map(np.float64),
+    st.lists(st.sampled_from([0.0, -0.0, 1e16, 0.5]) | FINITE, max_size=6),
+    st.lists(st.fixed_dictionaries({"length": FINITE, "value": FINITE}), max_size=6),
+    st.text(max_size=3),
+    st.none() | st.booleans() | st.integers(),
+)
+
+
+@st.composite
+def records(draw):
+    """A list of >= 2 dicts whose key tuples are equal; some records may use
+    an equal key of another type (True for 1)."""
+    keys = draw(st.lists(RECORD_KEYS, min_size=1, max_size=3, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(2, 9))):
+        twin = draw(st.booleans())
+        values = draw(st.lists(RECORD_VALUES, min_size=len(keys), max_size=len(keys)))
+        rows.append(dict(zip([_twin(k) if twin else k for k in keys], values)))
+    return rows
+
+
+def large_scenario(n: int = 3000) -> dict:
+    """A space of n cells, C with n/10 blocks, and a condexp, a profile and an
+    extend over C, drawn from one seeded generator."""
+    rng = random.Random(0)
+    ids = [f"c{i}" for i in range(n)]
+    shuffled = rng.sample(ids, n)
+    blocks = [shuffled[k :: n // 10] for k in range(n // 10)]
+
+    def function():
+        return {"values": {c: rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0]) for c in ids if rng.random() < 0.7}}
+
+    return {
+        "space": {"p": 2.0, "cells": [{"id": c, "weight": rng.choice([0.25, 0.5, 1.0, 2.0])} for c in ids]},
+        "functions": {"f": function(), "g": function()},
+        "sublattices": {
+            "C": {"blocks": [{"cells": b, "profile": {c: rng.choice([0.5, 1.0, 2.0]) for c in b}} for b in blocks]}
+        },
+        "commands": [
+            {"op": "condexp", "f": "f", "c": "C"},
+            {"op": "profile", "f": "f", "c": "C"},
+            {"op": "extend", "fs": ["f", "g"], "c": "C", "b": "C"},
+        ],
+    }
 
 
 def run_with_src(argv: list[str]) -> str:
@@ -213,7 +288,24 @@ class TestSerializer:
     @settings(max_examples=200, deadline=None)
     @given(DOCUMENTS)
     def test_matches_reference_writer(self, doc):
-        assert dumps(doc) == reference_dumps(doc)
+        assert dumps(doc) == reference_dumps(doc) == joined_dumps(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(NESTED)
+    def test_nested_containers_match_reference_writers(self, doc):
+        assert dumps(doc) == reference_dumps(doc) == joined_dumps(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(records())
+    def test_records_match_reference_writers(self, rows):
+        for doc in (rows, {"rows": rows, "nested": [rows, rows[:1]]}):
+            assert dumps(doc) == reference_dumps(doc) == joined_dumps(doc)
+
+    def test_large_report_matches_reference_writers(self):
+        report = execute_scenario_doc(large_scenario())
+        assert len(report["scenario"]["space"]["cells"]) == 3000
+        assert report["refinements"][0]["splitting"]
+        assert dumps(report) == reference_dumps(report) == joined_dumps(report)
 
     @pytest.mark.parametrize(
         "doc",
@@ -226,15 +318,31 @@ class TestSerializer:
             {1, 2},
             b"bytes",
             {"a": [{"b": frozenset()}]},
+            # records are written column by column; the value named is still
+            # the first in document order (inf, not the nan of column "a")
+            [{"a": 1.0, "b": float("inf")}, {"a": float("nan"), "b": 2.0}] + [{"a": 3.0, "b": 4.0}] * 3,
+            [{"a": [0.5] * 5, "b": {1}}, {"a": [float("nan")] * 5, "b": 2.0}] + [{"a": [], "b": 4.0}] * 3,
         ],
-        ids=["nan", "inf", "-inf", "nested-nan", "nested-inf", "set", "bytes", "nested-frozenset"],
+        ids=[
+            "nan",
+            "inf",
+            "-inf",
+            "nested-nan",
+            "nested-inf",
+            "set",
+            "bytes",
+            "nested-frozenset",
+            "records-inf-before-nan",
+            "records-set-before-nan",
+        ],
     )
     def test_unserializable_raises_like_reference(self, doc):
         with pytest.raises(ValidationError) as ours:
             dumps(doc)
-        with pytest.raises(ValidationError) as theirs:
-            reference_dumps(doc)
-        assert str(ours.value) == str(theirs.value)
+        for reference in (reference_dumps, joined_dumps):
+            with pytest.raises(ValidationError) as theirs:
+                reference(doc)
+            assert str(ours.value) == str(theirs.value)
 
     def test_subclasses_format_like_their_base(self):
         class Real(float):
@@ -245,7 +353,7 @@ class TestSerializer:
 
         doc = {"x": Real(0.1), "y": np.float64(2.0), "z": Items([Real(3.0)]), "w": OrderedDict(a=1)}
         plain = {"x": 0.1, "y": 2.0, "z": [3.0], "w": {"a": 1}}
-        assert dumps(doc) == reference_dumps(doc) == dumps(plain)
+        assert dumps(doc) == reference_dumps(doc) == joined_dumps(doc) == dumps(plain)
         with pytest.raises(ValidationError, match="non-finite number"):
             dumps(np.float64("nan"))
 
@@ -295,6 +403,17 @@ class TestCliMain:
     def test_report_is_golden(self, capsys, scenario):
         report = scenario.with_name(scenario.name.replace("_scenario.json", "_report.json"))
         assert main(["run", str(scenario)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == report.read_bytes()
+
+    @pytest.mark.parametrize(
+        "scenario",
+        sorted(DATA.glob("*_scenario.json")),
+        ids=lambda path: path.name[: -len("_scenario.json")],
+    )
+    def test_report_replays_itself(self, capsys, scenario):
+        # a report is accepted as a scenario: running it runs the scenario it embeds
+        report = scenario.with_name(scenario.name.replace("_scenario.json", "_report.json"))
+        assert main(["run", str(report)]) == 0
         assert capsys.readouterr().out.encode("utf-8") == report.read_bytes()
 
     @pytest.mark.parametrize(

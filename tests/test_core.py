@@ -40,6 +40,33 @@ def unit_space(n=3, p=2.0):
     return make_space([(f"c{i}", 1.0) for i in range(n)], p)
 
 
+INF = float("inf")
+
+
+class TestClose:
+    @pytest.mark.parametrize(
+        "a, b, tol, expected",
+        [
+            (1.0, 1.0 + 1e-10, 1e-9, True),
+            (1e300, 1e300 * (1.0 + 1e-12), 1e-9, True),
+            (0.0, -0.0, 0.0, True),
+            (1.0, 1.0 + 1e-8, 1e-9, False),
+            (INF, 2.0, 1e-9, False),
+            (2.0, INF, 1e-9, False),
+            (-INF, 0.0, 1e-9, False),
+            (1e308, -INF, 1e300, False),
+            (INF, INF, 1e-9, False),
+            (INF, -INF, 1e-9, False),
+            (float("nan"), 1.0, 1e-9, False),
+            # finite sides whose difference overflows, under a bound that does too
+            (1e308, -1e308, 1e300, False),
+        ],
+    )
+    def test_verdicts(self, a, b, tol, expected):
+        assert close(a, b, tol) is expected
+        assert close(b, a, tol) is expected
+
+
 class TestMakeSpace:
     def test_three_unit_cells(self):
         space = unit_space(3, 2.0)
