@@ -10,17 +10,17 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .core import DEFAULT_TOL
-from .errors import LatticeError
+from .core import DEFAULT_TOL, check_tol
+from .errors import LatticeError, ValidationError
 from .scenario import dumps, execute_scenario
 
 
 def tolerance(text: str) -> float:
     """The --tol argument: a finite number >= 0 (argparse reports a ValueError)."""
-    tol = float(text)
-    if not 0.0 <= tol <= sys.float_info.max:  # also false for nan
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return tol
+    try:
+        return check_tol(float(text))
+    except ValidationError as exc:  # argparse names the argument: --tol
+        raise argparse.ArgumentTypeError(str(exc).removeprefix("tol: ")) from None
 
 
 def count(text: str) -> int:

@@ -10,6 +10,7 @@ other invariant computed downstream.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
@@ -25,12 +26,23 @@ from .errors import (
     NonPositiveWeight,
     SpaceMismatch,
     UnknownCell,
+    ValidationError,
 )
 
 DEFAULT_TOL = 1e-9
 
 _FLOAT = {float}
 _TUPLE = {tuple}
+
+
+def check_tol(tol: float) -> float:
+    """tol itself when it is a finite number >= 0; else a ValidationError
+    naming tol.  A negative or nan tol fails every comparison and an infinite
+    one passes every comparison, so neither reaches a computation."""
+    number = isinstance(tol, (int, float)) and not isinstance(tol, bool)
+    if number and 0.0 <= tol <= sys.float_info.max:  # false for nan
+        return tol
+    raise ValidationError(f"tol: must be a finite number >= 0, got {tol!r}")
 
 
 def close(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:

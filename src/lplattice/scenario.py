@@ -32,11 +32,12 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
+from functools import partial
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .core import DEFAULT_TOL, Refinement, Space, StepFunction, lift, step_function
+from .core import DEFAULT_TOL, Refinement, Space, StepFunction, check_tol, lift, step_function
 from .errors import LatticeError, ParseError, UnknownReference, ValidationError
 from .independence import (
     IndependenceVerdict,
@@ -48,6 +49,7 @@ from .independence import (
 from .sublattice import Sublattice, cond_exp, dcl
 from .typespace import (
     SliceProfile,
+    TypeDatum,
     canonical_realization,
     conditional_slice,
     distance,
@@ -319,6 +321,8 @@ _NUM = (
     lambda run, v, at: _number(v, at),
 )
 _CELLS = ("a list of cells", lambda v: isinstance(v, list), lambda run, v, at: [str(c) for c in v])
+# a sublattice's name, read as the types over it: f -> type_datum(f, C, tol), from the runner's memo
+_TYPES = _FN[:2] + (lambda run, v, at: partial(run.type_over, run.named("sublattice", v, at)),)
 _LIST = ("a list", lambda v: isinstance(v, list))
 _OBJECT = ("an object", lambda v: isinstance(v, dict))
 
@@ -332,12 +336,12 @@ _OPS = {
     "condexp": ("_cond_exp", {"f": _FN, "c": _SUB}, "function_to_doc", _FN),
     "slice": ("conditional_slice", {"f": _FN, "c": _SUB, "r": _NUM}, "function_to_doc", _FN),
     "profile": ("slice_profile", {"f": _FN, "c": _SUB}, "profile_to_doc", None),
-    "dist": ("_distance", {"f": _FN, "g": _FN, "c": _SUB}, None, None),
+    "dist": ("_distance", {"f": _FN, "g": _FN, "c": _TYPES}, None, None),
     "typeeq": ("tuple_type_equal", {"fs": _FNS, "gs": _FNS, "c": _SUB}, None, None),
     "indep": ("star_independent", {"a": _SIDE, "b": _SIDE, "c": _SIDE}, "verdict_to_doc", None),
     "productcheck": ("product_check", {"a": _SUB, "b": _SUB, "c": _SUB}, None, None),
     "cb": ("canonical_base", {"fs": _FNS, "a": _SUB}, "sublattice_to_doc", _SUB),
-    "realize": ("_realize", {"f": _FN, "c": _SUB}, "function_to_doc", _FN),
+    "realize": ("_realize", {"f": _FN, "c": _TYPES}, "function_to_doc", _FN),
     "extend": ("nonforking_extension", {"fs": _FNS, "c": _SUB, "b": _SUB}, "_functions_to_doc", _FNS),
     "maharam": ("maharam_select", {"cells": _CELLS, "c": _SUB, "target": _FN}, "_selection_to_doc", None),
 }
@@ -349,12 +353,14 @@ def _cond_exp(f: StepFunction, C: Sublattice, tol: float) -> StepFunction:
     return cond_exp(f, C)
 
 
-def _distance(f: StepFunction, g: StepFunction, C: Sublattice, tol: float) -> float:
-    return distance(type_datum(f, C, tol), type_datum(g, C, tol), tol)
+def _distance(
+    f: StepFunction, g: StepFunction, types: Callable[[StepFunction], TypeDatum], tol: float
+) -> float:
+    return distance(types(f), types(g), tol)
 
 
-def _realize(f: StepFunction, C: Sublattice, tol: float) -> tuple:
-    return canonical_realization(type_datum(f, C, tol))
+def _realize(f: StepFunction, types: Callable[[StepFunction], TypeDatum], tol: float) -> tuple:
+    return canonical_realization(types(f))
 
 
 def _functions_to_doc(fs: Iterable[StepFunction]) -> list:
@@ -404,6 +410,8 @@ class _Runner:
         self.functions: dict[str, StepFunction] = {}
         self.sublattices: dict[str, Sublattice] = {}
         self.refinements: list[dict] = []
+        # (id(f), id(C)) -> (f, C, type datum); holding both objects keeps their ids unused
+        self.types: dict[tuple[int, int], tuple[StepFunction, Sublattice, TypeDatum]] = {}
         for name, fdoc in _of_kind(doc.get("functions", {}), "functions", _OBJECT).items():
             _require(fdoc, f"functions.{name}", ("values",))
             where = f"functions.{name}.values"
@@ -441,8 +449,16 @@ class _Runner:
         except KeyError:
             raise UnknownReference(f"{where}: no {kind} named {name!r}") from None
 
+    def type_over(self, C: Sublattice, f: StepFunction) -> TypeDatum:
+        """type_datum(f, C, tol), computed once per (f, C) pair per run."""
+        key = (id(f), id(C))
+        if key not in self.types:
+            self.types[key] = (f, C, type_datum(f, C, self.tol))
+        return self.types[key][2]
+
     def _apply_refinement(self, refinement: Refinement) -> None:
         self.space = refinement.child
+        self.types = {}  # every function and sublattice is replaced by its lift
         self.functions = {
             name: lift(f, refinement) for name, f in self.functions.items()
         }
@@ -472,16 +488,21 @@ def execute_scenario_doc(doc: Any, tol: float = DEFAULT_TOL) -> dict:
 
     Report documents are accepted too: the scenario they embed is run.
     """
+    check_tol(tol)
     if isinstance(doc, dict) and "scenario" in doc and ("results" in doc or "space" not in doc):
         doc = doc["scenario"]
     if not isinstance(doc, dict):
         raise ValidationError("scenario must be a JSON object")
     runner = _Runner(doc, tol)
     commands = _of_kind(doc.get("commands", []), "commands", _LIST)
+    results = [runner.run(i, cmd) for i, cmd in enumerate(commands)]
+    # the types serve the commands only: kept while the report's space is
+    # written, they would raise the peak memory of a scenario of dists
+    runner.types = {}
     return {
         "tol": tol,
         "scenario": doc,
-        "results": [runner.run(i, cmd) for i, cmd in enumerate(commands)],
+        "results": results,
         "refinements": runner.refinements,
         "space": space_to_doc(runner.space),
     }
@@ -489,6 +510,7 @@ def execute_scenario_doc(doc: Any, tol: float = DEFAULT_TOL) -> dict:
 
 def execute_scenario(path: str, tol: float = DEFAULT_TOL) -> dict:
     """Load, validate, and run a scenario file."""
+    check_tol(tol)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = handle.read()

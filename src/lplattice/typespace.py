@@ -188,10 +188,17 @@ def _layout(atoms: Sequence[Atom], total: float) -> Layout:
     return tuple([(mass / total, vec) for vec, mass in reversed(atoms)])
 
 
+def _check_r(r: float) -> None:
+    """BadR unless r lies in (0,1); nan does not."""
+    if not 0.0 < r < 1.0:
+        raise BadR(f"r must lie in (0,1), got {r!r}")
+
+
 def _read(layouts: Sequence[Sequence[tuple]], cuts: Sequence[list[float]], r: float) -> list:
-    """Every layout's value at a given r, right-continuous: one bisect on its
-    cuts (the running sums of its lengths), and past its last cut, its last
-    segment's value."""
+    """Every layout's value at a given r in (0,1), right-continuous: one bisect
+    on its cuts (the running sums of its lengths), and past its last cut, its
+    last segment's value.  BadR for any other r."""
+    _check_r(r)
     return [segs[bisect_right(c, r, 0, len(segs) - 1)][1] for segs, c in zip(layouts, cuts)]
 
 
@@ -263,8 +270,7 @@ def conditional_slice(
     f: StepFunction, C: Sublattice, r: float, tol: float = DEFAULT_TOL
 ) -> StepFunction:
     """The conditional r-slice of f over C (right-continuous in r)."""
-    if not 0.0 < r < 1.0:
-        raise BadR(f"r must lie in (0,1), got {r!r}")
+    _check_r(r)  # before the profile is computed
     return slice_profile(f, C, tol).function_at(r)
 
 

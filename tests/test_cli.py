@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -234,6 +235,36 @@ class TestExecuteScenario:
         assert report["results"][0]["result"] > 0
         assert report["results"][4]["result"] is True
 
+    def test_dist_reads_each_type_once(self, monkeypatch):
+        # the runner computes tp(f/C) once per (function object, sublattice object) pair
+        import lplattice.scenario as scenario
+
+        pairs = []
+
+        def counting(f, C, tol, original=scenario.type_datum):
+            pairs.append((f, C))
+            return original(f, C, tol)
+
+        monkeypatch.setattr(scenario, "type_datum", counting)
+        execute_scenario(str(DATA / "distmatrix_scenario.json"))
+        # nine dists over C and three over B read f, g and h over each: 6 pairs;
+        # the slice rebinds g, so dist f g C reads (g', C): 7; realize f C reads
+        # (f, C) again; the refinement lifts every object, so dist f fr C and
+        # dist f g C read (f, C), (fr, C) and (g', C) anew: 10
+        assert len(pairs) == 10
+        assert len({(id(f), id(C)) for f, C in pairs}) == 10
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
+    def test_tol_is_checked_at_entry(self, tol):
+        # a negative or nan tol fails every comparison and an infinite one passes
+        # every comparison; either would run commands to a misleading end
+        path = DATA / "readme_scenario.json"
+        message = "^" + re.escape(f"tol: must be a finite number >= 0, got {tol!r}") + "$"
+        with pytest.raises(ValidationError, match=message):
+            execute_scenario(str(path), tol)
+        with pytest.raises(ValidationError, match=message):
+            execute_scenario_doc(json.loads(path.read_text()), tol)
+
     def test_report_round_trip(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(masked_dependence_scenario()))
@@ -249,6 +280,27 @@ class TestExecuteScenario:
         a = dumps(execute_scenario(str(path)))
         b = dumps(execute_scenario(str(path)))
         assert a == b
+
+
+class TestOpTable:
+    def test_ops_name_callables_of_the_module(self):
+        import lplattice.scenario as scenario
+
+        for op, (function, _, writer, _) in scenario._OPS.items():
+            assert callable(getattr(scenario, function, None)), (op, function)
+            assert writer is None or callable(getattr(scenario, writer, None)), (op, writer)
+
+    def test_refining_ops_are_ops(self):
+        import lplattice.scenario as scenario
+
+        assert set(scenario._REFINING) <= scenario._OPS.keys()
+
+    def test_readme_lists_the_ops(self):
+        import lplattice.scenario as scenario
+
+        readme = (DATA.parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = readme.split("Ops: `", 1)[1].split("`", 1)[0]
+        assert [op.strip() for op in listed.split("|")] == list(scenario._OPS)
 
 
 class TestDocumentSchemas:

@@ -10,6 +10,8 @@ UNREAD_ALLOWED = {
     # an op-table adapter: the runner passes tol after an op's fields to every
     # function in scenario._OPS, and E_C itself compares nothing
     ("scenario.py", "_cond_exp", "tol"),
+    # the same, for realize: its type comes from the runner's memo, made at the run's tol
+    ("scenario.py", "_realize", "tol"),
     # a suite-table checker: run_suites calls every checker as (seed, tol), and
     # this one compares at its own fixed check bounds
     ("verify.py", "check_cond_exp_axioms", "tol"),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from conftest import (
@@ -139,6 +140,19 @@ class TestSliceProfile:
         prof = SliceProfile(C, (((0.5, 2.0), (0.5 - 1e-12, 1.0)),))
         assert prof.coefficient(0, 1.0 - 1e-13) == 1.0
         assert prof.function_at(1.0 - 1e-13) == indicator(space, space.ids())
+
+    @pytest.mark.parametrize("r", [-1.0, 0.0, 1.0, 1.5, float("nan")])
+    def test_point_reads_need_r_in_the_unit_interval(self, r):
+        # as conditional_slice does; a bisect would read any r
+        _, C = one_block_space()
+        prof = SliceProfile(C, (((0.5, 2.0), (0.5, 1.0)),))
+        message = "^" + re.escape(f"r must lie in (0,1), got {r!r}") + "$"
+        with pytest.raises(BadR, match=message):
+            prof.coefficient(0, r)
+        with pytest.raises(BadR, match=message):
+            prof.coefficients_at(r)
+        with pytest.raises(BadR, match=message):
+            prof.function_at(r)
 
     def test_zero_function(self):
         space, C = one_block_space()
