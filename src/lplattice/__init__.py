@@ -12,17 +12,14 @@ from .core import (
     Refinement,
     Space,
     StepFunction,
-    add_fresh_cells,
     close,
     density_change,
-    embed,
     function_close,
     indicator,
     lift,
     make_space,
     norm,
     refine_space,
-    split_cell,
     step_function,
     zero,
 )

@@ -432,12 +432,12 @@ def refine_space(
     space: Space,
     plan: Mapping[str, Sequence[float]],
     fresh: Iterable[tuple[str, float]] = (),
-) -> tuple[Space, Refinement]:
+) -> Refinement:
     """Split several cells at once; children are named parent#k.
 
     plan maps cell id -> positive fractions summing to 1; the Refinement
     checks the sum.  Cells listed in fresh are appended to the child space
-    without a parent.
+    without a parent; lifted functions are zero there.
     """
     unknown = set(plan) - set(space.ids())
     if unknown:
@@ -449,20 +449,14 @@ def refine_space(
             fr = tuple(map(float, plan[cid]))
             if not (fr and all(map(math.isfinite, fr)) and min(fr) > 0.0):
                 raise BadFractions(f"fractions for {cid!r} must be positive")
-            kids = tuple(f"{cid}#{k}" for k in range(len(fr)))
+            kids = tuple([f"{cid}#{k}" for k in range(len(fr))])
             cells.extend(zip(kids, [w * x for x in fr]))
         else:
             kids = (cid,)
             cells.append((cid, w))
         splitting[cid] = kids
     cells.extend((str(cid), float(w)) for cid, w in fresh)
-    child = Space(tuple(cells), space.p)
-    return child, Refinement(space, child, splitting)
-
-
-def split_cell(space: Space, cell: str, fractions: Sequence[float]) -> tuple[Space, Refinement]:
-    """Replace one cell by sub-cells with weights weight*fraction."""
-    return refine_space(space, {cell: tuple(fractions)})
+    return Refinement(space, Space(tuple(cells), space.p), splitting)
 
 
 def lift(f: StepFunction, r: Refinement) -> StepFunction:
@@ -471,21 +465,6 @@ def lift(f: StepFunction, r: Refinement) -> StepFunction:
         raise SpaceMismatch("function does not live on the refinement's parent space")
     out = {kid: v for cid, v in f.values.items() for kid in r.splitting[cid]}
     return StepFunction(r.child, out)
-
-
-def add_fresh_cells(space: Space, cells: Iterable[tuple[str, float]]) -> Space:
-    """Enlarge a space by new cells; existing functions embed with value 0."""
-    return Space(space.cells + tuple((str(cid), float(w)) for cid, w in cells), space.p)
-
-
-def embed(f: StepFunction, bigger: Space) -> StepFunction:
-    """Zero-extension of f onto an enlarged space."""
-    if bigger.p != f.space.p:
-        raise SpaceMismatch("exponents differ")
-    for cid, w in f.space.cells:
-        if cid not in bigger or bigger.weight(cid) != w:
-            raise SpaceMismatch(f"cell {cid!r} missing or reweighted in the target space")
-    return StepFunction(bigger, dict(f.values))
 
 
 def fresh_ids(space: Space, count: int) -> tuple[str, ...]:

@@ -208,7 +208,7 @@ def nonforking_extension(
     C: Sublattice,
     B: Sublattice,
     tol: float = DEFAULT_TOL,
-) -> tuple[Space, Refinement, tuple[StepFunction, ...]]:
+) -> tuple[Refinement, tuple[StepFunction, ...]]:
     """A tuple with the type of fs over C that is independent from B over C.
 
     Realizes the conditional law of fs given C by splitting every cell of
@@ -217,8 +217,7 @@ def nonforking_extension(
     B.  Both postconditions are asserted by the callers' tests.
     """
     _require_sublattice(C, B, "B", tol)
-    d = cond_distribution(fs, C, tol)
-    return realize_cond_distribution(d, C, tol)
+    return realize_cond_distribution(cond_distribution(fs, C, tol))
 
 
 @dataclass(frozen=True)

@@ -186,10 +186,12 @@ def space_to_doc(space: Space) -> dict:
 
 
 def _number(value: Any, path: str, key: Any = None) -> float:
-    """A document number as a finite float; any other value is a
-    ValidationError naming its path, path.key when a key is given (built only
-    then: objects of numbers hold thousands of values)."""
+    """A document number as a finite float; any other value, a boolean too,
+    is a ValidationError naming its path, path.key when a key is given (built
+    only then: objects of numbers hold thousands of values)."""
     try:
+        if type(value) is bool:  # float(True) is 1.0
+            raise TypeError
         x = float(value)
         if math.isfinite(x):
             return x
@@ -345,7 +347,7 @@ _OPS = {
     "extend": ("nonforking_extension", {"fs": _FNS, "c": _SUB, "b": _SUB}, "_functions_to_doc", _FNS),
     "maharam": ("maharam_select", {"cells": _CELLS, "c": _SUB, "target": _FN}, "_selection_to_doc", None),
 }
-# the ops that refine the space: their function returns (space, refinement, result)
+# the ops that refine the space: their function returns (refinement, result)
 _REFINING = ("realize", "extend", "maharam")
 
 
@@ -474,7 +476,7 @@ class _Runner:
         with _naming(f"commands[{i}]"):  # an error raised deep inside the command
             result = globals()[function](*args, self.tol)
             if cmd["op"] in _REFINING:
-                _, refinement, result = result
+                refinement, result = result
                 self._apply_refinement(refinement)
         if binds is not None and "as" in cmd:
             registry = self.sublattices if binds is _SUB else self.functions

@@ -463,7 +463,7 @@ def _lay_out(
     per_block: Sequence[Layout],
     fresh: Sequence[tuple[str, float, tuple[float, ...]]],
     arity: int,
-) -> tuple[Space, Refinement, tuple[StepFunction, ...]]:
+) -> tuple[Refinement, tuple[StepFunction, ...]]:
     """Lay out `arity` functions on one refinement of C's space.
 
     per_block[k] is block k's layout: every cell of block k splits by its
@@ -475,7 +475,7 @@ def _lay_out(
     for block, segs in zip(C.blocks, per_block):
         if len(segs) > 1:
             plan.update(dict.fromkeys(block, tuple(length for length, _ in segs)))
-    child, refinement = refine_space(C.space, plan, [(fid, weight) for fid, weight, _ in fresh])
+    refinement = refine_space(C.space, plan, [(fid, weight) for fid, weight, _ in fresh])
     value_maps: list[dict[str, float]] = [{} for _ in range(arity)]
     for block, segs in zip(C.blocks, per_block):
         for cid in block:
@@ -486,7 +486,7 @@ def _lay_out(
     for fid, _, vec in fresh:
         for i in range(arity):
             value_maps[i][fid] = vec[i]
-    return child, refinement, tuple(StepFunction(child, vals) for vals in value_maps)
+    return refinement, tuple(StepFunction(refinement.child, vals) for vals in value_maps)
 
 
 def _orth_cells(
@@ -504,7 +504,7 @@ def _orth_cells(
     return cells
 
 
-def canonical_realization(t: TypeDatum) -> tuple[Space, Refinement, StepFunction]:
+def canonical_realization(t: TypeDatum) -> tuple[Refinement, StepFunction]:
     """The unique decreasing realization of a 1-type.
 
     Every support cell is split along the profile's r-breakpoints with the
@@ -516,21 +516,18 @@ def canonical_realization(t: TypeDatum) -> tuple[Space, Refinement, StepFunction
         tuple((length, (value,)) for length, value in segs) for segs in t.profile.per_block
     ]
     fresh = _orth_cells(C.space, (t.orth_pos,), (t.orth_neg,))
-    child, refinement, (g,) = _lay_out(C, per_block, fresh, 1)
-    return child, refinement, g
+    refinement, (g,) = _lay_out(C, per_block, fresh, 1)
+    return refinement, g
 
 
-def realize_cond_distribution(
-    d: ConditionalDistribution, C: Sublattice, tol: float = DEFAULT_TOL
-) -> tuple[Space, Refinement, tuple[StepFunction, ...]]:
+def realize_cond_distribution(d: ConditionalDistribution) -> tuple[Refinement, tuple[StepFunction, ...]]:
     """Realize a prescribed conditional law by proportional cell splitting.
 
     Each support cell splits by the block's normalized atom masses, so every
     atom occupies the same r-interval across the whole block; orthogonal
     atoms land on fresh cells whose weight equals the atom's mass.
     """
-    if not d.sublattice.equals(C, tol):
-        raise InvalidDistribution("distribution is over a different sublattice")
+    C = d.sublattice
     per_block = []
     for k, atoms in enumerate(d.per_block):
         if not atoms:
@@ -558,8 +555,7 @@ def realize_common(
         ends = starts[1:] + (1.0,)  # the last child runs to 1: a cell's fractions sum to 1
         per_block.append(tuple((b - a, v) for a, b, v in zip(starts, ends, values)))
     fresh = _orth_cells(C.space, (t1.orth_pos, t2.orth_pos), (t1.orth_neg, t2.orth_neg))
-    _, _, (f, g) = _lay_out(C, per_block, fresh, 2)
-    return f, g
+    return _lay_out(C, per_block, fresh, 2)[1]
 
 
 def maharam_select(
@@ -567,7 +563,7 @@ def maharam_select(
     C: Sublattice,
     target: StepFunction,
     tol: float = DEFAULT_TOL,
-) -> tuple[Space, Refinement, frozenset[str]]:
+) -> tuple[Refinement, frozenset[str]]:
     """Select B inside the given cell set with E(chi_B | C) equal to target.
 
     Works per block by a greedy scan in cell order, splitting at most one
@@ -606,8 +602,8 @@ def maharam_select(
                 plan[cid] = (phi, 1.0 - phi)
                 selected.append(cid)
                 need = 0.0
-    child, refinement = refine_space(space, plan)
-    return child, refinement, frozenset(refinement.children_of(cid)[0] for cid in selected)
+    refinement = refine_space(space, plan)
+    return refinement, frozenset(refinement.children_of(cid)[0] for cid in selected)
 
 
 def lift_profile(profile: SliceProfile, r: Refinement) -> SliceProfile:

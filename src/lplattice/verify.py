@@ -17,6 +17,7 @@ from .core import (
     DEFAULT_TOL,
     Space,
     StepFunction,
+    check_tol,
     density_change,
     function_close,
     indicator,
@@ -308,7 +309,7 @@ def check_independence_axioms(seed: int, tol: float = DEFAULT_TOL) -> Optional[s
                 return f"seed {seed}: finite character fails"
 
     fs = (f0, f1)
-    space2, r1, gs = nonforking_extension(fs, C, B, tol)
+    r1, gs = nonforking_extension(fs, C, B, tol)
     C1, B1 = C.lift(r1), B.lift(r1)
     lifted = tuple(lift(f, r1) for f in fs)
     if not tuple_type_equal(gs, lifted, C1, tol):
@@ -316,7 +317,7 @@ def check_independence_axioms(seed: int, tol: float = DEFAULT_TOL) -> Optional[s
     if not star_independent(gs, B1, C1, tol).independent:
         return f"seed {seed}: extension output is not independent"
 
-    _, r2, gs2 = nonforking_extension(gs, C1, B1, tol)
+    r2, gs2 = nonforking_extension(gs, C1, B1, tol)
     res = stationarity_check(
         tuple(lift(g, r2) for g in gs), gs2, C1.lift(r2), B1.lift(r2), tol
     )
@@ -391,8 +392,8 @@ def check_maharam(seed: int, tol: float = DEFAULT_TOL) -> Optional[str]:
     frac = rng.choice((0.0, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75, 1.0))
     bound = cond_exp(indicator(inst.space, cells), C)
     target = frac * bound
-    space2, refinement, selected = maharam_select(cells, C, target, tol)
-    got = cond_exp(indicator(space2, selected), C.lift(refinement))
+    refinement, selected = maharam_select(cells, C, target, tol)
+    got = cond_exp(indicator(refinement.child, selected), C.lift(refinement))
     if not function_close(got, lift(target, refinement), 1e-12):
         return f"seed {seed}: selection misses the target"
     children = {kid for cid in cells for kid in refinement.children_of(cid)}
@@ -471,6 +472,7 @@ def run_suites(
     seed: int = 0, trials: int = 60, tol: float = DEFAULT_TOL
 ) -> list[SuiteResult]:
     """Run every verification suite; trials bounds the per-suite instance count."""
+    check_tol(tol)
     suites = [
         (name, checker, ps, "p in {" + ", ".join(f"{p:g}" for p in ps) + "}")
         for name, checker, ps in FIXTURES

@@ -362,9 +362,10 @@ def _lay_out(
         if len(fractions) > 1:
             for cid in block:
                 plan[cid] = fractions
-    child, refinement = refine_space(
+    refinement = refine_space(
         C.space, plan, [(fid, weight) for fid, weight, _ in fresh]
     )
+    child = refinement.child
     value_maps: list[dict[str, float]] = [{} for _ in range(arity)]
     for block, (_, vectors) in zip(C.blocks, per_block):
         for cid in block:
@@ -880,8 +881,7 @@ def reference_realize_common(
         for layouts in zip(t1.profile.per_block, t2.profile.per_block)
     ]
     fresh = _orth_cells(C.space, (t1.orth_pos, t2.orth_pos), (t1.orth_neg, t2.orth_neg))
-    _, _, (f, g) = _typespace_lay_out(C, per_block, fresh, 2)
-    return f, g
+    return _typespace_lay_out(C, per_block, fresh, 2)[1]
 
 
 def reference_closed_canonical_base(

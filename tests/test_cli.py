@@ -415,8 +415,8 @@ class TestRefinementToDoc:
 
     def test_refine_space_then_and_identity(self):
         space = make_space([("a", 1.0), ("b", 3.0), ("c", 2.0)], 2.0)
-        mid, first = refine_space(space, {"b": (0.25, 0.75)}, [("fresh0", 5.0)])
-        _, second = refine_space(mid, {"a": (0.5, 0.5), "b#1": (0.5, 0.5)})
+        first = refine_space(space, {"b": (0.25, 0.75)}, [("fresh0", 5.0)])
+        second = refine_space(first.child, {"a": (0.5, 0.5), "b#1": (0.5, 0.5)})
         assert refinement_to_doc(first) == {
             "splitting": {"b": [{"id": "b#0", "weight": 0.75}, {"id": "b#1", "weight": 2.25}]},
             "fresh": [{"id": "fresh0", "weight": 5.0}],
@@ -760,6 +760,23 @@ class TestCliMain:
                 "error: ValidationError: commands[3].as: extend: 'as' must hold one name per "
                 "'fs' entry: 1, got 2",
             ),
+            # a JSON boolean is no number, though float(True) is 1.0
+            (
+                lambda doc: doc["space"].update({"p": True}),
+                "error: ValidationError: space.p: True is not a number",
+            ),
+            (
+                lambda doc: doc["space"]["cells"][0].update({"weight": True}),
+                "error: ValidationError: space.cells[0].weight: True is not a number",
+            ),
+            (
+                lambda doc: doc["functions"]["f"]["values"].update({"(2,3]": False}),
+                "error: ValidationError: functions.f.values.(2,3]: False is not a number",
+            ),
+            (
+                lambda doc: doc["sublattices"]["B"]["blocks"][0]["profile"].update({"[0,1]": True}),
+                "error: ValidationError: sublattices.B.blocks[0].profile.[0,1]: True is not a number",
+            ),
         ],
         ids=[
             "condexp-without-c",
@@ -794,6 +811,10 @@ class TestCliMain:
             "negative-weight",
             "cell-in-two-blocks",
             "extend-as-of-wrong-length",
+            "p-a-boolean",
+            "weight-a-boolean",
+            "value-a-boolean",
+            "profile-a-boolean",
         ],
     )
     def test_malformed_field_exit_two(self, tmp_path, capsys, edit, message):
@@ -1016,3 +1037,10 @@ class TestVerifySuites:
             (r.name, r.passed, r.detail) for r in b
         ]
         assert all(r.passed for r in a)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")], ids=["nan", "negative", "inf"])
+    def test_tol_is_checked_at_entry(self, tol):
+        # such a tol would FAIL suites as if the code were wrong
+        message = "^" + re.escape(f"tol: must be a finite number >= 0, got {tol!r}") + "$"
+        with pytest.raises(ValidationError, match=message):
+            run_suites(seed=0, trials=1, tol=tol)

@@ -15,18 +15,15 @@ from lplattice import (
     SpaceMismatch,
     StepFunction,
     UnknownCell,
-    add_fresh_cells,
     close,
     density_change,
     dcl,
-    embed,
     function_close,
     indicator,
     lift,
     make_space,
     norm,
     refine_space,
-    split_cell,
     step_function,
     zero,
 )
@@ -190,20 +187,20 @@ class TestNorm:
 class TestSplitCell:
     def test_halves(self):
         space = unit_space(2)
-        child, r = split_cell(space, "c0", (0.5, 0.5))
-        assert child.ids() == ("c0#0", "c0#1", "c1")
-        assert child.weight("c0#0") == 0.5
+        r = refine_space(space, {"c0": (0.5, 0.5)})
+        assert r.child.ids() == ("c0#0", "c0#1", "c1")
+        assert r.child.weight("c0#0") == 0.5
         assert r.children_of("c1") == ("c1",)
 
     def test_thirds(self):
         space = unit_space(1)
-        child, _ = split_cell(space, "c0", (2.0 / 3.0, 1.0 / 3.0))
+        child = refine_space(space, {"c0": (2.0 / 3.0, 1.0 / 3.0)}).child
         assert close(child.weight("c0#0"), 2.0 / 3.0)
         assert close(child.weight("c0#1"), 1.0 / 3.0)
 
     def test_bad_fractions(self):
         with pytest.raises(BadFractions):
-            split_cell(unit_space(1), "c0", (0.5, 0.4))
+            refine_space(unit_space(1), {"c0": (0.5, 0.4)})
 
     # the split's sum is checked once, by the Refinement, relative to the
     # parent's weight: a cell far below weight 1 loses no mass unnoticed
@@ -211,16 +208,16 @@ class TestSplitCell:
     @pytest.mark.parametrize("weight", [1.0, 1e-10])
     def test_fractions_must_sum_to_one(self, fractions, weight):
         with pytest.raises(BadFractions):
-            split_cell(make_space([("c0", weight)], 2.0), "c0", fractions)
+            refine_space(make_space([("c0", weight)], 2.0), {"c0": fractions})
 
     def test_zero_fraction(self):
         with pytest.raises(BadFractions) as err:
-            split_cell(unit_space(1), "c0", (1.0, 0.0))
+            refine_space(unit_space(1), {"c0": (1.0, 0.0)})
         assert str(err.value) == "fractions for 'c0' must be positive"
 
     def test_unknown_cell(self):
         with pytest.raises(UnknownCell) as err:
-            split_cell(unit_space(1), "zz", (0.5, 0.5))
+            refine_space(unit_space(1), {"zz": (0.5, 0.5)})
         assert str(err.value) == "no cell 'zz'"
 
 
@@ -228,7 +225,7 @@ class TestLift:
     def test_constant_copy(self):
         space = unit_space(1)
         f = step_function(space, {"c0": 3.0})
-        child, r = split_cell(space, "c0", (0.5, 0.5))
+        r = refine_space(space, {"c0": (0.5, 0.5)})
         lifted = lift(f, r)
         assert lifted.values == {"c0#0": 3.0, "c0#1": 3.0}
         assert close(norm(lifted), norm(f))
@@ -237,45 +234,49 @@ class TestLift:
     def test_norm_preserved(self, seed):
         inst = random_instance(seed, 6)
         f = inst.functions[0]
-        child, r = split_cell(inst.space, inst.space.ids()[0], (0.25, 0.25, 0.5))
+        r = refine_space(inst.space, {inst.space.ids()[0]: (0.25, 0.25, 0.5)})
         assert abs(norm(lift(f, r)) - norm(f)) <= 1e-12 * (1.0 + norm(f))
 
     def test_one_block_sublattice_stays_one_block(self):
         space = unit_space(2)
         C = dcl(space, [indicator(space, space.ids())])
-        child, r = split_cell(space, "c0", (0.5, 0.5))
+        r = refine_space(space, {"c0": (0.5, 0.5)})
         assert C.lift(r).dim == 1
 
     def test_composition(self):
         inst = random_instance(3, 5)
         space = inst.space
         f = inst.functions[0]
-        mid, r1 = split_cell(space, space.ids()[0], (0.5, 0.5))
-        fine, r2 = split_cell(mid, mid.ids()[-1], (0.25, 0.75))
+        r1 = refine_space(space, {space.ids()[0]: (0.5, 0.5)})
+        r2 = refine_space(r1.child, {r1.child.ids()[-1]: (0.25, 0.75)})
         assert function_close(lift(lift(f, r1), r2), lift(f, r1.then(r2)), 0.0)
 
     def test_wrong_space(self):
         space = unit_space(2)
-        _, r = split_cell(space, "c0", (0.5, 0.5))
+        r = refine_space(space, {"c0": (0.5, 0.5)})
         with pytest.raises(SpaceMismatch):
             lift(indicator(unit_space(3), ["c0"]), r)
 
 
 class TestFreshCells:
+    """Fresh cells come from refine_space's fresh argument: they lie under no
+    parent, and lifted functions are zero there."""
+
     def test_enlargement(self):
-        space = unit_space(3)
-        bigger = add_fresh_cells(space, [("x", 1.0), ("y", 1.0)])
-        assert len(bigger.cells) == 5
+        r = refine_space(unit_space(3), {}, [("x", 1.0), ("y", 1.0)])
+        assert len(r.child.cells) == 5
+        assert r.fresh_cells == ("x", "y")
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateId):
-            add_fresh_cells(unit_space(3), [("c0", 1.0)])
+            refine_space(unit_space(3), {}, [("c0", 1.0)])
 
     def test_embedding_preserves_norm(self):
         space = unit_space(3)
         f = step_function(space, {"c0": 2.0, "c1": -1.0})
-        bigger = add_fresh_cells(space, [("x", 2.0)])
-        assert norm(embed(f, bigger)) == norm(f)
+        lifted = lift(f, refine_space(space, {}, [("x", 2.0)]))
+        assert lifted.values == f.values
+        assert norm(lifted) == norm(f)
 
 
 class TestDensityChange:
@@ -326,7 +327,7 @@ class TestCommutingSquares:
     def test_lift_commutes_with_pointwise_ops(self, seed):
         inst = random_instance(seed, 6)
         f, g = inst.functions[0], inst.functions[1]
-        _, r = split_cell(inst.space, inst.space.ids()[-1], (0.5, 0.25, 0.25))
+        r = refine_space(inst.space, {inst.space.ids()[-1]: (0.5, 0.25, 0.25)})
         assert function_close(lift(f.meet(g), r), lift(f, r).meet(lift(g, r)), 0.0)
         assert function_close(lift(f.join(g), r), lift(f, r).join(lift(g, r)), 0.0)
         assert function_close(lift(f + g, r), lift(f, r) + lift(g, r), 0.0)
@@ -526,8 +527,8 @@ class TestBulkChecks:
         for seed in range(50):
             space = random_instance(seed, 8).space
             plan = {cid: (0.1, 0.2, 0.3, 0.4) for cid in space.ids()[::2]}
-            child, r = refine_space(space, plan)
-            assert _outcome(lambda: reference_refinement_check(space, child, r.splitting)) == (
+            r = refine_space(space, plan)
+            assert _outcome(lambda: reference_refinement_check(space, r.child, r.splitting)) == (
                 "accepted", None
             )
 

@@ -307,7 +307,8 @@ class TestSliceIndependent:
 class TestNonforkingExtension:
     def test_extension_splits_into_thirds(self):
         fx = masked_dependence_example(1.0)
-        space2, refinement, (g,) = nonforking_extension([fx.f], fx.C, fx.B)
+        refinement, (g,) = nonforking_extension([fx.f], fx.C, fx.B)
+        space2 = refinement.child
         B1 = fx.B.lift(refinement)
         C1 = fx.C.lift(refinement)
         # each original cell splits into thirds carrying the values 2, 1, 0
@@ -325,8 +326,8 @@ class TestNonforkingExtension:
 
     def test_member_of_c_unchanged(self):
         fx = masked_dependence_example()
-        space2, refinement, (g,) = nonforking_extension([2.0 * fx.chi], fx.C, fx.B)
-        assert space2 == fx.space
+        refinement, (g,) = nonforking_extension([2.0 * fx.chi], fx.C, fx.B)
+        assert refinement.child == fx.space
         assert function_close(g, 2.0 * fx.chi, 1e-12)
 
     def test_precondition(self):
@@ -339,7 +340,7 @@ class TestNonforkingExtension:
         inst = random_instance(seed, 6)
         C, B, _ = inst.chain
         fs = tuple(inst.functions[:2])
-        space2, refinement, gs = nonforking_extension(fs, C, B)
+        refinement, gs = nonforking_extension(fs, C, B)
         C1, B1 = C.lift(refinement), B.lift(refinement)
         assert tuple_type_equal(gs, [lift(f, refinement) for f in fs], C1)
         assert star_independent(gs, B1, C1).independent
@@ -353,9 +354,9 @@ class TestStationarity:
 
     def test_two_realizations_agree_over_b(self):
         fx = masked_dependence_example()
-        _, r1, gs1 = nonforking_extension([fx.f], fx.C, fx.B)
+        r1, gs1 = nonforking_extension([fx.f], fx.C, fx.B)
         C1, B1 = fx.C.lift(r1), fx.B.lift(r1)
-        _, r2, gs2 = nonforking_extension(gs1, C1, B1)
+        r2, gs2 = nonforking_extension(gs1, C1, B1)
         res = stationarity_check(
             [lift(g, r2) for g in gs1], list(gs2), C1.lift(r2), B1.lift(r2)
         )

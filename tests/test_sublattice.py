@@ -710,7 +710,7 @@ class TestCanonicalConstructor:
         yield canonical_base(fs[:2], _nontrivial_sublattice(inst, seed))
         yield D.subset(k for k in range(D.dim) if rng.random() < 0.5)
         plan = {cid: (0.25, 0.75) for cid in space.ids() if rng.random() < 0.5}
-        _, r = refine_space(space, plan, [("fresh", 1.0)])
+        r = refine_space(space, plan, [("fresh", 1.0)])
         yield D.lift(r)
         yield B.lift(reversed_refinement(space))
         d = step_function(space, {c: rng.choice((0.5, 1.0, 2.0, 4.0)) for c in space.ids()})

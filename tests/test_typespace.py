@@ -29,6 +29,7 @@ from lplattice import (
     Sublattice,
     SliceProfile,
     SpaceMismatch,
+    StepFunction,
     SublatticeMismatch,
     TargetOutOfRange,
     TypeDatum,
@@ -48,8 +49,10 @@ from lplattice import (
     make_space,
     maharam_select,
     merged_midpoints,
+    nonforking_extension,
     norm,
     realize_cond_distribution,
+    refine_space,
     slice_profile,
     step_function,
     tuple_type_equal,
@@ -404,16 +407,16 @@ class TestCanonicalRealization:
     def test_member_realizes_to_itself(self):
         space, C = one_block_space()
         member = 2.5 * indicator(space, space.ids())
-        child, refinement, g = canonical_realization(type_datum(member, C))
-        assert child == space
+        refinement, g = canonical_realization(type_datum(member, C))
+        assert refinement.child == space
         assert function_close(g, member, 1e-12)
 
     def test_staircase_layout(self):
         space, C = one_block_space(4, 1.0)
         f = staircase(space)
         t = type_datum(f, C)
-        child, refinement, g = canonical_realization(t)
-        assert len(child.cells) == 16
+        refinement, g = canonical_realization(t)
+        assert len(refinement.child.cells) == 16
         # decreasing along the r-index inside every parent cell
         for cid in space.ids():
             kids = refinement.children_of(cid)
@@ -427,11 +430,11 @@ class TestCanonicalRealization:
         space, C = one_block_space(4, 2.0)
         f = staircase(space)
         t = type_datum(f, C)
-        child, refinement, g = canonical_realization(t)
+        refinement, g = canonical_realization(t)
         C1 = C.lift(refinement)
         t2 = type_datum(g, C1)
         assert t2.equals(lift_type_datum(t, refinement), 1e-12)
-        child2, r2, g2 = canonical_realization(t2)
+        r2, g2 = canonical_realization(t2)
         C2 = C1.lift(r2)
         assert close(norm(g2), norm(g), 1e-12)
         assert distance(type_datum(lift(g, r2), C2), type_datum(g2, C2)) <= 1e-12
@@ -441,7 +444,7 @@ class TestCanonicalRealization:
         C = dcl(space, [indicator(space, ["a"])])
         f = step_function(space, {"a": 1.0, "x": -2.0})
         t = type_datum(f, C)
-        child, refinement, g = canonical_realization(t)
+        refinement, g = canonical_realization(t)
         assert set(refinement.fresh_cells) == {"fresh1"}
         assert g["fresh1"] == -2.0
         assert type_datum(g, C.lift(refinement)).equals(lift_type_datum(t, refinement), 1e-12)
@@ -451,7 +454,7 @@ class TestCanonicalRealization:
         inst = random_instance(seed, 6)
         C = inst.chain[seed % 3]
         t = type_datum(inst.functions[0], C)
-        _, refinement, g = canonical_realization(t)
+        refinement, g = canonical_realization(t)
         assert type_datum(g, C.lift(refinement)).equals(lift_type_datum(t, refinement), 1e-9)
 
 
@@ -462,9 +465,9 @@ class TestRealizationsAgree:
         inst = random_instance(seed, 8)
         C = inst.chain[seed % 3]
         f, _ = band_decompose(inst.functions[0], C)
-        child1, r1, g = canonical_realization(type_datum(f, C))
-        child2, r2, (h,) = realize_cond_distribution(cond_distribution([f], C), C)
-        assert child1 == child2
+        r1, g = canonical_realization(type_datum(f, C))
+        r2, (h,) = realize_cond_distribution(cond_distribution([f], C))
+        assert r1.child == r2.child
         assert r1.splitting == r2.splitting
         assert g == h
 
@@ -474,23 +477,24 @@ class TestMaharamSelect:
         space, C = one_block_space(4, 2.0)
         cells = ["c0", "c2"]
         target = cond_exp(indicator(space, cells), C)
-        child, refinement, selected = maharam_select(cells, C, target)
-        assert child == space
+        refinement, selected = maharam_select(cells, C, target)
+        assert refinement.child == space
         assert selected == frozenset(cells)
 
     def test_third_splits_a_cell(self):
         space = make_space([("u", 1.0), ("v", 1.0)], 1.0)
         C = dcl(space, [indicator(space, ["u", "v"])])
         target = (1.0 / 3.0) * indicator(space, ["u", "v"])
-        child, refinement, selected = maharam_select(["u"], C, target)
+        refinement, selected = maharam_select(["u"], C, target)
         assert selected == frozenset(["u#0"])
-        assert close(child.weight("u#0"), 2.0 / 3.0)
-        got = cond_exp(indicator(child, selected), C.lift(refinement))
+        assert close(refinement.child.weight("u#0"), 2.0 / 3.0)
+        got = cond_exp(indicator(refinement.child, selected), C.lift(refinement))
         assert function_close(got, lift(target, refinement), 1e-12)
 
     def test_zero_target(self):
         space, C = one_block_space()
-        _, _, selected = maharam_select(["c0", "c1"], C, step_function(space, {}))
+        refinement, selected = maharam_select(["c0", "c1"], C, step_function(space, {}))
+        assert refinement.child == space
         assert selected == frozenset()
 
     def test_target_out_of_range(self):
@@ -510,8 +514,8 @@ class TestRealizeCondDistribution:
         space, C = one_block_space()
         chi = indicator(space, space.ids())
         d = cond_distribution([3.0 * chi], C)
-        child, refinement, gs = realize_cond_distribution(d, C)
-        assert child == space
+        refinement, gs = realize_cond_distribution(d)
+        assert refinement.child == space
         assert function_close(gs[0], 3.0 * chi, 1e-12)
 
     def test_two_atoms_on_heavy_cell(self):
@@ -520,7 +524,8 @@ class TestRealizeCondDistribution:
         from lplattice import ConditionalDistribution
 
         d = ConditionalDistribution(C, 1, ((((4.0,), 1.0), ((1.0,), 1.0)),), ())
-        child, refinement, gs = realize_cond_distribution(d, C)
+        refinement, gs = realize_cond_distribution(d)
+        child = refinement.child
         assert close(child.weight("a#0"), 1.0) and close(child.weight("a#1"), 1.0)
         assert gs[0].values == {"a#0": 4.0, "a#1": 1.0}
         back = cond_distribution(gs, C.lift(refinement))
@@ -529,7 +534,7 @@ class TestRealizeCondDistribution:
     def test_realized_distribution_transfers_type(self):
         fx = pairwise_independence_example()
         d = cond_distribution([fx.a1], fx.C)
-        child, refinement, gs = realize_cond_distribution(d, fx.C)
+        refinement, gs = realize_cond_distribution(d)
         C1 = fx.C.lift(refinement)
         assert tuple_type_equal(gs, [lift(fx.a1, refinement)], C1)
 
@@ -550,6 +555,48 @@ class TestRealizeCondDistribution:
             )
 
 
+class TestRefiningOperations:
+    """A change of space returns its Refinement once, beside the result: the
+    input space is the refinement's parent, and every function returned lives
+    on the refinement's child space."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize(
+        "op",
+        [
+            "refine_space",
+            "canonical_realization",
+            "realize_cond_distribution",
+            "maharam_select",
+            "nonforking_extension",
+        ],
+    )
+    def test_result_lives_on_the_child(self, op, seed):
+        inst = random_instance(seed, 6)
+        space, (C, B, _), (f, g) = inst.space, inst.chain, inst.functions[:2]
+        calls = {
+            "refine_space": lambda: (
+                refine_space(space, {space.ids()[0]: (0.25, 0.75)}, [("x", 1.0)]),
+                (),
+            ),
+            "canonical_realization": lambda: canonical_realization(type_datum(f, C)),
+            "realize_cond_distribution": lambda: realize_cond_distribution(
+                cond_distribution([f, g], C)
+            ),
+            "maharam_select": lambda: maharam_select(
+                space.ids(), C, (1.0 / 3.0) * cond_exp(indicator(space, space.ids()), C)
+            ),
+            "nonforking_extension": lambda: nonforking_extension([f, g], C, B),
+        }
+        refinement, result = calls[op]()
+        assert refinement.parent is space
+        if op == "maharam_select":
+            assert result <= set(refinement.child.ids())
+            return
+        functions = (result,) if isinstance(result, StepFunction) else result
+        assert all(h.space is refinement.child for h in functions)
+
+
 class TestLayoutAgreesWithReference:
     @pytest.mark.parametrize("seed", range(300))
     def test_slice_profile_and_realization_match(self, seed):
@@ -561,9 +608,9 @@ class TestLayoutAgreesWithReference:
                 assert slice_profile(f, C).per_block == reference_slice_profile(f, C).per_block
             for arity in (1, 2, 3):
                 d = cond_distribution(inst.functions[:arity], C)
-                child, refinement, gs = realize_cond_distribution(d, C)
+                refinement, gs = realize_cond_distribution(d)
                 ref_child, ref_refinement, ref_gs = reference_realize_cond_distribution(d, C)
-                assert child == ref_child
+                assert refinement.child == ref_child
                 assert refinement.splitting == ref_refinement.splitting
                 assert [g.values for g in gs] == [g.values for g in ref_gs]
 
@@ -608,11 +655,9 @@ class TestInvarianceUnderTransport:
     @pytest.mark.parametrize("seed", range(20))
     def test_lift_preserves_types_and_distances(self, seed):
         inst = random_instance(seed, 6)
-        from lplattice import split_cell
-
         C = inst.chain[seed % 3]
         f, g = inst.functions[0], inst.functions[1]
-        child, r = split_cell(inst.space, inst.space.ids()[0], (0.5, 0.5))
+        r = refine_space(inst.space, {inst.space.ids()[0]: (0.5, 0.5)})
         C1 = C.lift(r)
         t1, t2 = type_datum(f, C), type_datum(g, C)
         s1, s2 = type_datum(lift(f, r), C1), type_datum(lift(g, r), C1)
