@@ -446,7 +446,12 @@ def refine_space(
     cells: list[tuple[str, float]] = []
     for cid, w in space.cells:
         if cid in plan:
-            fr = tuple(map(float, plan[cid]))
+            try:
+                fr = tuple(map(float, plan[cid]))
+            except (TypeError, ValueError):  # not a sequence, or not of numbers
+                raise BadFractions(
+                    f"fractions for {cid!r} must be a sequence of numbers, got {plan[cid]!r}"
+                ) from None
             if not (fr and all(map(math.isfinite, fr)) and min(fr) > 0.0):
                 raise BadFractions(f"fractions for {cid!r} must be positive")
             kids = tuple([f"{cid}#{k}" for k in range(len(fr))])
@@ -455,8 +460,20 @@ def refine_space(
             kids = (cid,)
             cells.append((cid, w))
         splitting[cid] = kids
-    cells.extend((str(cid), float(w)) for cid, w in fresh)
+    cells.extend(map(_fresh_cell, fresh))
     return Refinement(space, Space(tuple(cells), space.p), splitting)
+
+
+def _fresh_cell(entry: tuple[str, float]) -> tuple[str, float]:
+    """A fresh (id, weight) pair as (str, float); else a ValidationError naming it."""
+    try:
+        cid, w = entry
+    except (TypeError, ValueError):
+        raise ValidationError(f"fresh cell {entry!r} must be an (id, weight) pair") from None
+    try:
+        return str(cid), float(w)
+    except (TypeError, ValueError):
+        raise ValidationError(f"fresh cell {cid!r} has weight {w!r}, not a number") from None
 
 
 def lift(f: StepFunction, r: Refinement) -> StepFunction:

@@ -21,10 +21,23 @@ the containers at one depth under one parent sequence are written as one
 sequence: exact floats through a memo that formats each distinct value once
 per `dumps` (zeros are never kept, as 0.0 == -0.0), exact strings in one
 quoting pass.  Records, lists of more dicts than keys that share one tuple of
-string keys (space cells, blocks, profile segments, refinement children), go
-through one %-template per key tuple, each column written at once.  The bytes
-are those of the item-by-item writer, and an unwritable value is named in
-document order: a record list that meets one re-writes itself record by record.
+string keys (space cells, blocks, profile segments, refinement children), are
+each joined once from the quoted key names and their columns, each column
+written at once.  The bytes are those of the item-by-item writer, and an
+unwritable value is named in document order: a record list that meets one
+re-writes itself record by record.
+
+The reader settles a document in bulk too, as `core.Space` and
+`core.StepFunction` settle their own input.  A space's cells become two
+columns (ids, weights), an object of numbers is taken as it is, and all the
+blocks of one sublattice are checked at once over flat lists of every cell,
+every profile key and every profile value: str cells and keys, finite float
+values, then what `Sublattice.make` checks (no empty block, no cell twice,
+every cell in the space and keyed in its own block's profile); the blocks,
+sorted into space order, go to `Sublattice._canonical`.  Input that does not
+settle (an integer, a numeric string, a bad field) goes through the per-item
+reader, the one place that converts it or names its first bad field, so the
+objects and the errors are those of the per-item reader.
 """
 
 from __future__ import annotations
@@ -35,9 +48,10 @@ from contextlib import contextmanager
 from functools import partial
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-from .core import DEFAULT_TOL, Refinement, Space, StepFunction, check_tol, lift, step_function
+from .core import _FLOAT, DEFAULT_TOL, Refinement, Space, StepFunction, check_tol, lift, step_function
 from .errors import LatticeError, ParseError, UnknownReference, ValidationError
 from .independence import (
     IndependenceVerdict,
@@ -121,22 +135,24 @@ def _dicts(seq: Sequence, newline: str, floats: _Floats) -> list[str]:
     sep = "," + inner
     keys = seq[0].keys()
     # records: more dicts than keys, all with the same string keys in the same
-    # order, go through one %-template with each column written at once
+    # order, are joined once each from the glue before every value (the quoted
+    # key names) and the values, each column written at once
     if (
         0 < len(keys) < len(seq)
         and len(set(map(tuple, seq))) == 1
         and set(map(type, chain.from_iterable(seq))) == {str}
     ):
-        fields = sep.join([_quote(key).replace("%", "%%") + ": %s" for key in keys])
-        template = "{" + inner + fields + newline + "}"
+        glues = ["{" + inner] + [sep] * (len(keys) - 1)
+        parts = []
         try:
-            columns = [_texts(column, inner, floats) for column in zip(*map(dict.values, seq))]
-            return list(map(template.__mod__, zip(*columns)))
+            for glue, key, column in zip(glues, keys, zip(*map(dict.values, seq))):
+                parts += (repeat(glue + _quote(key) + ": "), _texts(column, inner, floats))
+            return list(map("".join, zip(*parts, repeat(newline + "}"))))
         except ValidationError:  # columns meet the values out of document order
             return [_encode(record, newline, floats) for record in seq]
     values = _texts(list(chain.from_iterable(map(dict.values, seq))), inner, floats)
     names = map(_quote, map(str, chain.from_iterable(seq)))
-    items = map(str.__add__, map(str.__add__, names, repeat(": ")), values)
+    items = map("".join, zip(names, repeat(": "), values))
     return ["{" + inner + sep.join(islice(items, n)) + newline + "}" if n else "{}" for n in map(len, seq)]
 
 
@@ -185,6 +201,32 @@ def space_to_doc(space: Space) -> dict:
     }
 
 
+_DICT = {dict}
+_LIST_TYPE = {list}
+_STR = {str}
+
+
+def _settled(keys: Iterable, values: Sequence) -> bool:
+    """True when every key is a str and every value a finite float: then the
+    per-item reader would hand them back as they are."""
+    return (
+        set(map(type, keys)) <= _STR
+        and set(map(type, values)) <= _FLOAT
+        and all(map(math.isfinite, values))
+    )
+
+
+def _columns(records: list, fields: tuple[str, ...]) -> Optional[list[list]]:
+    """One list per field of its value in every record; None unless every
+    record is a dict holding every field."""
+    if not set(map(type, records)) <= _DICT:
+        return None
+    try:
+        return [list(map(itemgetter(field), records)) for field in fields]
+    except KeyError:
+        return None
+
+
 def _number(value: Any, path: str, key: Any = None) -> float:
     """A document number as a finite float; any other value, a boolean too,
     is a ValidationError naming its path, path.key when a key is given (built
@@ -212,9 +254,12 @@ def _require(doc: Any, path: str, fields: Iterable[str]) -> None:
 
 
 def _numbers(doc: Any, path: str) -> dict[str, float]:
-    """An object of numbers keyed by cell id, as floats."""
+    """An object of numbers keyed by cell id, as floats: the object itself
+    when it settles, else read item by item, naming the first bad value."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: must be an object of numbers")
+    if type(doc) is dict and _settled(doc, doc.values()):
+        return doc
     return {str(k): _number(v, path, k) for k, v in doc.items()}
 
 
@@ -230,13 +275,22 @@ def _naming(where: str) -> Iterator[None]:
 
 def space_from_doc(doc: Any) -> Space:
     _require(doc, "space", ("p", "cells"))
-    cells = []
-    for j, c in enumerate(_of_kind(doc["cells"], "space.cells", _LIST)):
-        _require(c, f"space.cells[{j}]", ("id", "weight"))
-        cells.append((str(c["id"]), _number(c["weight"], f"space.cells[{j}].weight")))
+    records = _of_kind(doc["cells"], "space.cells", _LIST)
+    columns = _columns(records, ("id", "weight"))
+    if columns is not None and _settled(*columns):
+        cells = tuple(zip(*columns))
+    else:
+        cells = tuple(_space_cells(records))
     p = _number(doc["p"], "space.p")
     with _naming("space"):
-        return Space(tuple(cells), p)
+        return Space(cells, p)
+
+
+def _space_cells(records: list) -> Iterator[tuple[str, float]]:
+    """The per-cell reader of space.cells: names the first bad field."""
+    for j, c in enumerate(records):
+        _require(c, f"space.cells[{j}]", ("id", "weight"))
+        yield str(c["id"]), _number(c["weight"], f"space.cells[{j}].weight")
 
 
 def function_to_doc(f: StepFunction) -> dict:
@@ -405,6 +459,18 @@ def _check_fields(i: int, cmd: Any) -> tuple:
     return entry
 
 
+def _blocks_with_profiles(path: str, records: list) -> list[tuple[list[str], dict[str, float]]]:
+    """The per-block reader of a sublattice's blocks: names the first bad field."""
+    blocks = []
+    for j, b in enumerate(records):
+        _require(b, f"{path}.blocks[{j}]", ("cells", "profile"))
+        cells = [str(c) for c in _of_kind(b["cells"], f"{path}.blocks[{j}].cells", _CELLS)]
+        prof = _numbers(b["profile"], f"{path}.blocks[{j}].profile")
+        _require(prof, f"{path}.blocks[{j}].profile", cells)
+        blocks.append((cells, prof))
+    return blocks
+
+
 class _Runner:
     def __init__(self, doc: dict, tol: float):
         self.tol = tol
@@ -432,16 +498,47 @@ class _Runner:
             with _naming(path):
                 return dcl(self.space, generators, self.tol)
         if "blocks" in doc:
-            blocks = []
-            for j, b in enumerate(_of_kind(doc["blocks"], f"{path}.blocks", _LIST)):
-                _require(b, f"{path}.blocks[{j}]", ("cells", "profile"))
-                cells = [str(c) for c in _of_kind(b["cells"], f"{path}.blocks[{j}].cells", _CELLS)]
-                prof = _numbers(b["profile"], f"{path}.blocks[{j}].profile")
-                _require(prof, f"{path}.blocks[{j}].profile", cells)
-                blocks.append((cells, prof))
+            records = _of_kind(doc["blocks"], f"{path}.blocks", _LIST)
+            settled = self._settled_blocks(records)
+            if settled is None:
+                blocks = _blocks_with_profiles(path, records)
+                with _naming(path):
+                    return Sublattice.make(self.space, blocks)
             with _naming(path):
-                return Sublattice.make(self.space, blocks)
+                return Sublattice._canonical(self.space, *settled)
         raise ValidationError(f"{path}: sublattice document needs 'blocks' or 'generators'")
+
+    def _settled_blocks(self, records: list) -> Optional[tuple[list, dict]]:
+        """The blocks, each sorted into space order, and the profile on their
+        cells, when flat passes over every cell, profile key and profile value
+        settle what the per-block reader and `Sublattice.make` check: each
+        block a record of a list of str cells and an object of finite floats
+        keyed by str, no block empty, no cell twice, every cell a cell of the
+        space and keyed in its own block's profile.  Else None."""
+        columns = _columns(records, ("cells", "profile"))
+        if columns is None:
+            return None
+        blocks, profiles = columns
+        if not (set(map(type, blocks)) <= _LIST_TYPE and set(map(type, profiles)) <= _DICT):
+            return None
+        cells = list(chain.from_iterable(blocks))
+        values = list(chain.from_iterable(map(dict.values, profiles)))
+        settled = (
+            set(map(type, cells)) <= _STR
+            and _settled(chain.from_iterable(profiles), values)
+            and all(blocks)
+        )
+        del values  # freed before the blocks are built
+        if not settled:
+            return None
+        try:
+            profile = {cid: prof[cid] for block, prof in zip(blocks, profiles) for cid in block}
+        except KeyError:  # a cell its own block's profile does not key
+            return None
+        if len(profile) != len(cells) or not profile.keys() <= self.space._weights.keys():
+            return None
+        order = self.space._index.__getitem__
+        return [sorted(block, key=order) for block in blocks], profile
 
     def named(self, kind: str, name: str, where: str) -> Any:
         """The function or sublattice named; else an UnknownReference naming where."""

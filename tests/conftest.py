@@ -50,6 +50,7 @@ from lplattice.independence import (
     _space_of,
 )
 from lplattice.oracles import proportionality_classes
+from lplattice.scenario import _CELLS, _FNS, _LIST, _OBJECT, _naming, _number, _of_kind, _require
 from lplattice.typespace import (
     Atom,
     Layout,
@@ -923,3 +924,51 @@ def reference_closed_canonical_base(
             "canonical base candidate failed the independence certificate"
         )
     return cb
+
+
+# --- reference scenario readers ------------------------------------------------
+# `scenario.space_from_doc`, `scenario._numbers` and
+# `scenario._Runner._sublattice_from_doc` from before they settled a document
+# in bulk, when every number went through `_number` and every block through
+# `Sublattice.make`, kept verbatim (the method as a function of the runner) as
+# the references their differential test compares against.  They share only
+# the field helpers (`_number`, `_require`, `_of_kind`, `_naming` and the field
+# kinds) with the readers they check.
+
+def reference_numbers(doc: Any, path: str) -> dict[str, float]:
+    """An object of numbers keyed by cell id, as floats."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: must be an object of numbers")
+    return {str(k): _number(v, path, k) for k, v in doc.items()}
+
+
+def reference_space_from_doc(doc: Any) -> Space:
+    _require(doc, "space", ("p", "cells"))
+    cells = []
+    for j, c in enumerate(_of_kind(doc["cells"], "space.cells", _LIST)):
+        _require(c, f"space.cells[{j}]", ("id", "weight"))
+        cells.append((str(c["id"]), _number(c["weight"], f"space.cells[{j}].weight")))
+    p = _number(doc["p"], "space.p")
+    with _naming("space"):
+        return Space(tuple(cells), p)
+
+
+def reference_sublattice_from_doc(runner: Any, name: str, doc: Any) -> Sublattice:
+    path = f"sublattices.{name}"
+    _of_kind(doc, path, _OBJECT)
+    if "generators" in doc:
+        where = f"{path}.generators"
+        generators = _FNS[2](runner, _of_kind(doc["generators"], where, _FNS), where)
+        with _naming(path):
+            return dcl(runner.space, generators, runner.tol)
+    if "blocks" in doc:
+        blocks = []
+        for j, b in enumerate(_of_kind(doc["blocks"], f"{path}.blocks", _LIST)):
+            _require(b, f"{path}.blocks[{j}]", ("cells", "profile"))
+            cells = [str(c) for c in _of_kind(b["cells"], f"{path}.blocks[{j}].cells", _CELLS)]
+            prof = reference_numbers(b["profile"], f"{path}.blocks[{j}].profile")
+            _require(prof, f"{path}.blocks[{j}].profile", cells)
+            blocks.append((cells, prof))
+        with _naming(path):
+            return Sublattice.make(runner.space, blocks)
+    raise ValidationError(f"{path}: sublattice document needs 'blocks' or 'generators'")

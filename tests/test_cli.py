@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -10,19 +11,36 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import joined_dumps, reference_dumps
-from hypothesis import given, settings, strategies as st
+from conftest import (
+    joined_dumps,
+    reference_dumps,
+    reference_numbers,
+    reference_space_from_doc,
+    reference_sublattice_from_doc,
+)
+from hypothesis import example, given, settings, strategies as st
 
 from lplattice import (
+    DEFAULT_TOL,
     MassMismatch,
     Refinement,
+    Space,
+    Sublattice,
     UnknownReference,
     ValidationError,
     make_space,
     refine_space,
 )
 from lplattice.cli import main
-from lplattice.scenario import dumps, execute_scenario, execute_scenario_doc, refinement_to_doc
+from lplattice.scenario import (
+    _numbers,
+    _Runner,
+    dumps,
+    execute_scenario,
+    execute_scenario_doc,
+    refinement_to_doc,
+    space_from_doc,
+)
 from lplattice.verify import run_suites
 
 
@@ -315,6 +333,157 @@ class TestDocumentSchemas:
         assert d.sublattice.blocks == (("u", "v"),)
         assert d.per_block == ((((0.0,), 1.0), ((2.0,), 1.0)),)
         assert d.orth == (((-1.0,), 1.0),)
+
+
+# document numbers of every kind a reader may meet: mostly plain positive
+# floats, so that many documents settle, else ints, bools, numeric and other
+# strings, numpy floats, other floats, inf and nan (json reads 1e400 as inf)
+# and ints past the float range
+ODD_NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.sampled_from(["1.5", "x", "nan", "1e400"]),
+    st.floats(0.1, 4.0).map(np.float64),
+    st.sampled_from([1e400, -math.inf, math.nan, 10**400, -(10**309)]),
+)
+DOC_NUMBERS = st.integers(0, 7).flatmap(
+    lambda k: ODD_NUMBERS if k == 0 else st.sampled_from([0.25, 0.5, 1.0, 2.0])
+)
+
+
+class StrSub(str):
+    pass
+
+
+# cell ids: mostly cells of the space a..f, else a cell it lacks, a non-string
+# id or a str subclass
+ODD_CELLS = st.sampled_from(["g", StrSub("a")]) | st.integers(0, 2)
+DOC_CELLS = st.integers(0, 7).flatmap(
+    lambda k: ODD_CELLS if k == 0 else st.sampled_from(["a", "b", "c", "d", "e", "f"])
+)
+
+
+@st.composite
+def space_docs(draw):
+    """A space document whose cells and p may be of any kind, some of them
+    lacking a field."""
+    cells = []
+    for cid in draw(st.lists(DOC_CELLS, max_size=6)):
+        cell = {"id": cid, "weight": draw(DOC_NUMBERS)}
+        if draw(st.integers(0, 19)) == 0:
+            del cell[draw(st.sampled_from(["id", "weight"]))]
+        cells.append(cell)
+    return {"p": draw(st.sampled_from([2.0, 1.0]) | DOC_NUMBERS), "cells": cells}
+
+
+@st.composite
+def profile_docs(draw, cells):
+    """A profile over these cells: each keyed as a str, now and then by the
+    cell itself or not at all, perhaps with an extra key, whose value may be
+    bad."""
+    prof = {}
+    for cid in cells:
+        how = draw(st.integers(0, 19))
+        if how < 18:
+            prof[str(cid)] = draw(DOC_NUMBERS)
+        elif how == 18:
+            prof[cid] = draw(DOC_NUMBERS)
+    if draw(st.integers(0, 4)) == 0:
+        prof[draw(st.sampled_from(["zz", "a", "f"]))] = draw(DOC_NUMBERS)
+    return prof
+
+
+@st.composite
+def block_docs(draw):
+    """Blocks over the cells a..f, listed in any order: mostly disjoint and
+    non-empty, else with a cell twice in one block or across blocks, an empty
+    block, or a cell the space lacks or that is not a str."""
+    cells = draw(st.permutations(["a", "b", "c", "d", "e", "f"]))[: draw(st.integers(0, 6))]
+    cuts = sorted({cut for cut in draw(st.lists(st.integers(1, 5), max_size=3)) if cut < len(cells)})
+    blocks = [cells[i:j] for i, j in zip([0] + cuts, cuts + [len(cells)]) if i < j]
+    defect = draw(st.integers(0, 9))
+    if defect == 1:
+        blocks.append([])
+    elif blocks and defect == 2:
+        blocks[-1].append(blocks[0][0])
+    elif blocks and defect == 3:
+        blocks[0].append(draw(DOC_CELLS))
+    elif blocks and defect == 4:
+        blocks[0][0] = draw(ODD_CELLS)
+    return {"blocks": [{"cells": block, "profile": draw(profile_docs(block))} for block in blocks]}
+
+
+def _outcome(read, *args):
+    """What read(*args) gives: its value, or its exception's class and message."""
+    try:
+        return read(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestBulkReader:
+    """The readers settle a document in bulk and fall back to the per-item
+    reader; either way they give what the per-item reader gave."""
+
+    SPACE = {"p": 2.0, "cells": [{"id": c, "weight": w} for c, w in zip("abcdef", [1.0, 0.5, 2.0, 1.0, 0.25, 1.0])]}
+
+    @settings(max_examples=300, deadline=None)
+    @given(space_docs())
+    def test_space_matches_reference(self, doc):
+        got, want = _outcome(space_from_doc, doc), _outcome(reference_space_from_doc, doc)
+        if isinstance(want, Space):
+            assert [(type(c), c, repr(w)) for c, w in got.cells] == [(type(c), c, repr(w)) for c, w in want.cells]
+            assert repr(got.p) == repr(want.p)
+        else:
+            assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(DOC_CELLS, DOC_NUMBERS, max_size=5) | st.lists(DOC_NUMBERS, max_size=2))
+    def test_numbers_match_reference(self, doc):
+        got, want = _outcome(_numbers, doc, "v"), _outcome(reference_numbers, doc, "v")
+        if isinstance(want, dict):
+            assert [(type(k), k, repr(v)) for k, v in got.items()] == [(type(k), k, repr(v)) for k, v in want.items()]
+        else:
+            assert got == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(block_docs())
+    # a str subclass is keyed by its str, but only the per-block reader makes it a str
+    @example({"blocks": [{"cells": [StrSub("b")], "profile": {"b": 1.0}}]})
+    def test_sublattice_matches_reference(self, doc):
+        runner = _Runner({"space": self.SPACE}, DEFAULT_TOL)
+        got = _outcome(runner._sublattice_from_doc, "C", doc)
+        want = _outcome(reference_sublattice_from_doc, runner, "C", doc)
+        if isinstance(want, Sublattice):
+            assert [[(type(c), c) for c in block] for block in got.blocks] == [
+                [(type(c), c) for c in block] for block in want.blocks
+            ]
+            assert [(type(c), c, repr(v)) for c, v in got.profile.items()] == [
+                (type(c), c, repr(v)) for c, v in want.profile.items()
+            ]
+        else:
+            assert got == want
+
+    def test_documents_of_floats_settle_in_bulk(self, monkeypatch):
+        # the per-item readers see only what does not settle: an int here
+        import lplattice.scenario as scenario
+
+        entries = []
+        for name in ("_space_cells", "_blocks_with_profiles"):
+            def counting(*args, original=getattr(scenario, name), name=name):
+                entries.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(scenario, name, counting)
+        dumps(execute_scenario_doc(large_scenario(300)))
+        assert entries == []
+        doc = large_scenario(300)
+        doc["space"]["cells"][5]["weight"] = 1
+        block = doc["sublattices"]["C"]["blocks"][3]
+        block["profile"][block["cells"][0]] = 2
+        dumps(execute_scenario_doc(doc))
+        assert entries == ["_space_cells", "_blocks_with_profiles"]
 
 
 class TestSerializer:
@@ -777,6 +946,19 @@ class TestCliMain:
                 lambda doc: doc["sublattices"]["B"]["blocks"][0]["profile"].update({"[0,1]": True}),
                 "error: ValidationError: sublattices.B.blocks[0].profile.[0,1]: True is not a number",
             ),
+            # what the bulk block reader does not settle goes to the per-block reader
+            (
+                lambda doc: doc["sublattices"]["B"]["blocks"][0]["cells"].append("[0,1]"),
+                "error: ValidationError: sublattices.B: cell '[0,1]' lies in two blocks",
+            ),
+            (
+                lambda doc: doc["sublattices"]["B"]["blocks"].append({"cells": [], "profile": {}}),
+                "error: ValidationError: sublattices.B: empty block",
+            ),
+            (
+                lambda doc: doc["sublattices"]["B"]["blocks"][0]["profile"].update({"zz": "x"}),
+                "error: ValidationError: sublattices.B.blocks[0].profile.zz: 'x' is not a number",
+            ),
         ],
         ids=[
             "condexp-without-c",
@@ -815,6 +997,9 @@ class TestCliMain:
             "weight-a-boolean",
             "value-a-boolean",
             "profile-a-boolean",
+            "cell-twice-in-one-block",
+            "empty-block",
+            "extra-profile-key-not-a-number",
         ],
     )
     def test_malformed_field_exit_two(self, tmp_path, capsys, edit, message):

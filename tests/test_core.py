@@ -15,6 +15,7 @@ from lplattice import (
     SpaceMismatch,
     StepFunction,
     UnknownCell,
+    ValidationError,
     close,
     density_change,
     dcl,
@@ -219,6 +220,28 @@ class TestSplitCell:
         with pytest.raises(UnknownCell) as err:
             refine_space(unit_space(1), {"zz": (0.5, 0.5)})
         assert str(err.value) == "no cell 'zz'"
+
+    # malformed Python input is a LatticeError naming the cell, not a raw
+    # TypeError or ValueError from float() or from unpacking
+    @pytest.mark.parametrize(
+        "plan, fresh, error, message",
+        [
+            ({"c0": 0.5}, (), BadFractions, "fractions for 'c0' must be a sequence of numbers, got 0.5"),
+            (
+                {"c0": ("h",)},
+                (),
+                BadFractions,
+                "fractions for 'c0' must be a sequence of numbers, got ('h',)",
+            ),
+            ({}, [("x", "w")], ValidationError, "fresh cell 'x' has weight 'w', not a number"),
+            ({}, [("x",)], ValidationError, "fresh cell ('x',) must be an (id, weight) pair"),
+        ],
+        ids=["fractions-not-a-sequence", "fraction-not-a-number", "fresh-weight-not-a-number", "fresh-not-a-pair"],
+    )
+    def test_malformed_input_names_the_cell(self, plan, fresh, error, message):
+        with pytest.raises(error) as err:
+            refine_space(unit_space(2), plan, fresh)
+        assert str(err.value) == message
 
 
 class TestLift:
