@@ -90,13 +90,17 @@ def star_independent(
 
     Joins everything with dcl(C) and compares the conditional expectations
     onto B' and onto C on the block generators of A' (enough, by linearity).
-    The witness is the failing generator with the largest norm gap; ties go
-    to the earliest block in canonical order.
+    Each side is read once; when B is A's very sublattice, B' is A'.  The
+    witness is the failing generator with the largest norm gap; ties go to
+    the earliest block in canonical order.
     """
+    A, B, C = (side if isinstance(side, Sublattice) else tuple(side) for side in (A, B, C))
     space = _space_of(A, B, C)
     Cbar = _as_sublattice(C, space, tol)
-    Aprime = lattice_join(_as_sublattice(A, space, tol), Cbar, tol)
-    Bprime = lattice_join(_as_sublattice(B, space, tol), Cbar, tol)
+    Abar = _as_sublattice(A, space, tol)
+    Aprime = lattice_join(Abar, Cbar, tol)
+    Bbar = _as_sublattice(B, space, tol)
+    Bprime = Aprime if Bbar is Abar else lattice_join(Bbar, Cbar, tol)
     worst, worst_gap = None, tol
     for k, gap in enumerate(_expectation_gaps(Aprime, Bprime, Cbar)):
         if gap > worst_gap:

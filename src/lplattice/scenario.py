@@ -366,10 +366,12 @@ _FNS = (
     lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
     lambda run, v, at: [run.named("function", n, at) for n in v],
 )
+# a list of names becomes, unless it is empty, the closing of its functions
+# through the runner's memo, left to the op to call (see `_star_independent`)
 _SIDE = (
     "a name or a list of names",
     lambda v: _FN[1](v) or _FNS[1](v),
-    lambda run, v, at: (_SUB if isinstance(v, str) else _FNS)[2](run, v, at),
+    lambda run, v, at: _SUB[2](run, v, at) if isinstance(v, str) else run.closing(_FNS[2](run, v, at)),
 )
 _NUM = (
     "a number",
@@ -394,7 +396,7 @@ _OPS = {
     "profile": ("slice_profile", {"f": _FN, "c": _SUB}, "profile_to_doc", None),
     "dist": ("_distance", {"f": _FN, "g": _FN, "c": _TYPES}, None, None),
     "typeeq": ("tuple_type_equal", {"fs": _FNS, "gs": _FNS, "c": _SUB}, None, None),
-    "indep": ("star_independent", {"a": _SIDE, "b": _SIDE, "c": _SIDE}, "verdict_to_doc", None),
+    "indep": ("_star_independent", {"a": _SIDE, "b": _SIDE, "c": _SIDE}, "verdict_to_doc", None),
     "productcheck": ("product_check", {"a": _SUB, "b": _SUB, "c": _SUB}, None, None),
     "cb": ("canonical_base", {"fs": _FNS, "a": _SUB}, "sublattice_to_doc", _SUB),
     "realize": ("_realize", {"f": _FN, "c": _TYPES}, "function_to_doc", _FN),
@@ -407,6 +409,16 @@ _REFINING = ("realize", "extend", "maharam")
 
 def _cond_exp(f: StepFunction, C: Sublattice, tol: float) -> StepFunction:
     return cond_exp(f, C)
+
+
+def _star_independent(A: Any, B: Any, C: Any, tol: float) -> IndependenceVerdict:
+    """star_independent of the sides, a side given as a closing called here,
+    inside the command, in the order star_independent closes its sides (C,
+    A, B): a side whose dcl fails is named as star_independent names it.
+    A's join with C comes after B is closed: where both fail, B's error is
+    the one named."""
+    C, A, B = (side() if callable(side) else side for side in (C, A, B))
+    return star_independent(A, B, C, tol)
 
 
 def _distance(
@@ -480,6 +492,8 @@ class _Runner:
         self.refinements: list[dict] = []
         # (id(f), id(C)) -> (f, C, type datum); holding both objects keeps their ids unused
         self.types: dict[tuple[int, int], tuple[StepFunction, Sublattice, TypeDatum]] = {}
+        # (id(f), ...) in the order given -> (the functions, their dcl)
+        self.generated: dict[tuple[int, ...], tuple[tuple[StepFunction, ...], Sublattice]] = {}
         for name, fdoc in _of_kind(doc.get("functions", {}), "functions", _OBJECT).items():
             _require(fdoc, f"functions.{name}", ("values",))
             where = f"functions.{name}.values"
@@ -496,7 +510,7 @@ class _Runner:
             where = f"{path}.generators"
             generators = _FNS[2](self, _of_kind(doc["generators"], where, _FNS), where)
             with _naming(path):
-                return dcl(self.space, generators, self.tol)
+                return self.generated_by(generators)
         if "blocks" in doc:
             records = _of_kind(doc["blocks"], f"{path}.blocks", _LIST)
             settled = self._settled_blocks(records)
@@ -555,9 +569,23 @@ class _Runner:
             self.types[key] = (f, C, type_datum(f, C, self.tol))
         return self.types[key][2]
 
+    def generated_by(self, fs: Sequence[StepFunction]) -> Sublattice:
+        """dcl(space, fs, tol), computed once per ordered list of function
+        objects per run (and space)."""
+        key = tuple(map(id, fs))
+        if key not in self.generated:
+            self.generated[key] = (tuple(fs), dcl(self.space, fs, self.tol))
+        return self.generated[key][1]
+
+    def closing(self, fs: list[StepFunction]) -> Any:
+        """What an op is given for a list side: a call that closes fs through
+        the memo, or the empty list itself, which holds no space to close in."""
+        return partial(self.generated_by, fs) if fs else fs
+
     def _apply_refinement(self, refinement: Refinement) -> None:
         self.space = refinement.child
-        self.types = {}  # every function and sublattice is replaced by its lift
+        # every function and sublattice is replaced by its lift
+        self.types, self.generated = {}, {}
         self.functions = {
             name: lift(f, refinement) for name, f in self.functions.items()
         }
@@ -595,9 +623,9 @@ def execute_scenario_doc(doc: Any, tol: float = DEFAULT_TOL) -> dict:
     runner = _Runner(doc, tol)
     commands = _of_kind(doc.get("commands", []), "commands", _LIST)
     results = [runner.run(i, cmd) for i, cmd in enumerate(commands)]
-    # the types serve the commands only: kept while the report's space is
+    # the memos serve the commands only: kept while the report's space is
     # written, they would raise the peak memory of a scenario of dists
-    runner.types = {}
+    runner.types, runner.generated = {}, {}
     return {
         "tol": tol,
         "scenario": doc,

@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from operator import truediv
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -222,6 +224,17 @@ def _proportional_blocks(
     positive multiples: scaled to a max-abs of 1, within tol.  A profile is
     the ratio to the group's first cell on the coordinate of largest |value|
     there (the earliest of equal ones).  Cost: O(sum of supports + n log n).
+
+    A bucket whose every scaled column spans at most tol (max - min <= tol)
+    is one group, found without a sort, and when every ratio is positive its
+    profile is written in one pass.  This is what `tolerance_groups` finds:
+    the columns lie in [-1, 1], where `close(lo, x, tol)` is `x - lo <= tol`,
+    so the run that starts at a column's least value takes every value
+    exactly when it takes the largest.  Every other bucket goes through
+    `tolerance_groups` from its first column that spans more; the columns
+    before it keep the bucket whole, and the partition it returns depends
+    only on the keys.  The shortcut holds for scaled columns only: beyond
+    +-1 `close` is relative.
     """
     # partition refinement: generator j moves its cells from bucket b (0: none) to child[b, j]
     bucket_of: dict[str, int] = {}
@@ -245,7 +258,19 @@ def _proportional_blocks(
         coords = [[generators[j][1][cid] for cid in cells] for j in keys[b]]
         tops = [max(map(abs, vec)) for vec in zip(*coords)]
         columns = ([x / top for x, top in zip(coord, tops)] for coord in coords)
-        for group in tolerance_groups(len(cells), columns, tol):
+        for column in columns:
+            if not max(column) - min(column) <= tol:  # a nan tol splits too
+                groups = tolerance_groups(len(cells), chain((column,), columns), tol)
+                break
+        else:  # one group: every cell, in space order
+            anchor = max(coords, key=lambda coord: abs(coord[0]))
+            ratios = list(map(truediv, anchor, repeat(anchor[0])))
+            if min(ratios) > 0.0:
+                blocks.append(cells)
+                profile.update(zip(cells, ratios))
+                continue
+            groups = [list(range(len(cells)))]
+        for group in groups:
             group.sort()  # into space order
             first = group[0]
             anchor = max(coords, key=lambda coord: abs(coord[first]))

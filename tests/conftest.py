@@ -253,6 +253,64 @@ def reference_keyed_join(A: Sublattice, C: Sublattice, tol: float = DEFAULT_TOL)
     return reference_make(A.space, blocks)
 
 
+# The bucket grouping `sublattice._proportional_blocks` used before buckets
+# that form one group skipped the sort, kept verbatim as the reference its
+# differential test compares against: every bucket of several cells goes
+# through `tolerance_groups`.
+
+def reference_proportional_blocks(
+    space: Space, generators: Sequence[tuple[Iterable[str], Mapping[str, float]]], tol: float
+) -> Sublattice:
+    """The sublattice generated by functions given as (support, values) pairs,
+    nonzero on the support: the one routine that groups cells into blocks.
+
+    Cells are bucketed by their key, the exact tuple of generators nonzero on
+    them: cells whose supports differ never share a block, even where a
+    scaled value is within tol of 0.  A one-cell bucket is the block
+    {cell: 1.0}; in a larger one, cells share a block when their vectors are
+    positive multiples: scaled to a max-abs of 1, within tol.  A profile is
+    the ratio to the group's first cell on the coordinate of largest |value|
+    there (the earliest of equal ones).  Cost: O(sum of supports + n log n).
+    """
+    # partition refinement: generator j moves its cells from bucket b (0: none) to child[b, j]
+    bucket_of: dict[str, int] = {}
+    child: dict[tuple[int, int], int] = {}
+    for j, (support, _) in enumerate(generators):
+        for cid in support:
+            bucket_of[cid] = child.setdefault((bucket_of.get(cid, 0), j), len(child) + 1)
+    keys: list[tuple[int, ...]] = [()]
+    for b, j in child:  # parents first
+        keys.append(keys[b] + (j,))
+    buckets: dict[int, list[str]] = {}
+    for cid in space.ids():
+        if cid in bucket_of:
+            buckets.setdefault(bucket_of[cid], []).append(cid)
+    blocks, profile = [], {}
+    for b, cells in buckets.items():
+        if len(cells) == 1:
+            blocks.append(cells)
+            profile[cells[0]] = 1.0
+            continue
+        coords = [[generators[j][1][cid] for cid in cells] for j in keys[b]]
+        tops = [max(map(abs, vec)) for vec in zip(*coords)]
+        columns = ([x / top for x, top in zip(coord, tops)] for coord in coords)
+        for group in tolerance_groups(len(cells), columns, tol):
+            group.sort()  # into space order
+            first = group[0]
+            anchor = max(coords, key=lambda coord: abs(coord[first]))
+            members = []
+            for i in group:
+                lam = anchor[i] / anchor[first]
+                if lam > 0.0:
+                    members.append(cells[i])
+                    profile[cells[i]] = lam
+                else:  # only a tol of 1 or more groups vectors of opposite sign
+                    blocks.append((cells[i],))
+                    profile[cells[i]] = 1.0
+            blocks.append(members)
+    return Sublattice._canonical(space, blocks, profile)
+
+
 # --- reference canonical base ---------------------------------------------------
 # The join-and-reslice fixpoint that the closed-form `canonical_base` in
 # `lplattice.independence` replaced, kept verbatim as the reference its

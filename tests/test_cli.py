@@ -272,6 +272,95 @@ class TestExecuteScenario:
         assert len(pairs) == 10
         assert len({(id(f), id(C)) for f, C in pairs}) == 10
 
+    @staticmethod
+    def count_closures(monkeypatch):
+        """The dcl and lattice_join calls a run makes, counted where the runner
+        and star_independent call them."""
+        import lplattice.independence as independence
+        import lplattice.scenario as scenario
+
+        calls = {"dcl": 0, "lattice_join": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(scenario, "dcl")
+        counting(independence, "dcl")
+        counting(independence, "lattice_join")
+        return calls
+
+    @pytest.mark.parametrize(
+        "name, closures",
+        [
+            # C = dcl[u, v]: 1.  indep [x] [x] C: [x] once, and B' is A': 1 dcl,
+            # 1 join.  indep [m] [x, y] [u, v]: [u, v] is C, [m] and [x, y] are
+            # new: 2 dcls, 2 joins.  cb [x, y] C certifies with star_independent
+            # over a list, which closes it itself: 1 dcl, 2 joins.
+            ("compose", {"dcl": 5, "lattice_join": 5}),
+            # G = dcl[u, v, w, t, s], H = dcl[u, w]: 2.  indep [x] [y] [u..s]:
+            # the side is G, [x] and [y] are new: 2 dcls, 2 joins.  indep [x] [x]
+            # [v, w, s]: [v, w, s] is new, [x] is known and B' is A': 1 dcl, 1
+            # join.  indep [x, y] H [u, w, t]: 2 dcls, 2 joins.  Each cb: 1 dcl,
+            # 2 joins.  condexp and profile: none.
+            ("dcl", {"dcl": 9, "lattice_join": 9}),
+        ],
+    )
+    def test_each_generated_sublattice_is_built_once(self, monkeypatch, name, closures):
+        calls = self.count_closures(monkeypatch)
+        report = execute_scenario(str(DATA / f"{name}_scenario.json"))
+        assert calls == closures
+        assert dumps(report) == (DATA / f"{name}_report.json").read_text()
+
+    def test_generators_in_another_order_are_closed_again(self, monkeypatch):
+        # the memo is keyed by the ordered list: [v, u] is a new key, though
+        # it closes to the sublattice [u, v] does
+        doc = json.loads((DATA / "compose_scenario.json").read_text())
+        doc["commands"] = [
+            {"op": "indep", "a": ["x"], "b": ["y"], "c": ["u", "v"]},
+            {"op": "indep", "a": ["x"], "b": ["y"], "c": ["v", "u"]},
+        ]
+        calls = self.count_closures(monkeypatch)
+        report = execute_scenario_doc(doc)
+        # C, then [x] and [y]; then [v, u] alone
+        assert calls == {"dcl": 4, "lattice_join": 4}
+        assert report["results"][0]["result"] == report["results"][1]["result"]
+
+    def test_b_side_is_closed_before_a_joins(self):
+        # two faults: A's join with C overflows on b (1.0 / 1e-310), B's dcl on
+        # c (1e300 / 1e-300); B's side is closed first, so c is named
+        doc = {
+            "space": {"p": 2.0, "cells": [{"id": cid, "weight": 1.0} for cid in "abc"]},
+            "functions": {"spike": {"values": {"b": 1e-300, "c": 1e300}}},
+            "sublattices": {
+                "C": {"blocks": [{"cells": ["a", "b"], "profile": {"a": 1e-310, "b": 1.0}}]}
+            },
+            "commands": [{"op": "indep", "a": [], "b": ["spike"], "c": "C"}],
+        }
+        message = "commands[0]: profile on 'c' must be positive, got inf"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            execute_scenario_doc(doc)
+
+    def test_memos_are_empty_once_the_run_returns(self, monkeypatch):
+        import lplattice.scenario as scenario
+
+        runners = []
+
+        class Recorded(scenario._Runner):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runners.append(self)
+
+        monkeypatch.setattr(scenario, "_Runner", Recorded)
+        execute_scenario(str(DATA / "dcl_scenario.json"))
+        (runner,) = runners
+        assert runner.generated == {} and runner.types == {}
+
     @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
     def test_tol_is_checked_at_entry(self, tol):
         # a negative or nan tol fails every comparison and an infinite one passes
@@ -1061,6 +1150,19 @@ class TestCliMain:
                 {"op": "slice", "f": "f", "c": "C", "r": 1.5},
                 "BadR: commands[0]: r must lie in (0,1), got 1.5",
             ),
+            # a list side is closed inside the command: its error names the command
+            (
+                {"op": "indep", "a": ["spike"], "b": "B", "c": "C"},
+                "ValidationError: commands[0]: profile on '(1,2]' must be positive, got inf",
+            ),
+            (
+                {"op": "indep", "a": ["f"], "b": "B", "c": ["spike"]},
+                "ValidationError: commands[0]: profile on '(1,2]' must be positive, got inf",
+            ),
+            (
+                {"op": "indep", "a": [], "b": [], "c": []},
+                "SpaceMismatch: commands[0]: no space among the inputs",
+            ),
         ],
         ids=[
             "dangling-function",
@@ -1071,10 +1173,15 @@ class TestCliMain:
             "maharam-names-c-before-target",
             "extend-over-c-not-below-b",
             "slice-r-outside-0-1",
+            "indep-side-whose-dcl-overflows",
+            "indep-c-side-whose-dcl-overflows",
+            "indep-all-sides-empty",
         ],
     )
     def test_error_inside_a_command_names_it(self, tmp_path, capsys, cmd, message):
         doc = masked_dependence_scenario()
+        # the ratio of its (1,2] value to its [0,1] value, 1e300 / 1e-300, overflows
+        doc["functions"]["spike"] = {"values": {"[0,1]": 1e-300, "(1,2]": 1e300}}
         doc["commands"] = [cmd]
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))

@@ -76,6 +76,36 @@ class TestStarIndependent:
         assert verdict.witness.gap > 1e-9
         assert norm(verdict.witness.over_b - verdict.witness.over_c) == verdict.witness.gap
 
+    @pytest.mark.parametrize("one_shot", list(itertools.product([False, True], repeat=3)))
+    def test_one_shot_sides_are_read_once(self, one_shot):
+        # a generator side yields its functions once; finding the space must
+        # not use up its first function (the A side was read as empty, and the
+        # masked dependence judged independent)
+        fx = masked_dependence_example()
+        sides = ([fx.f], list(fx.B.generators()), [fx.chi])
+        want = _outcome(star_independent, *sides)
+        assert want[0] is False
+        given = [(f for f in side) if shot else side for side, shot in zip(sides, one_shot)]
+        assert _outcome(star_independent, *given) == want
+
+    def test_b_that_is_a_shares_its_join(self, monkeypatch):
+        # B given as A's very sublattice: B' is A', joined once
+        import lplattice.independence as independence
+
+        fx = masked_dependence_example()
+        joins = []
+
+        def counting(A, C, tol, original=independence.lattice_join):
+            joins.append(A)
+            return original(A, C, tol)
+
+        monkeypatch.setattr(independence, "lattice_join", counting)
+        for A, B in ((fx.A, fx.A), (fx.B, fx.B), (fx.A, fx.B)):
+            want = _outcome(reference_star_independent, A, B, fx.C)
+            joins.clear()
+            assert _outcome(star_independent, A, B, fx.C) == want
+            assert joins == ([A] if A is B else [A, B])
+
 
 def _outcome(test, *args):
     """A test's verdict as comparable data, or the class and message it raised."""

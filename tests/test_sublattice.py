@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     brute_intersection,
@@ -11,6 +13,7 @@ from conftest import (
     reference_join,
     reference_keyed_join,
     reference_make,
+    reference_proportional_blocks,
 )
 from lplattice import (
     DensityChange,
@@ -44,6 +47,7 @@ from lplattice import (
     type_datum,
 )
 from lplattice.oracles import brute_dcl_closure, random_instance
+from lplattice.sublattice import _proportional_blocks
 from lplattice.verify import _nontrivial_sublattice, masked_dependence_example
 
 
@@ -516,6 +520,111 @@ class TestKeyedDcl:
         keyed = dcl(space, [a, c1, c2])
         assert keyed.blocks == (("q",), ("x", "z"), ("y",))
         assert keyed.profile["x"] == keyed.profile["z"] == 1.0
+
+
+def _grouping(build, space, generators, tol):
+    """Blocks and profile (in order) of a grouping, or the class and message it raised."""
+    try:
+        L = build(space, generators, tol)
+    except ValidationError as exc:
+        return ("raised", type(exc), str(exc))
+    return (L.blocks, list(L.profile.items()))
+
+
+# generator values: exact ties, near ties at the default tol, opposite signs,
+# and magnitudes whose ratios underflow or overflow
+GROUP_VALUES = st.sampled_from(
+    [1.0, 2.0, 0.5, -1.0, -2.0, 3.0, 1.0 + 1e-10, 1.0 - 1e-10, 2.0 + 3e-10, 1e-300, 1e300, 1e-12]
+) | st.floats(-4.0, 4.0, allow_nan=False).filter(bool)
+GROUP_TOLS = st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 0.5, 1.0, 2.0, 3.0]) | st.floats(0.0, 4.0)
+GROUP_CELLS = [f"c{i}" for i in range(6)]
+
+
+@st.composite
+def dcl_inputs(draw):
+    """dcl's (support, values) pairs: one to three functions on six cells."""
+    gens = draw(st.lists(st.dictionaries(st.sampled_from(GROUP_CELLS), GROUP_VALUES), min_size=1, max_size=3))
+    return [(g, g) for g in gens]
+
+
+@st.composite
+def join_inputs(draw):
+    """lattice_join's (block, profile) pairs: two partial partitions of six
+    cells into blocks, each with positive profile values."""
+    pairs = []
+    for _ in range(2):
+        label = draw(st.lists(st.integers(-1, 2), min_size=6, max_size=6))
+        profile = dict(zip(GROUP_CELLS, draw(st.lists(
+            st.sampled_from([1.0, 0.5, 1.0 - 1e-10, 1e-300]) | st.floats(1e-6, 1.0), min_size=6, max_size=6
+        ))))
+        for k in range(3):
+            block = [cid for cid, b in zip(GROUP_CELLS, label) if b == k]
+            if block:
+                pairs.append((block, profile))
+    return pairs
+
+
+class TestSingleGroupBuckets:
+    """The bucket pass that takes a bucket as one group without a sort, against
+    the grouping that sent every bucket through tolerance_groups."""
+
+    space = make_space([(cid, 1.0) for cid in GROUP_CELLS], 2.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(dcl_inputs() | join_inputs(), GROUP_TOLS)
+    def test_agrees_with_reference(self, generators, tol):
+        assert _grouping(_proportional_blocks, self.space, generators, tol) == _grouping(
+            reference_proportional_blocks, self.space, generators, tol
+        )
+
+    def both(self, values, tol):
+        """The grouping of these functions at tol, checked against the reference."""
+        space = make_space([(cid, 1.0) for cid in sorted({c for v in values for c in v})], 2.0)
+        generators = [(v, v) for v in values]
+        got = _grouping(_proportional_blocks, space, generators, tol)
+        assert got == _grouping(reference_proportional_blocks, space, generators, tol)
+        return got
+
+    @pytest.mark.parametrize("step, blocks", [
+        (2.0**-20, (("x", "y"),)),
+        (math.nextafter(2.0**-20, 1.0), (("x",), ("y",))),
+    ], ids=["spans-tol", "spans-past-tol"])
+    def test_column_spanning_tol(self, step, blocks):
+        # the second column is (2**-30, 2**-30 + step), exactly: it spans step
+        low = 2.0**-30
+        values = [{"x": 1.0, "y": 1.0}, {"x": low, "y": low + step}]
+        assert (low + step) - low == step
+        assert self.both(values, 2.0**-20)[0] == blocks
+
+    def test_tol_zero(self):
+        # equal scaled columns are one group at tol 0; one ulp apart, two
+        assert self.both([{"x": 1.0, "y": 2.0}, {"x": 0.5, "y": 1.0}], 0.0)[0] == (("x", "y"),)
+        apart = [{"x": 1.0, "y": 2.0}, {"x": 0.5, "y": math.nextafter(1.0, 2.0)}]
+        assert self.both(apart, 0.0)[0] == (("x",), ("y",))
+
+    @pytest.mark.parametrize("tol", [2.0, 2.5, 3.0])
+    def test_opposite_signs_at_tol_two_or_more(self, tol):
+        # the scaled column (1, -1, 1) spans 2: one group, whose negative ratio
+        # leaves y a block of its own
+        blocks, profile = self.both([{"x": 1.0, "y": -1.0, "z": 2.0}], tol)
+        assert blocks == (("x", "z"), ("y",))
+        assert profile == [("x", 0.5), ("z", 1.0), ("y", 1.0)]
+
+    def test_ratio_underflow_is_a_singleton(self):
+        # scaled, both cells read 1.0; b's ratio to a, 1e-300 / 1e300, is 0.0
+        assert 1e-300 / 1e300 == 0.0
+        assert self.both([{"a": 1e300, "b": 1e-300}], 1e-9) == (
+            (("a",), ("b",)),
+            [("a", 1.0), ("b", 1.0)],
+        )
+
+    def test_ratio_overflow_is_rejected(self):
+        # as in test_overflowing_profile_is_rejected: b's ratio to a is inf
+        assert self.both([{"a": 1e-300, "b": 1e300}], 1e-9) == (
+            "raised",
+            ValidationError,
+            "profile on 'b' must be positive, got inf",
+        )
 
 
 class TestIntersectsWell:
