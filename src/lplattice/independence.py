@@ -114,10 +114,13 @@ def star_independent(
 
 def _expectation_gaps(A: Sublattice, B: Sublattice, C: Sublattice) -> Iterator[float]:
     """Lazily, per block of A in order, norm(cond_exp(e, B) - cond_exp(e, C))
-    for the block's generator e, bit-equal to that expression: one
-    expectation over the block's own cells onto each of B and C."""
-    for block in A.blocks:
-        yield _gap(A.space, _expectation(B, block, A.profile), _expectation(C, block, A.profile))
+    for the block's generator e, bit-equal to that expression: the
+    expectations over each block's own cells onto B and onto C, each read
+    from one `_expectation` pass over A's blocks."""
+    over_b = _expectation(B, A.blocks, A.profile)
+    over_c = _expectation(C, A.blocks, A.profile)
+    for b, c in zip(over_b, over_c):
+        yield _gap(A.space, b, c)
 
 
 def _gap(space: Space, over_b: dict[str, float], over_c: dict[str, float]) -> float:

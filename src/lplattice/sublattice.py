@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import truediv
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     DEFAULT_TOL,
@@ -215,26 +215,13 @@ def _proportional_blocks(
     space: Space, generators: Sequence[tuple[Iterable[str], Mapping[str, float]]], tol: float
 ) -> Sublattice:
     """The sublattice generated by functions given as (support, values) pairs,
-    nonzero on the support: the one routine that groups cells into blocks.
+    nonzero on the support.
 
     Cells are bucketed by their key, the exact tuple of generators nonzero on
-    them: cells whose supports differ never share a block, even where a
-    scaled value is within tol of 0.  A one-cell bucket is the block
-    {cell: 1.0}; in a larger one, cells share a block when their vectors are
-    positive multiples: scaled to a max-abs of 1, within tol.  A profile is
-    the ratio to the group's first cell on the coordinate of largest |value|
-    there (the earliest of equal ones).  Cost: O(sum of supports + n log n).
-
-    A bucket whose every scaled column spans at most tol (max - min <= tol)
-    is one group, found without a sort, and when every ratio is positive its
-    profile is written in one pass.  This is what `tolerance_groups` finds:
-    the columns lie in [-1, 1], where `close(lo, x, tol)` is `x - lo <= tol`,
-    so the run that starts at a column's least value takes every value
-    exactly when it takes the largest.  Every other bucket goes through
-    `tolerance_groups` from its first column that spans more; the columns
-    before it keep the bucket whole, and the partition it returns depends
-    only on the keys.  The shortcut holds for scaled columns only: beyond
-    +-1 `close` is relative.
+    them, by partition refinement over the supports: cells whose supports
+    differ never share a block, even where a scaled value is within tol of 0.
+    Each bucket is handed to `_group_buckets` with the values of its key's
+    generators, in generator order.  Cost: O(sum of supports + n log n).
     """
     # partition refinement: generator j moves its cells from bucket b (0: none) to child[b, j]
     bucket_of: dict[str, int] = {}
@@ -242,20 +229,61 @@ def _proportional_blocks(
     for j, (support, _) in enumerate(generators):
         for cid in support:
             bucket_of[cid] = child.setdefault((bucket_of.get(cid, 0), j), len(child) + 1)
-    keys: list[tuple[int, ...]] = [()]
+    keys: list[tuple[Mapping[str, float], ...]] = [()]
     for b, j in child:  # parents first
-        keys.append(keys[b] + (j,))
+        keys.append(keys[b] + (generators[j][1],))
     buckets: dict[int, list[str]] = {}
     for cid in space.ids():
         if cid in bucket_of:
             buckets.setdefault(bucket_of[cid], []).append(cid)
-    blocks, profile = [], {}
-    for b, cells in buckets.items():
+    return _group_buckets(space, [(cells, keys[b]) for b, cells in buckets.items()], tol)
+
+
+def _group_buckets(
+    space: Space, buckets: Iterable[tuple[list[str], Sequence[Mapping[str, float]]]], tol: float
+) -> Sublattice:
+    """The one routine that groups cells into blocks.  Each bucket is its
+    cells in space order with the values of its coordinates there; blocks
+    never cross buckets.
+
+    A one-cell bucket is the block {cell: 1.0}; in a larger one, cells share
+    a block when their vectors are positive multiples: scaled to a max-abs
+    of 1, within tol.  A profile is the ratio to the group's first cell on
+    the coordinate of largest |value| there (the earliest of equal ones).
+
+    A bucket of one coordinate scales to a column of exactly +-1, so
+    `tolerance_groups` would split it by sign: when 0.0 <= tol, one group if
+    every value has one sign, else a negative and a positive group when
+    tol < 2.0 and no value is 0 (a profile that `_canonical` scaled below
+    the float range can be).  Any other bucket whose every scaled column
+    spans at most tol (max - min <= tol) is one group, found without a sort.
+    This is what `tolerance_groups` finds: the columns lie in [-1, 1],
+    where `close(lo, x, tol)` is `x - lo <= tol`, so the run that starts at
+    a column's least value takes every value exactly when it takes the
+    largest.  Every other bucket, a negative or nan tol included, goes
+    through `tolerance_groups` from its first column that spans more; the
+    columns before it keep the bucket whole, and the partition it returns
+    depends only on the keys.  The shortcuts hold for scaled columns only:
+    beyond +-1 `close` is relative.
+    """
+    blocks: list[Sequence[str]] = []
+    profile: dict[str, float] = {}
+    for cells, values in buckets:
         if len(cells) == 1:
             blocks.append(cells)
             profile[cells[0]] = 1.0
             continue
-        coords = [[generators[j][1][cid] for cid in cells] for j in keys[b]]
+        coords = [[vals[cid] for cid in cells] for vals in values]
+        if len(coords) == 1 and 0.0 <= tol:
+            (vec,) = coords
+            if min(vec) > 0.0 or max(vec) < 0.0:
+                _settle(cells, vec, blocks, profile)
+                continue
+            if tol < 2.0 and 0.0 not in vec:  # negatives first, as tolerance_groups orders them
+                for negative in (True, False):
+                    group = [i for i, x in enumerate(vec) if (x < 0.0) is negative]
+                    _settle([cells[i] for i in group], [vec[i] for i in group], blocks, profile)
+                continue
         tops = [max(map(abs, vec)) for vec in zip(*coords)]
         columns = ([x / top for x, top in zip(coord, tops)] for coord in coords)
         for column in columns:
@@ -263,28 +291,36 @@ def _proportional_blocks(
                 groups = tolerance_groups(len(cells), chain((column,), columns), tol)
                 break
         else:  # one group: every cell, in space order
-            anchor = max(coords, key=lambda coord: abs(coord[0]))
-            ratios = list(map(truediv, anchor, repeat(anchor[0])))
-            if min(ratios) > 0.0:
-                blocks.append(cells)
-                profile.update(zip(cells, ratios))
-                continue
-            groups = [list(range(len(cells)))]
+            _settle(cells, max(coords, key=lambda coord: abs(coord[0])), blocks, profile)
+            continue
         for group in groups:
             group.sort()  # into space order
-            first = group[0]
-            anchor = max(coords, key=lambda coord: abs(coord[first]))
-            members = []
-            for i in group:
-                lam = anchor[i] / anchor[first]
-                if lam > 0.0:
-                    members.append(cells[i])
-                    profile[cells[i]] = lam
-                else:  # only a tol of 1 or more groups vectors of opposite sign
-                    blocks.append((cells[i],))
-                    profile[cells[i]] = 1.0
-            blocks.append(members)
+            anchor = max(coords, key=lambda coord: abs(coord[group[0]]))
+            _settle([cells[i] for i in group], [anchor[i] for i in group], blocks, profile)
     return Sublattice._canonical(space, blocks, profile)
+
+
+def _settle(
+    cells: list[str], anchor: list[float], blocks: list[Sequence[str]], profile: dict[str, float]
+) -> None:
+    """Add one group to blocks and profile: its cells in space order, each
+    at the ratio of its anchor value to the first cell's.  A cell whose ratio
+    is not positive is a block of its own: a ratio that underflows to 0.0,
+    or, at a tol of 1 or more, a vector of opposite sign."""
+    ratios = list(map(truediv, anchor, repeat(anchor[0])))
+    if min(ratios) > 0.0:
+        blocks.append(cells)
+        profile.update(zip(cells, ratios))
+        return
+    members = []
+    for cid, lam in zip(cells, ratios):
+        if lam > 0.0:
+            members.append(cid)
+            profile[cid] = lam
+        else:
+            blocks.append((cid,))
+            profile[cid] = 1.0
+    blocks.append(members)
 
 
 def contains(
@@ -348,24 +384,37 @@ def cond_exp(f: StepFunction, C: Sublattice) -> StepFunction:
     """
     if f.space != C.space:
         raise SpaceMismatch("function lives on a different space")
-    return StepFunction(C.space, _expectation(C, C.space.sort_cells(f.values), f.values))
+    [values] = _expectation(C, [C.space.sort_cells(f.values)], f.values)
+    return StepFunction(C.space, values)
 
 
 def _expectation(
-    C: Sublattice, cells: Sequence[str], values: Mapping[str, float]
-) -> dict[str, float]:
-    """The values of cond_exp(f, C) for the f with these values on these
-    cells (in space order) and 0 elsewhere: per block, mu * w**(p-1) * f
-    summed over its given cells, over its nu-mass (a cell where f is 0 would
-    add +0.0, which changes no sum)."""
+    C: Sublattice, cell_lists: Iterable[Sequence[str]], values: Mapping[str, float]
+) -> Iterator[dict[str, float]]:
+    """Lazily, per list of cells (in space order), the values of cond_exp(f, C)
+    for the f with these values on those cells and 0 elsewhere: per block,
+    mu * w**(p-1) * f summed over its given cells, over its nu-mass (a cell
+    where f is 0 would add +0.0, which changes no sum), times the profile,
+    kept as a StepFunction keeps them: exact zeros dropped, NonFiniteValue
+    on the first value not finite.  C's nu-table, block map, blocks and
+    profile are read once per call, not once per list."""
     factor, _, mass = C.nu_table
-    block_of = C._block_of
-    num: dict[int, float] = {}
-    for cid in cells:
-        k = block_of.get(cid)
-        if k is not None:
-            num[k] = num.get(k, 0.0) + factor[cid] * values[cid]
-    return C._member_values((k, num[k] / mass[k]) for k in sorted(num))
+    block_of, blocks, profile = C._block_of, C.blocks, C.profile
+    for cells in cell_lists:
+        num: dict[int, float] = {}
+        for cid in cells:
+            k = block_of.get(cid)
+            if k is not None:
+                num[k] = num.get(k, 0.0) + factor[cid] * values[cid]
+        out = {}
+        for k in sorted(num):
+            c = num[k] / mass[k]
+            if c != 0.0:
+                for cid in blocks[k]:
+                    v = c * profile[cid]
+                    if v != 0.0:
+                        out[cid] = v
+        yield _finite_values(out)
 
 
 def lattice_intersection(
@@ -428,12 +477,29 @@ def lattice_intersection(
 
 def lattice_join(A: Sublattice, C: Sublattice, tol: float = DEFAULT_TOL) -> Sublattice:
     """The sublattice generated by the members of A and C together, which is
-    dcl(A.generators() + C.generators()) by construction: `_proportional_blocks`
-    of A's then C's block profiles, keyed exactly by (A-block, C-block).  O(n log n)."""
+    dcl(A.generators() + C.generators()) by construction.  A cell's vector of
+    generator values is nonzero on its A-block's and its C-block's alone, so
+    the cells are bucketed in one pass over the space by the key (A-block or
+    None, C-block or None), and `_group_buckets` groups each bucket on the
+    coordinates (w_A, w_C), or on the one of them its cells have.  O(n) to
+    bucket, plus the grouping."""
     if A.space != C.space:
         raise SpaceMismatch("sublattices live on different spaces")
-    blocks = [(block, lat.profile) for lat in (A, C) for block in lat.blocks]
-    return _proportional_blocks(A.space, blocks, tol)
+    a_of, c_of = A._block_of, C._block_of
+    buckets: dict[tuple[Optional[int], Optional[int]], list[str]] = {}
+    for cid in A.space.ids():
+        buckets.setdefault((a_of.get(cid), c_of.get(cid)), []).append(cid)
+    buckets.pop((None, None), None)
+    coordinates = {
+        (True, True): (A.profile, C.profile),
+        (True, False): (A.profile,),
+        (False, True): (C.profile,),
+    }
+    return _group_buckets(
+        A.space,
+        [(cells, coordinates[a is not None, c is not None]) for (a, c), cells in buckets.items()],
+        tol,
+    )
 
 
 def intersects_well(A: Sublattice, C: Sublattice, tol: float = DEFAULT_TOL) -> bool:

@@ -6,7 +6,9 @@ import itertools
 import json
 import math
 from bisect import bisect_right
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import truediv
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -47,6 +49,7 @@ from lplattice.independence import (
     SideInput,
     Witness,
     _as_sublattice,
+    _gap,
     _space_of,
 )
 from lplattice.oracles import proportionality_classes
@@ -309,6 +312,130 @@ def reference_proportional_blocks(
                     profile[cells[i]] = 1.0
             blocks.append(members)
     return Sublattice._canonical(space, blocks, profile)
+
+
+# The bucket grouping and the join from before the join bucketed its cells by
+# (A-block, C-block) itself, kept verbatim as the references their
+# differential tests compare against: `_proportional_blocks` with the pass
+# that takes a bucket as one group without a sort, and `lattice_join`
+# handing every block of A and of C to it as a generator.
+
+def reference_one_group_blocks(
+    space: Space, generators: Sequence[tuple[Iterable[str], Mapping[str, float]]], tol: float
+) -> Sublattice:
+    """The sublattice generated by functions given as (support, values) pairs,
+    nonzero on the support: the one routine that groups cells into blocks.
+
+    Cells are bucketed by their key, the exact tuple of generators nonzero on
+    them: cells whose supports differ never share a block, even where a
+    scaled value is within tol of 0.  A one-cell bucket is the block
+    {cell: 1.0}; in a larger one, cells share a block when their vectors are
+    positive multiples: scaled to a max-abs of 1, within tol.  A profile is
+    the ratio to the group's first cell on the coordinate of largest |value|
+    there (the earliest of equal ones).  Cost: O(sum of supports + n log n).
+
+    A bucket whose every scaled column spans at most tol (max - min <= tol)
+    is one group, found without a sort, and when every ratio is positive its
+    profile is written in one pass.  This is what `tolerance_groups` finds:
+    the columns lie in [-1, 1], where `close(lo, x, tol)` is `x - lo <= tol`,
+    so the run that starts at a column's least value takes every value
+    exactly when it takes the largest.  Every other bucket goes through
+    `tolerance_groups` from its first column that spans more; the columns
+    before it keep the bucket whole, and the partition it returns depends
+    only on the keys.  The shortcut holds for scaled columns only: beyond
+    +-1 `close` is relative.
+    """
+    # partition refinement: generator j moves its cells from bucket b (0: none) to child[b, j]
+    bucket_of: dict[str, int] = {}
+    child: dict[tuple[int, int], int] = {}
+    for j, (support, _) in enumerate(generators):
+        for cid in support:
+            bucket_of[cid] = child.setdefault((bucket_of.get(cid, 0), j), len(child) + 1)
+    keys: list[tuple[int, ...]] = [()]
+    for b, j in child:  # parents first
+        keys.append(keys[b] + (j,))
+    buckets: dict[int, list[str]] = {}
+    for cid in space.ids():
+        if cid in bucket_of:
+            buckets.setdefault(bucket_of[cid], []).append(cid)
+    blocks, profile = [], {}
+    for b, cells in buckets.items():
+        if len(cells) == 1:
+            blocks.append(cells)
+            profile[cells[0]] = 1.0
+            continue
+        coords = [[generators[j][1][cid] for cid in cells] for j in keys[b]]
+        tops = [max(map(abs, vec)) for vec in zip(*coords)]
+        columns = ([x / top for x, top in zip(coord, tops)] for coord in coords)
+        for column in columns:
+            if not max(column) - min(column) <= tol:  # a nan tol splits too
+                groups = tolerance_groups(len(cells), chain((column,), columns), tol)
+                break
+        else:  # one group: every cell, in space order
+            anchor = max(coords, key=lambda coord: abs(coord[0]))
+            ratios = list(map(truediv, anchor, repeat(anchor[0])))
+            if min(ratios) > 0.0:
+                blocks.append(cells)
+                profile.update(zip(cells, ratios))
+                continue
+            groups = [list(range(len(cells)))]
+        for group in groups:
+            group.sort()  # into space order
+            first = group[0]
+            anchor = max(coords, key=lambda coord: abs(coord[first]))
+            members = []
+            for i in group:
+                lam = anchor[i] / anchor[first]
+                if lam > 0.0:
+                    members.append(cells[i])
+                    profile[cells[i]] = lam
+                else:  # only a tol of 1 or more groups vectors of opposite sign
+                    blocks.append((cells[i],))
+                    profile[cells[i]] = 1.0
+            blocks.append(members)
+    return Sublattice._canonical(space, blocks, profile)
+
+
+def reference_generator_join(A: Sublattice, C: Sublattice, tol: float = DEFAULT_TOL) -> Sublattice:
+    """The sublattice generated by the members of A and C together, which is
+    dcl(A.generators() + C.generators()) by construction: `_proportional_blocks`
+    of A's then C's block profiles, keyed exactly by (A-block, C-block).  O(n log n)."""
+    if A.space != C.space:
+        raise SpaceMismatch("sublattices live on different spaces")
+    blocks = [(block, lat.profile) for lat in (A, C) for block in lat.blocks]
+    return reference_one_group_blocks(A.space, blocks, tol)
+
+
+# The gaps from before `sublattice._expectation` served a sequence of cell
+# lists, kept verbatim with the one-list expectation they called, as the
+# reference their differential test compares against: two expectation calls,
+# each building its member through `Sublattice._member_values`, per block of A.
+
+def _reference_expectation(
+    C: Sublattice, cells: Sequence[str], values: Mapping[str, float]
+) -> dict[str, float]:
+    """The values of cond_exp(f, C) for the f with these values on these
+    cells (in space order) and 0 elsewhere: per block, mu * w**(p-1) * f
+    summed over its given cells, over its nu-mass (a cell where f is 0 would
+    add +0.0, which changes no sum)."""
+    factor, _, mass = C.nu_table
+    block_of = C._block_of
+    num: dict[int, float] = {}
+    for cid in cells:
+        k = block_of.get(cid)
+        if k is not None:
+            num[k] = num.get(k, 0.0) + factor[cid] * values[cid]
+    return C._member_values((k, num[k] / mass[k]) for k in sorted(num))
+
+
+def reference_expectation_gaps(A: Sublattice, B: Sublattice, C: Sublattice) -> Iterator[float]:
+    """Lazily, per block of A in order, norm(cond_exp(e, B) - cond_exp(e, C))
+    for the block's generator e, bit-equal to that expression: one
+    expectation over the block's own cells onto each of B and C."""
+    for block in A.blocks:
+        yield _gap(
+            A.space, _reference_expectation(B, block, A.profile), _reference_expectation(C, block, A.profile)
+        )
 
 
 # --- reference canonical base ---------------------------------------------------

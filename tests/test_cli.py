@@ -317,6 +317,29 @@ class TestExecuteScenario:
         assert calls == closures
         assert dumps(report) == (DATA / f"{name}_report.json").read_text()
 
+    @pytest.mark.parametrize(
+        "name, most",
+        [
+            # before lattice_join bucketed its cells itself and one-function
+            # buckets split by sign: 6 and 15
+            ("compose", 4),
+            ("dcl", 9),
+        ],
+    )
+    def test_few_buckets_are_sorted(self, monkeypatch, name, most):
+        import lplattice.sublattice as sublattice
+
+        calls = []
+
+        def counting(*args, original=sublattice.tolerance_groups):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(sublattice, "tolerance_groups", counting)
+        report = execute_scenario(str(DATA / f"{name}_scenario.json"))
+        assert len(calls) <= most
+        assert dumps(report) == (DATA / f"{name}_report.json").read_text()
+
     def test_generators_in_another_order_are_closed_again(self, monkeypatch):
         # the memo is keyed by the ordered list: [v, u] is a new key, though
         # it closes to the sublattice [u, v] does

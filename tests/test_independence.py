@@ -7,6 +7,7 @@ from conftest import (
     documented_cuts,
     lattice_terms,
     reference_canonical_base,
+    reference_expectation_gaps,
     reference_merged_midpoints,
     reference_slice_independent,
     reference_star_independent,
@@ -35,6 +36,7 @@ from lplattice import (
     step_function,
     tuple_type_equal,
 )
+from lplattice.independence import _expectation_gaps
 from lplattice.oracles import random_instance, slice_by_definition
 from lplattice.typespace import merged_midpoints, slice_profile
 from lplattice.verify import (
@@ -120,6 +122,14 @@ def _outcome(test, *args):
     return (verdict.independent, fields)
 
 
+def _hex_gaps(gaps, A, B, C):
+    """The gaps per block of A as float.hex, or the class and message raised."""
+    try:
+        return [gap.hex() for gap in gaps(A, B, C)]
+    except Exception as exc:  # compared with the reference's exception
+        return ["raised", type(exc), str(exc)]
+
+
 def _sides(inst, seed):
     """Sides of an independence test: the chain members, a nontrivial
     sublattice, and function lists of arity 1 to 3."""
@@ -167,6 +177,27 @@ class TestOnePassGaps:
                     assert _outcome(slice_independent, f, b, c) == _documented_r(
                         want, f, b, c
                     )
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_gaps_match_reference_to_the_bit(self, seed):
+        # (A', B', C) triples: the joins star_independent builds over a
+        # chain member and over a dcl, and the chain members in every order
+        inst = random_instance(seed, 12)
+        C, B, D = inst.chain
+        space = inst.space
+        fs = list(inst.functions)
+        Cbar = dcl(space, fs[2:])
+        triples = [
+            (lattice_join(dcl(space, fs[:1]), C), lattice_join(B, C), C),
+            (lattice_join(dcl(space, fs[:2]), Cbar), lattice_join(D, Cbar), Cbar),
+            (lattice_join(_nontrivial_sublattice(inst, seed), C), D, C),
+            *itertools.permutations((C, B, D)),
+        ]
+        for A, Bp, Cp in triples:
+            got = _hex_gaps(_expectation_gaps, A, Bp, Cp)
+            assert got == _hex_gaps(reference_expectation_gaps, A, Bp, Cp)
+            if got[:1] != ["raised"]:
+                assert got == [norm(cond_exp(e, Bp) - cond_exp(e, Cp)).hex() for e in A.generators()]
 
     def test_tie_goes_to_earliest_block(self):
         # two copies of one C-block split the same way: bit-equal gaps on {s} and {u}

@@ -9,10 +9,12 @@ from conftest import (
     brute_intersection,
     reference_cond_exp,
     reference_dcl,
+    reference_generator_join,
     reference_is_sublattice_of,
     reference_join,
     reference_keyed_join,
     reference_make,
+    reference_one_group_blocks,
     reference_proportional_blocks,
 )
 from lplattice import (
@@ -536,7 +538,11 @@ def _grouping(build, space, generators, tol):
 GROUP_VALUES = st.sampled_from(
     [1.0, 2.0, 0.5, -1.0, -2.0, 3.0, 1.0 + 1e-10, 1.0 - 1e-10, 2.0 + 3e-10, 1e-300, 1e300, 1e-12]
 ) | st.floats(-4.0, 4.0, allow_nan=False).filter(bool)
-GROUP_TOLS = st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 0.5, 1.0, 2.0, 3.0]) | st.floats(0.0, 4.0)
+# tols: the sampled values, a negative, a negative zero and nan among them
+# (each takes the general path through tolerance_groups, which splits at a
+# negative or nan tol), and a range
+GROUP_TOL_VALUES = [0.0, -0.0, 1e-12, 1e-9, 1e-3, 0.5, 1.0, 2.0, 3.0, -1.0, math.nan]
+GROUP_TOLS = st.sampled_from(GROUP_TOL_VALUES) | st.floats(0.0, 4.0)
 GROUP_CELLS = [f"c{i}" for i in range(6)]
 
 
@@ -577,12 +583,24 @@ class TestSingleGroupBuckets:
             reference_proportional_blocks, self.space, generators, tol
         )
 
+    @settings(max_examples=400, deadline=None)
+    @given(dcl_inputs() | join_inputs(), GROUP_TOLS)
+    def test_agrees_with_one_group_reference_to_the_bit(self, generators, tol):
+        # the bucket grouping with its sign split, against the routine it
+        # was split out of
+        assert _hex_grouping(_proportional_blocks, self.space, generators, tol) == _hex_grouping(
+            reference_one_group_blocks, self.space, generators, tol
+        )
+
     def both(self, values, tol):
-        """The grouping of these functions at tol, checked against the reference."""
+        """The grouping of these functions at tol, checked against both references."""
         space = make_space([(cid, 1.0) for cid in sorted({c for v in values for c in v})], 2.0)
         generators = [(v, v) for v in values]
         got = _grouping(_proportional_blocks, space, generators, tol)
         assert got == _grouping(reference_proportional_blocks, space, generators, tol)
+        assert _hex_grouping(_proportional_blocks, space, generators, tol) == _hex_grouping(
+            reference_one_group_blocks, space, generators, tol
+        )
         return got
 
     @pytest.mark.parametrize("step, blocks", [
@@ -625,6 +643,144 @@ class TestSingleGroupBuckets:
             ValidationError,
             "profile on 'b' must be positive, got inf",
         )
+
+    def test_nan_tol_splits_every_cell(self):
+        # one function of one sign: the scaled column (1, 1) spans 0, but
+        # close(1, 1, nan) is false, so tolerance_groups splits both cells
+        assert self.both([{"a": 1.0, "b": 3.0}], math.nan) == (
+            (("a",), ("b",)),
+            [("a", 1.0), ("b", 1.0)],
+        )
+
+    def test_negative_tol_splits_every_cell(self):
+        # at tol -1 no two values are close, not even equal ones: a and b do
+        # not share a block, though a sign split would put them together
+        assert self.both([{"a": 1.0, "b": 2.0, "c": -1.0}], -1.0) == (
+            (("a",), ("b",), ("c",)),
+            [("a", 1.0), ("b", 1.0), ("c", 1.0)],
+        )
+
+    def test_overflow_is_named_in_the_negative_group_first(self):
+        # both sign groups hold a ratio of 1e600: the negative group comes
+        # first, as tolerance_groups orders the column (-1, -1, 1, 1)
+        assert self.both([{"a": -1e-300, "b": -1e300, "c": 1e-300, "d": 1e300}], 1e-9) == (
+            "raised",
+            ValidationError,
+            "profile on 'b' must be positive, got inf",
+        )
+
+    @pytest.mark.parametrize("tol", [0.0, -0.0, 1e-9, 1.0, math.nextafter(2.0, 0.0)])
+    def test_mixed_signs_split_into_two_groups(self, tol):
+        # below tol 2 one function's bucket is its negative cells and its
+        # positive cells, each a group; the second positive cell underflows
+        assert self.both([{"a": 1e300, "b": -2.0, "c": 1e-300, "d": -1.0, "e": 3e300}], tol) == (
+            (("a", "e"), ("b", "d"), ("c",)),
+            [("a", 1 / 3), ("e", 1.0), ("b", 1.0), ("d", 0.5), ("c", 1.0)],
+        )
+
+
+def _hex_grouping(build, *args):
+    """Blocks and profile (in order, as float.hex) of a grouping or join, or
+    the class and message it raised."""
+    try:
+        L = build(*args)
+    except (ValidationError, ZeroDivisionError) as exc:
+        return ("raised", type(exc), str(exc))
+    return (L.blocks, [(cid, v.hex()) for cid, v in L.profile.items()])
+
+
+# raw profile values for join inputs: ties, near ties, magnitudes whose
+# ratios underflow to 0.0 or overflow, and the 0.0 that `_canonical` leaves
+# where a block's values span more than the float range
+JOIN_PROFILE_VALUES = st.sampled_from(
+    [1.0, 0.5, 1.0 - 1e-10, 2.0**-30, 1e-300, 1e300, 3e300, 0.0]
+) | st.floats(1e-6, 1.0)
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Two lattices on six unit cells, each a partial partition into up to
+    three blocks with raw profile values: made with the dataclass
+    constructor, not `_canonical`, so that a join bucket can hold ratios
+    that underflow or overflow.  A label of -1 leaves a cell out, so some
+    cells lie in one lattice only."""
+    space = TestSingleGroupBuckets.space
+    pair = []
+    for _ in range(2):
+        label = draw(st.lists(st.integers(-1, 2), min_size=6, max_size=6))
+        values = draw(st.lists(JOIN_PROFILE_VALUES, min_size=6, max_size=6))
+        blocks = [
+            tuple(cid for cid, b in zip(GROUP_CELLS, label) if b == k) for k in range(3)
+        ]
+        blocks = tuple(sorted((block for block in blocks if block), key=min))
+        profile = {cid: v for cid, v, b in zip(GROUP_CELLS, values, label) if b >= 0}
+        pair.append(Sublattice(space, blocks, profile))
+    return pair
+
+
+class TestBucketedJoin:
+    """lattice_join, which buckets its cells by (A-block, C-block) itself,
+    against the join that handed every block to the grouping as a generator."""
+
+    def both(self, A, C, tol):
+        """The join of A and C at tol, checked against the reference to the bit."""
+        got = _hex_grouping(lattice_join, A, C, tol)
+        assert got == _hex_grouping(reference_generator_join, A, C, tol)
+        return got
+
+    @pytest.mark.parametrize("tol", GROUP_TOL_VALUES, ids=repr)
+    @settings(max_examples=150, deadline=None)
+    @given(pair=lattice_pairs())
+    def test_agrees_with_reference_at_each_tol(self, pair, tol):
+        self.both(*pair, tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=lattice_pairs(), tol=GROUP_TOLS)
+    def test_agrees_with_reference(self, pair, tol):
+        self.both(*pair, tol)
+
+    def test_cells_in_one_lattice_only(self):
+        # x and y lie in A alone, z and w in C alone, v in both: one
+        # coordinate each for the first two buckets, two for v
+        space = make_space([(cid, 1.0) for cid in "vwxyz"], 2.0)
+        A = Sublattice.make(space, [("vxy", {"v": 0.5, "x": 1.0, "y": 0.25})])
+        C = Sublattice.make(space, [("vzw", {"v": 1.0, "z": 0.5, "w": 0.5})])
+        assert self.both(A, C, 1e-9)[0] == (("v",), ("w", "z"), ("x", "y"))
+
+    def test_overflow_is_named_in_the_first_bucket(self):
+        # two A-blocks, each a bucket whose second ratio is 1e600: the bucket
+        # of the earlier cell is grouped first, and its cell named
+        space = make_space([(cid, 1.0) for cid in "wxyz"], 2.0)
+        A = Sublattice(
+            space, (("w", "y"), ("x", "z")), {"w": 1e-300, "x": 1e-300, "y": 1e300, "z": 1e300}
+        )
+        assert self.both(A, Sublattice.trivial(space), 1e-9) == (
+            "raised",
+            ValidationError,
+            "profile on 'y' must be positive, got inf",
+        )
+
+    def test_ratio_underflow_is_a_singleton(self):
+        # a one-coordinate bucket: y's ratio to x, 1e-300 / 1e300, is 0.0
+        space = make_space([(cid, 1.0) for cid in "xy"], 2.0)
+        A = Sublattice(space, (("x", "y"),), {"x": 1e300, "y": 1e-300})
+        assert self.both(A, Sublattice.trivial(space), 1e-9) == (
+            (("x",), ("y",)),
+            [("x", "0x1.0000000000000p+0"), ("y", "0x1.0000000000000p+0")],
+        )
+
+    @pytest.mark.parametrize("step, blocks", [
+        (2.0**-20, (("x", "y"),)),
+        (math.nextafter(2.0**-20, 1.0), (("x",), ("y",))),
+    ], ids=["spans-tol", "spans-past-tol"])
+    def test_column_spanning_tol(self, step, blocks):
+        # x and y share an A-block and a C-block; A's scaled column is (1, 1)
+        # and C's (2**-30, 2**-30 + step), exactly: it spans step
+        space = make_space([(cid, 1.0) for cid in "xy"], 2.0)
+        low = 2.0**-30
+        A = Sublattice(space, (("x", "y"),), {"x": 1.0, "y": 1.0})
+        C = Sublattice(space, (("x", "y"),), {"x": low, "y": low + step})
+        assert self.both(A, C, 2.0**-20)[0] == blocks
 
 
 class TestIntersectsWell:
