@@ -61,7 +61,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
         sys.stdout.write(text)
         return 0
-    # verify, the only other command; imported here so `run` never loads the oracles or numpy
+    # verify, the only other command; imported here so `run` never loads the oracles
     from .verify import run_suites
 
     results = run_suites(seed=args.seed, trials=args.trials, tol=args.tol)

@@ -1,17 +1,19 @@
 """Brute-force reference implementations and the seeded instance generator.
 
 Everything here is exponential or enumerative by design and guarded to small
-instances; nothing on the fast path imports this module.
+instances; nothing on the fast path imports this module.  The closure oracle
+reads each float as its exact binary fraction and computes in integers, so it
+uses no tolerance.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .core import DEFAULT_TOL, Space, StepFunction
 from .errors import (
@@ -26,8 +28,7 @@ from .typespace import TypeDatum
 
 GUARD_CELLS = 8
 GUARD_GENERATORS = 4
-# brute_dcl_closure: rank and proportionality tolerance, and closure round guard
-CLOSURE_TOL = 1e-7
+# brute_dcl_closure: closure round guard
 CLOSURE_ROUNDS = 50
 # a coupling's mass left this small after subtracting `take` is rounding residue
 COUPLING_RESIDUE = 1e-15
@@ -50,37 +51,27 @@ def _guard(space: Space, n_generators: int = 0) -> None:
         raise GuardExceeded(f"{n_generators} generators exceed the oracle guard")
 
 
-def _row_basis(rows: np.ndarray, tol: float) -> np.ndarray:
-    if rows.size == 0:
-        return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    cutoff = tol * max(1.0, float(s[0])) if s.size else tol
-    rank = int(np.sum(s > cutoff))
-    return vt[:rank]
-
-
 def proportionality_classes(
-    ids: Sequence[str], basis: np.ndarray, tol: float
-) -> list[tuple[tuple[str, ...], dict[str, float]]]:
+    ids: Sequence[str], basis: Sequence[Sequence[int | Fraction]]
+) -> list[tuple[tuple[str, ...], dict[str, Fraction]]]:
     """Block form of the span of the basis rows, scanning cells in order: a
-    column v joins the first class whose first column u has v = lam * u with
-    lam > 0 within tol * max(1, |v|, |lam u|); columns within tol of 0 join none.
+    nonzero column v joins the first class whose first column u has v = lam * u
+    with lam > 0, tested exactly by cross-multiplication.  Any basis of the
+    span gives the same classes and ratios.
     """
-    classes: list[tuple[np.ndarray, list[tuple[str, float]]]] = []
+    classes: list[tuple[tuple[int | Fraction, ...], int, list[tuple[str, Fraction]]]] = []
     for i, cid in enumerate(ids):
-        v = basis[:, i]
-        if float(np.max(np.abs(v))) <= tol:
+        v = tuple(row[i] for row in basis)
+        if not any(v):
             continue
-        for u, members in classes:
-            k = int(np.argmax(np.abs(u)))
-            lam = float(v[k] / u[k])
-            scale = max(1.0, float(np.max(np.abs(v))), float(np.max(np.abs(lam * u))))
-            if lam > 0.0 and float(np.max(np.abs(v - lam * u))) <= tol * scale:
-                members.append((cid, lam))
+        for u, k, members in classes:
+            if v[k] * u[k] > 0 and all(x * u[k] == y * v[k] for x, y in zip(v, u)):
+                members.append((cid, Fraction(v[k], u[k])))
                 break
         else:
-            classes.append((v, [(cid, 1.0)]))
-    return [(tuple(c for c, _ in members), dict(members)) for _, members in classes]
+            k = next(j for j, x in enumerate(v) if x)
+            classes.append((v, k, [(cid, Fraction(1))]))
+    return [(tuple(c for c, _ in members), dict(members)) for _, _, members in classes]
 
 
 def brute_dcl_closure(space: Space, generators: Iterable[StepFunction]) -> Sublattice:
@@ -91,43 +82,45 @@ def brute_dcl_closure(space: Space, generators: Iterable[StepFunction]) -> Subla
     the span's dimension equals the number of positive-proportionality
     classes among its per-cell coordinate vectors; at that point the span is
     itself a block/profile sublattice and is returned as such.
+
+    The arithmetic is exact and uses no tolerance: each generator value is
+    read as its exact binary fraction, and all of them are scaled by the lcm
+    of their denominators into integer vectors, which the meets, joins and
+    differences keep integer.  Ranks come from fraction-free elimination.
     """
     gens = list(generators)
     _guard(space, len(gens))
     ids = space.ids()
-    n = len(ids)
-    vectors: dict[tuple, np.ndarray] = {}
-
-    def _add(v: np.ndarray) -> bool:
-        key = tuple(np.round(v, 10))
-        if key in vectors:
-            return False
-        vectors[key] = v.copy()
-        return True
-
-    _add(np.zeros(n))
-    for g in gens:
-        _add(np.array([g[cid] for cid in ids], dtype=float))
+    exact = [[Fraction(g[cid]) for cid in ids] for g in gens]
+    scale = math.lcm(*(x.denominator for row in exact for x in row))
+    vectors = {(0,) * len(ids)} | {tuple(int(x * scale) for x in row) for row in exact}
+    fresh = set(vectors)
+    basis: list[tuple[int, list[int]]] = []  # (pivot, row), each row 0 at the pivots before it
 
     for _ in range(CLOSURE_ROUNDS):
-        stack = np.array(list(vectors.values()))
-        basis = _row_basis(stack, CLOSURE_TOL)
-        rank = basis.shape[0]
-        if rank == 0:
+        for vec in fresh:
+            row = list(vec)
+            for pivot, b in basis:
+                if row[pivot]:
+                    a, c = b[pivot], row[pivot]
+                    row = [a * x - c * y for x, y in zip(row, b)]
+            if any(row):
+                g = math.gcd(*row)
+                basis.append((next(j for j, x in enumerate(row) if x), [x // g for x in row]))
+        if not basis:
             return Sublattice.trivial(space)
-        classes = proportionality_classes(ids, basis, CLOSURE_TOL)
-        if len(classes) == rank:
+        classes = proportionality_classes(ids, [row for _, row in basis])
+        if len(classes) == len(basis):
             return Sublattice.make(space, classes)
-        current = list(vectors.values())
-        grew = False
-        for i in range(len(current)):
-            for j in range(i, len(current)):
-                u, v = current[i], current[j]
-                grew |= _add(np.minimum(u, v))
-                grew |= _add(np.maximum(u, v))
-                grew |= _add(np.maximum(u - v, 0.0))
-                grew |= _add(np.maximum(v - u, 0.0))
-        if not grew:
+        current = list(vectors)
+        for i, u in enumerate(current):
+            for v in current[i:]:
+                vectors.add(tuple(map(min, u, v)))
+                vectors.add(tuple(map(max, u, v)))
+                vectors.add(tuple(max(x - y, 0) for x, y in zip(u, v)))
+                vectors.add(tuple(max(y - x, 0) for x, y in zip(u, v)))
+        fresh = vectors.difference(current)
+        if not fresh:
             raise NonTermination("closure stalled before reaching a sublattice")
     raise NonTermination("closure did not stabilize within the round guard")
 

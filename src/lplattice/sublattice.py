@@ -79,8 +79,8 @@ class Sublattice:
         cls, space: Space, blocks: Iterable[Sequence[str]], profile: Mapping[str, float]
     ) -> "Sublattice":
         """The canonical form of disjoint non-empty blocks, their cells in space
-        order: each profile value checked positive and finite, each block
-        scaled to peak 1, the blocks listed by least cell id (string order)."""
+        order: each profile value checked positive and finite, and nonzero once
+        its block is scaled to peak 1, the blocks listed by least cell id."""
         canon = []
         for cells in blocks:
             for cid in cells:
@@ -90,6 +90,11 @@ class Sublattice:
             canon.append((min(cells), tuple(cells), max(profile[cid] for cid in cells)))
         canon.sort()  # by least cell id alone: the blocks are disjoint
         scaled = {cid: profile[cid] / top for _, cells, top in canon for cid in cells}
+        if 0.0 in scaled.values():  # below the float range of its block's peak
+            cid = next(cid for cid, v in scaled.items() if v == 0.0)
+            raise ValidationError(
+                f"profile on {cid!r} scales to 0.0 against its block's peak, got {profile[cid]!r}"
+            )
         return cls(space, tuple(cells for _, cells, _ in canon), scaled)
 
     @classmethod
@@ -254,9 +259,10 @@ def _group_buckets(
     A bucket of one coordinate scales to a column of exactly +-1, so
     `tolerance_groups` would split it by sign: when 0.0 <= tol, one group if
     every value has one sign, else a negative and a positive group when
-    tol < 2.0 and no value is 0 (a profile that `_canonical` scaled below
-    the float range can be).  Any other bucket whose every scaled column
-    spans at most tol (max - min <= tol) is one group, found without a sort.
+    tol < 2.0 and no value is 0 (`_canonical` rejects a profile that scales
+    to 0, but one built past it can hold one).  Any other bucket whose every
+    scaled column spans at most tol (max - min <= tol) is one group, found
+    without a sort.
     This is what `tolerance_groups` finds: the columns lie in [-1, 1],
     where `close(lo, x, tol)` is `x - lo <= tol`, so the run that starts at
     a column's least value takes every value exactly when it takes the

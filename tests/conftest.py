@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 from bisect import bisect_right
+from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import truediv
@@ -52,7 +53,7 @@ from lplattice.independence import (
     _gap,
     _space_of,
 )
-from lplattice.oracles import proportionality_classes
+from lplattice.oracles import CLOSURE_ROUNDS, _guard, proportionality_classes
 from lplattice.scenario import _CELLS, _FNS, _LIST, _OBJECT, _naming, _number, _of_kind, _require
 from lplattice.typespace import (
     Atom,
@@ -137,8 +138,9 @@ def reference_is_sublattice_of(C: Sublattice, B: Sublattice, tol: float = DEFAUL
     return all(_reference_contains(B, g, tol) is not None for g in C.generators())
 
 
-def brute_intersection(A: Sublattice, C: Sublattice, tol: float = 1e-9) -> Sublattice:
-    """Intersection of two sublattices by solving the linear constraint system.
+def brute_intersection(A: Sublattice, C: Sublattice) -> Sublattice:
+    """Intersection of two sublattices by solving the linear constraint system
+    exactly, each float read as its binary fraction.
 
     A member of both lattices is h = x . GA = y . GC for generator matrices
     GA, GC; the solution subspace is itself a sublattice, so its block form
@@ -146,23 +148,139 @@ def brute_intersection(A: Sublattice, C: Sublattice, tol: float = 1e-9) -> Subla
     """
     space = A.space
     ids = space.ids()
-    ga = np.array([[g[c] for c in ids] for g in A.generators()], dtype=float)
-    gc = np.array([[g[c] for c in ids] for g in C.generators()], dtype=float)
-    if ga.size == 0 or gc.size == 0:
+    ga = [[Fraction(g[c]) for c in ids] for g in A.generators()]
+    gc = [[Fraction(g[c]) for c in ids] for g in C.generators()]
+    if not ga or not gc:
         return Sublattice.trivial(space)
     # [GA^T | -GC^T] [x; y] = 0
-    m = np.hstack([ga.T, -gc.T])
-    _, s, vt = np.linalg.svd(m)
-    rank = int(np.sum(s > tol * max(1.0, float(s[0]))))
-    null = vt[rank:]
-    if null.shape[0] == 0:
+    m = [[row[i] for row in ga] + [-row[i] for row in gc] for i in range(len(ids))]
+    # GA's rows are independent, so a nonzero x gives a nonzero h
+    h_basis = [
+        [sum(xk * row[i] for xk, row in zip(null, ga)) for i in range(len(ids))]
+        for null in _nullspace(m)
+    ]
+    if not h_basis:
         return Sublattice.trivial(space)
-    h_basis = null[:, : ga.shape[0]] @ ga
-    keep = [row for row in h_basis if float(np.max(np.abs(row))) > 1e-8]
-    if not keep:
-        return Sublattice.trivial(space)
-    # 1e-7 for a zero column and, relative, for proportional columns
-    return reference_make(space, proportionality_classes(ids, np.array(keep), 1e-7))
+    return reference_make(space, proportionality_classes(ids, h_basis))
+
+
+def _nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """A basis of {x : rows . x = 0}, by reduction to row echelon form over Q:
+    one vector per free column."""
+    rows = [list(row) for row in rows]
+    width = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    for col in range(width):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        lead = rows[r][col]
+        rows[r] = [x / lead for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in (col for col in range(width) if col not in pivots):
+        x = [Fraction(0)] * width
+        x[free] = Fraction(1)
+        for row, col in zip(rows, pivots):
+            x[col] = -row[free]
+        basis.append(x)
+    return basis
+
+
+# --- reference closure ---------------------------------------------------------
+# `oracles.brute_dcl_closure` from before it ran in exact integers, kept
+# verbatim with the helpers it called, as the reference its differential test
+# compares against: ranks by SVD at CLOSURE_TOL, vectors deduplicated after
+# rounding to 10 places, and proportionality tested within CLOSURE_TOL.
+
+CLOSURE_TOL = 1e-7
+
+
+def _reference_row_basis(rows: np.ndarray, tol: float) -> np.ndarray:
+    if rows.size == 0:
+        return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    cutoff = tol * max(1.0, float(s[0])) if s.size else tol
+    rank = int(np.sum(s > cutoff))
+    return vt[:rank]
+
+
+def _reference_proportionality_classes(
+    ids: Sequence[str], basis: np.ndarray, tol: float
+) -> list[tuple[tuple[str, ...], dict[str, float]]]:
+    """Block form of the span of the basis rows, scanning cells in order: a
+    column v joins the first class whose first column u has v = lam * u with
+    lam > 0 within tol * max(1, |v|, |lam u|); columns within tol of 0 join none.
+    """
+    classes: list[tuple[np.ndarray, list[tuple[str, float]]]] = []
+    for i, cid in enumerate(ids):
+        v = basis[:, i]
+        if float(np.max(np.abs(v))) <= tol:
+            continue
+        for u, members in classes:
+            k = int(np.argmax(np.abs(u)))
+            lam = float(v[k] / u[k])
+            scale = max(1.0, float(np.max(np.abs(v))), float(np.max(np.abs(lam * u))))
+            if lam > 0.0 and float(np.max(np.abs(v - lam * u))) <= tol * scale:
+                members.append((cid, lam))
+                break
+        else:
+            classes.append((v, [(cid, 1.0)]))
+    return [(tuple(c for c, _ in members), dict(members)) for _, members in classes]
+
+
+def reference_brute_dcl_closure(space: Space, generators: Iterable[StepFunction]) -> Sublattice:
+    """Literal closure reading of the generated sublattice.
+
+    Iteratively closes the linear span of a vector set (seeded with 0) under
+    pairwise meets, joins and positive parts of differences, stopping once
+    the span's dimension equals the number of positive-proportionality
+    classes among its per-cell coordinate vectors; at that point the span is
+    itself a block/profile sublattice and is returned as such.
+    """
+    gens = list(generators)
+    _guard(space, len(gens))
+    ids = space.ids()
+    n = len(ids)
+    vectors: dict[tuple, np.ndarray] = {}
+
+    def _add(v: np.ndarray) -> bool:
+        key = tuple(np.round(v, 10))
+        if key in vectors:
+            return False
+        vectors[key] = v.copy()
+        return True
+
+    _add(np.zeros(n))
+    for g in gens:
+        _add(np.array([g[cid] for cid in ids], dtype=float))
+
+    for _ in range(CLOSURE_ROUNDS):
+        stack = np.array(list(vectors.values()))
+        basis = _reference_row_basis(stack, CLOSURE_TOL)
+        rank = basis.shape[0]
+        if rank == 0:
+            return Sublattice.trivial(space)
+        classes = _reference_proportionality_classes(ids, basis, CLOSURE_TOL)
+        if len(classes) == rank:
+            return Sublattice.make(space, classes)
+        current = list(vectors.values())
+        grew = False
+        for i in range(len(current)):
+            for j in range(i, len(current)):
+                u, v = current[i], current[j]
+                grew |= _add(np.minimum(u, v))
+                grew |= _add(np.maximum(u, v))
+                grew |= _add(np.maximum(u - v, 0.0))
+                grew |= _add(np.maximum(v - u, 0.0))
+        if not grew:
+            raise NonTermination("closure stalled before reaching a sublattice")
+    raise NonTermination("closure did not stabilize within the round guard")
 
 
 # --- reference dcl and joins ---------------------------------------------------

@@ -1071,6 +1071,14 @@ class TestCliMain:
                 lambda doc: doc["sublattices"]["B"]["blocks"][0]["profile"].update({"zz": "x"}),
                 "error: ValidationError: sublattices.B.blocks[0].profile.zz: 'x' is not a number",
             ),
+            # positive, but 0.0 once its block is scaled to peak 1
+            (
+                lambda doc: doc["sublattices"]["B"]["blocks"][0]["profile"].update(
+                    {"[0,1]": 1e300, "(1,2]": 1e-300}
+                ),
+                "error: ValidationError: sublattices.B: profile on '(1,2]' scales to 0.0 against "
+                "its block's peak, got 1e-300",
+            ),
         ],
         ids=[
             "condexp-without-c",
@@ -1112,6 +1120,7 @@ class TestCliMain:
             "cell-twice-in-one-block",
             "empty-block",
             "extra-profile-key-not-a-number",
+            "profile-scales-to-zero",
         ],
     )
     def test_malformed_field_exit_two(self, tmp_path, capsys, edit, message):
@@ -1296,6 +1305,11 @@ class TestCliMain:
             "print(sorted({'numpy', 'lplattice.oracles'} & set(sys.modules)))"
         )
         assert run_python(probe).strip() == "[]"
+
+    def test_verify_path_does_not_load_numpy(self):
+        # the oracles compute in exact integers, so verify runs on the standard library
+        probe = "import sys, lplattice.verify; print('numpy' in sys.modules)"
+        assert run_python(probe).strip() == "False"
 
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as err:

@@ -1,9 +1,14 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from conftest import reference_brute_dcl_closure
+
+import lplattice.oracles as oracles
 from lplattice import (
     BadR,
     GuardExceeded,
     MassMismatch,
+    NonTermination,
     Sublattice,
     close,
     dcl,
@@ -18,6 +23,7 @@ from lplattice.core import DEFAULT_TOL
 from lplattice.oracles import (
     brute_dcl_closure,
     coupling_upper_bounds,
+    proportionality_classes,
     random_instance,
     slice_by_definition,
     wasserstein_block,
@@ -45,10 +51,105 @@ class TestBruteDcl:
     def test_empty(self):
         assert brute_dcl_closure(unit_space(3), []).dim == 0
 
+    def test_zero_generator(self):
+        space = unit_space(3)
+        assert brute_dcl_closure(space, [step_function(space, {})]).dim == 0
+
     def test_guard(self):
         space = unit_space(9)
         with pytest.raises(GuardExceeded):
             brute_dcl_closure(space, [indicator(space, ["c0"])])
+
+    def test_generator_guard(self):
+        space = unit_space(3)
+        with pytest.raises(GuardExceeded):
+            brute_dcl_closure(space, [indicator(space, ["c0"])] * 5)
+
+    def test_round_guard(self, monkeypatch):
+        # the split needs a second round to read the blocks off
+        space = unit_space(3)
+        gens = [step_function(space, {"c0": 2.0, "c2": 1.0}), indicator(space, space.ids())]
+        monkeypatch.setattr(oracles, "CLOSURE_ROUNDS", 1)
+        with pytest.raises(NonTermination, match="round guard"):
+            brute_dcl_closure(space, gens)
+        monkeypatch.setattr(oracles, "CLOSURE_ROUNDS", 2)
+        assert brute_dcl_closure(space, gens).dim == 3
+
+    def test_stalled_closure(self, monkeypatch):
+        # a class scan that finds no class never matches the rank, and the
+        # ray of a positive generator is already closed
+        space = unit_space(3)
+        monkeypatch.setattr(oracles, "proportionality_classes", lambda ids, basis: [])
+        with pytest.raises(NonTermination, match="stalled"):
+            brute_dcl_closure(space, [step_function(space, {"c0": 2.0, "c2": 1.0})])
+
+    def test_decimal_values_are_read_exactly(self):
+        # 0.3 is not 3 * 0.1 in binary; one generator still makes one block
+        space = unit_space(3)
+        gens = [step_function(space, {"c0": 0.1, "c1": 0.2, "c2": 0.3})]
+        got = brute_dcl_closure(space, gens)
+        assert got.blocks == (("c0", "c1", "c2"),)
+        assert got.profile["c2"] == 1.0
+        assert close(got.profile["c0"], 1.0 / 3.0, 1e-15)
+        assert got.equals(dcl(space, gens), 1e-12)
+
+    def test_thirds(self):
+        # the float 2/3 is exactly twice the float 1/3
+        space = unit_space(3)
+        f = step_function(space, {"c0": 1.0 / 3.0, "c1": 2.0 / 3.0, "c2": 1.0})
+        got = brute_dcl_closure(space, [f])
+        assert got.blocks == (("c0", "c1", "c2"),)
+        assert got.profile["c0"] * 2.0 == got.profile["c1"]
+        assert got.equals(dcl(space, [f]), 1e-12)
+        split = brute_dcl_closure(space, [f, indicator(space, space.ids())])
+        assert split.blocks == (("c0",), ("c1",), ("c2",))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ({"c0": 0.1, "c1": 0.3}, {"c0": 1.0, "c1": 3.0}),
+            ({"c0": 0.1 + 0.2, "c1": 0.3}, {"c0": 1.0, "c1": 1.0}),
+        ],
+        ids=["tenth-and-three-tenths", "sum-of-tenths"],
+    )
+    def test_nearly_proportional_cells_stay_apart(self, values):
+        # exactly, c0 and c1 are no positive multiples of each other; the
+        # float reference merges them within its CLOSURE_TOL, and dcl at tol 0
+        # keeps them apart too
+        space = unit_space(3)
+        gens = [step_function(space, v) for v in values]
+        got = brute_dcl_closure(space, gens)
+        assert got.blocks == (("c0",), ("c1",))
+        assert reference_brute_dcl_closure(space, gens).blocks == (("c0", "c1"),)
+        assert got.equals(dcl(space, gens, 0.0), 1e-12)
+
+    @pytest.mark.parametrize("start", range(60_000, 62_000, 250))
+    def test_agrees_with_float_reference_and_dcl(self, start):
+        # the instances of verify's dcl-oracle suite
+        for seed in range(start, start + 250):
+            inst = random_instance(seed, 6)
+            gens = list(inst.functions[:3])
+            got = brute_dcl_closure(inst.space, gens)
+            assert got.equals(reference_brute_dcl_closure(inst.space, gens), 1e-6), seed
+            assert got.equals(dcl(inst.space, gens), 1e-12), seed
+
+
+class TestProportionalityClasses:
+    def test_classes_and_ratios(self):
+        # columns (1, 0), (0, 1), (2, 0) and (-1, 0): a negative multiple joins no class
+        got = proportionality_classes(["a", "b", "c", "d", "e"], [[1, 0, 2, -1, 0], [0, 1, 0, 0, 0]])
+        assert got == [
+            (("a", "c"), {"a": 1, "c": 2}),
+            (("b",), {"b": 1}),
+            (("d",), {"d": 1}),
+        ]
+
+    def test_any_basis_of_the_span_gives_the_same_classes(self):
+        ids = ["a", "b", "c"]
+        rows = [[1, 0, 2], [0, 1, 0]]
+        # a third of row 1 + row 2, and 2 row 1 - row 2
+        other = [[Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)], [2, -1, 4]]
+        assert proportionality_classes(ids, other) == proportionality_classes(ids, rows)
 
 
 class TestSliceByDefinition:

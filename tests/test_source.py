@@ -107,3 +107,35 @@ def test_no_hidden_small_constants():
         for line, value in small_float_literals(path.read_text(encoding="utf-8"))
     }
     assert found == set()
+
+
+def imported_modules(source: str):
+    """The top-level package of each module an `import` or `from` names;
+    relative imports name none."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            yield node.module.split(".")[0]
+
+
+def test_the_scan_finds_imports():
+    source = (
+        "import numpy as np, json\n"
+        "from numpy.linalg import svd\n"
+        "from . import core\n"
+        "from .core import Space\n"
+        "def f():\n"
+        "    import fractions\n"
+    )
+    assert list(imported_modules(source)) == ["numpy", "json", "numpy", "fractions"]
+
+
+def test_no_module_imports_numpy():
+    # the package runs on the standard library alone; numpy is a test dependency
+    found = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if "numpy" in imported_modules(path.read_text(encoding="utf-8"))
+    }
+    assert found == set()

@@ -1054,6 +1054,16 @@ class TestMakeChecksItsInput:
             Sublattice.make(space, [(["c0", "c1"], {"c0": 1.0, "c1": value})])
         assert str(err.value) == f"profile on 'c1' must be a number, got {shown}"
 
+    def test_profile_scaling_to_zero(self):
+        # each value is positive, but y / 1e300 is 0.0: a join over it would divide by 0
+        space = make_space([("x", 1.0), ("y", 1.0), ("z", 1.0)], 2.0)
+        with pytest.raises(ValidationError) as err:
+            Sublattice.make(space, [(["x", "y", "z"], {"x": 1e300, "y": 1e-300, "z": 1.0})])
+        assert str(err.value) == "profile on 'y' scales to 0.0 against its block's peak, got 1e-300"
+        # the same values in blocks of their own scale to 1
+        C = Sublattice.make(space, [(["x"], {"x": 1e300}), (["y", "z"], {"y": 1e-300, "z": 1.0})])
+        assert C.profile == {"x": 1.0, "y": 1e-300, "z": 1.0}
+
     def test_numeric_strings_still_convert(self):
         space = unit_space(2)
         C = Sublattice.make(space, [(["c0", "c1"], {"c0": "2", "c1": 1})])
