@@ -32,7 +32,6 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 
 _FLOAT = {float}
-_TUPLE = {tuple}
 
 
 def check_tol(tol: float) -> float:
@@ -108,40 +107,21 @@ class Space:
     p: float
 
     def __post_init__(self) -> None:
-        # settle the cells in bulk; anything unsettled goes through
-        # _check_cells, which names the first bad cell
-        try:
-            weights = dict(self.cells)
-            settled = (
-                len(weights) == len(self.cells)
-                and set(map(type, weights.values())) <= _FLOAT
-                and all(map(math.isfinite, weights.values()))
-                and (not weights or min(weights.values()) > 0.0)
-            )
-        except (TypeError, ValueError):
-            settled = False
-        if not settled:
-            self._check_cells()
-            weights = dict(self.cells)
+        # one pass over the cells builds the weight table and names the
+        # first bad cell; a float weight inside (0, inf) settles in one test
+        weights: dict[str, float] = {}
+        for cid, w in self.cells:
+            if cid in weights:
+                raise DuplicateId(f"duplicate cell id {cid!r}")
+            if not (type(w) is float and 0.0 < w < math.inf):
+                _finite(w, f"weight of cell {cid!r}")
+                if w <= 0.0:
+                    raise NonPositiveWeight(f"cell {cid!r} has weight {w!r}")
+            weights[cid] = w
         _finite(self.p, "exponent p")
         if self.p < 1.0:
             raise BadExponent(f"p must be >= 1, got {self.p!r}")
-        self.__dict__["_weights"] = weights  # seeds the cached property
-
-    def _check_cells(self) -> None:
-        """The per-cell check: raises on the first bad cell."""
-        seen = set()
-        for cid, w in self.cells:
-            if cid in seen:
-                raise DuplicateId(f"duplicate cell id {cid!r}")
-            seen.add(cid)
-            _finite(w, f"weight of cell {cid!r}")
-            if w <= 0.0:
-                raise NonPositiveWeight(f"cell {cid!r} has weight {w!r}")
-
-    @cached_property
-    def _weights(self) -> dict[str, float]:
-        return dict(self.cells)
+        object.__setattr__(self, "_weights", weights)  # id -> weight, in cell order
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -345,50 +325,15 @@ class Refinement:
     splitting: dict[str, tuple[str, ...]]
 
     def __post_init__(self) -> None:
-        if not self._settled():
-            self._check_splitting()
-
-    def _settled(self) -> bool:
-        """True when passes over whole tables settle every check that
-        _check_splitting makes: the parents' ids, the children's ids against
-        the child space, and the split sums.  False sends the splitting
-        through _check_splitting, which names the first bad cell."""
+        # one pass in the parent's cell order; raises on the first bad cell
         splitting = self.splitting
-        parent = self.parent._weights
-        if type(splitting) is not dict or not set(map(type, splitting.values())) <= _TUPLE:
-            return False
-        kids = list(chain.from_iterable(splitting.values()))
-        try:  # one lookup per child; KeyError: not in the child space, TypeError: unhashable
-            weights = list(map(self.child._weights.__getitem__, kids))
-        except (KeyError, TypeError):
-            return False
-        if not (
-            splitting.keys() <= parent.keys()
-            and len(splitting) == len(parent)
-            and all(splitting.values())
-            and len(set(kids)) == len(kids)
-        ):
-            return False
-        start = 0  # weights[start:stop] are the children of cid
-        for cid, split in splitting.items():
-            w = parent[cid]
-            stop = start + len(split)
-            # one child of its parent's very weight sums to it exactly
-            if (len(split) > 1 or weights[start] != w) and not close(
-                left_sum(weights[start:stop]) / w, 1.0
-            ):
-                return False
-            start = stop
-        return True
-
-    def _check_splitting(self) -> None:
-        """The per-cell check: raises on the first bad cell."""
-        stray = set(self.splitting) - set(self.parent.ids())
+        parent, child = self.parent._weights, self.child._weights
+        stray = set(splitting).difference(parent)
         if stray:
             raise UnknownCell(f"splitting mentions unknown cell {sorted(stray)[0]!r}")
         seen: set[str] = set()
-        for cid, w in self.parent.cells:
-            kids = self.splitting.get(cid)
+        for cid, w in parent.items():
+            kids = splitting.get(cid)
             if not kids:
                 raise BadFractions(f"parent cell {cid!r} has no children")
             total = 0.0
@@ -396,13 +341,13 @@ class Refinement:
                 if kid in seen:
                     raise DuplicateId(f"child cell {kid!r} appears twice")
                 seen.add(kid)
-                if kid not in self.child:
+                if kid not in child:
                     raise SpaceMismatch(f"child cell {kid!r} disagrees with the child space")
-                total += self.child.weight(kid)
+                total += child[kid]
             # a split is exact (its fractions sum to 1), so its children sum
             # to w up to rounding relative to w: this bounds that rounding,
             # and is not the caller's data tol
-            if not close(total / w, 1.0):
+            if total != w and not close(total / w, 1.0):
                 raise BadFractions(f"children of {cid!r} sum to {total!r}, expected {w!r}")
 
     @classmethod

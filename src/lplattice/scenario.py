@@ -27,9 +27,9 @@ written at once.  The bytes are those of the item-by-item writer, and an
 unwritable value is named in document order: a record list that meets one
 re-writes itself record by record.
 
-The reader settles a document in bulk too, as `core.Space` and
-`core.StepFunction` settle their own input.  A space's cells become two
-columns (ids, weights), an object of numbers is taken as it is, and all the
+The reader settles a document in bulk too, as `core.StepFunction` settles
+its values (`core.Space` checks its cells in one pass).  A space's cells
+become two columns (ids, weights), an object of numbers is taken as it is, and all the
 blocks of one sublattice are checked at once over flat lists of every cell,
 every profile key and every profile value: str cells and keys, finite float
 values, then what `Sublattice.make` checks (no empty block, no cell twice,

@@ -297,15 +297,17 @@ def _merge_atoms(atoms: Iterable[Atom], tol: float) -> tuple[Atom, ...]:
     merged = []
     for group in tolerance_groups(len(vecs), zip(*vecs), tol):
         if len(group) == 1:
-            vec = vecs[group[0]]
-            total = acc[vec]
-        else:
-            total = left_sum(acc[vecs[i]] for i in group)
+            total = acc[vecs[group[0]]]
+            if total > 0.0:
+                merged.append((vecs[group[0]], total))
+            continue
+        total = left_sum(acc[vecs[i]] for i in group)
+        # tested before the mean divides by it: every mass of a run can underflow to 0.0
+        if total > 0.0:
             vec = tuple(
                 left_sum(vecs[i][d] * acc[vecs[i]] for i in group) / total
                 for d in range(len(vecs[group[0]]))
             )
-        if total > 0.0:
             merged.append((vec, total))
     return tuple(merged)
 
@@ -372,13 +374,14 @@ def _merge_values(acc: dict[float, float], tol: float) -> tuple[Atom, ...]:
     merged = []
     for run in runs:
         if len(run) == 1:
-            v = run[0]
-            total = acc[v]
-        else:
-            total = left_sum([acc[v] for v in run])
-            v = left_sum([v * acc[v] for v in run]) / total
+            total = acc[run[0]]
+            if total > 0.0:
+                merged.append(((run[0],), total))
+            continue
+        total = left_sum([acc[v] for v in run])
+        # tested before the mean divides by it, as in _merge_atoms
         if total > 0.0:
-            merged.append(((v,), total))
+            merged.append(((left_sum([v * acc[v] for v in run]) / total,), total))
     return tuple(merged)
 
 

@@ -931,10 +931,14 @@ def joined_dumps(doc: Any) -> str:
 
 # --- reference constructor checks and block laws ---------------------------------
 # The per-cell checks `Space`, `StepFunction` and `Refinement` ran on every
-# construction before they settled their invariants in bulk, and
-# `typespace._block_laws` with `_merge_atoms` from before one function got
-# its own loop, kept verbatim (the checks as functions of the constructor's
-# fields) as the references their differential tests compare against.
+# construction before they settled their invariants in bulk (`Space` and
+# `Refinement` now check in one pass of their own, `StepFunction` in bulk with
+# this loop behind it), and `typespace._block_laws` with `_merge_atoms` from
+# before one function got its own loop, kept verbatim (the checks as functions
+# of the constructor's fields) as the references their differential tests
+# compare against.  `reference_merge_atoms` divides a run's mass-weighted sum
+# by its total before it drops a zero total, so runs whose masses all
+# underflow to 0.0 are tested apart (test_typespace.py::TestZeroMassRuns).
 
 def reference_space_check(cells: tuple, p: float) -> None:
     seen = set()

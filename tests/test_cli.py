@@ -760,26 +760,22 @@ class TestCliMain:
         capsys.readouterr()
 
     def test_golden_scenarios_stay_off_the_per_cell_checks(self, monkeypatch):
-        # valid input is settled in bulk: the per-cell loops only name a bad cell
+        # valid values are settled in bulk: the per-cell loop only names a bad cell
         import lplattice.core as core
 
         entries = []
-        for cls, name in [
-            (core.Space, "_check_cells"),
-            (core.StepFunction, "_checked_values"),
-            (core.Refinement, "_check_splitting"),
-        ]:
-            def counting(self, original=getattr(cls, name), name=name):
-                entries.append(name)
-                return original(self)
 
-            monkeypatch.setattr(cls, name, counting)
+        def counting(self, original=core.StepFunction._checked_values):
+            entries.append("_checked_values")
+            return original(self)
+
+        monkeypatch.setattr(core.StepFunction, "_checked_values", counting)
         for scenario in sorted(DATA.glob("*_scenario.json")):
             dumps(execute_scenario(str(scenario)))
         assert entries == []
-        # the count sees a loop entered: an int weight is not settled in bulk
-        core.Space((("a", 1),), 2.0)
-        assert entries == ["_check_cells"]
+        # the count sees the loop entered: an int value is not settled in bulk
+        core.StepFunction(core.Space((("a", 1.0),), 2.0), {"a": 1})
+        assert entries == ["_checked_values"]
 
     def test_exact_splits_run_at_tol_zero(self, capsys):
         # realize and extend split cells by fractions whose float sum is not 1;

@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import numpy as np
 import pytest
 from conftest import reference_refinement_check, reference_space_check, reference_step_values
@@ -429,8 +431,9 @@ def _outcome(build):
 
 
 class TestBulkChecks:
-    """The constructors' bulk checks against the per-cell checks they replaced
-    (tests/conftest.py): the same error class and text, or the same object."""
+    """The constructors' checks against the per-cell checks they ran before
+    (tests/conftest.py): the same error class and text, or the same object.
+    Space and Refinement check in one pass, StepFunction in bulk."""
 
     @pytest.mark.parametrize(
         "cells, p",
@@ -454,12 +457,16 @@ class TestBulkChecks:
             ((("a", 1.0),), float("nan")),
             ((("a", 1.0),), float("inf")),
             ((("a", 0.0),), 0.5),
+            ((("a", 1.0), ("a", float("nan"))), 2.0),
+            ((("a", 1.0), (["b"], 2.0)), 2.0),
+            ((("a", 1.0), (["a"], float("nan"))), 2.0),
         ],
         ids=[
             "valid", "empty", "duplicate-id", "bad-weight-before-duplicate", "inf-weight",
             "nan-weight", "zero-weight", "negative-zero-weight", "negative-weight",
             "int-weights", "int-zero-weight", "numpy-weight", "negative-numpy-weight",
             "string-weight", "triple", "small-p", "nan-p", "inf-p", "bad-weight-and-p",
+            "duplicate-id-with-nan-weight", "unhashable-id", "unhashable-id-with-nan-weight",
         ],
     )
     def test_space(self, cells, p):
@@ -527,13 +534,18 @@ class TestBulkChecks:
             ([("c0", 1.0), ("c1", 1.0)], {"c0": (["c0"],), "c1": ("c1",)}),
             ([("c0", 1.0), ("c1#0", 0.5), ("c1#1", 0.5)], {"c1": ("c1#0", "c1#1"), "c0": ("c0",)}),
             ([("c0", 1.0), ("c1#0", 0.5), ("c1#1", 0.4)], {"c1": ("c1#0", "c1#1"), "c0": ("c0",)}),
+            ([("c0#0", 0.5), ("c0#1", 0.5), ("c1", 1.0)],
+             MappingProxyType({"c0": ("c0#0", "c0#1"), "c1": ("c1",)})),
+            ([("c0", 1.0), ("c1", 1.0)], MappingProxyType({"c0": ("c0",), "zz": ("c1",)})),
+            ([("c0", 1.0), ("c1", 1.0)], MappingProxyType({"c0": ("c0",), "c1": ("c0",)})),
         ],
         ids=[
             "valid", "fresh-cell", "stray-parent", "parent-missing", "parent-without-children",
             "child-under-two-parents", "child-twice-in-one-split", "child-not-in-child-space",
             "wrong-split-sum", "one-child-wrong-weight", "split-sum-off-by-rounding",
             "list-of-children", "unhashable-child", "parents-out-of-order",
-            "wrong-sum-out-of-order",
+            "wrong-sum-out-of-order", "mapping-proxy", "mapping-proxy-stray-parent",
+            "mapping-proxy-child-twice",
         ],
     )
     def test_refinement(self, child, splitting):
@@ -554,6 +566,25 @@ class TestBulkChecks:
             assert _outcome(lambda: reference_refinement_check(space, r.child, r.splitting)) == (
                 "accepted", None
             )
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"c0": (0.3, 0.7)}, {"c0#1": (0.1, 0.2, 0.7), "c1": (0.5, 0.5)}),
+            ({}, {"c1": (1 / 3, 1 / 3, 1 / 3)}),
+            ({"c0": (0.1, 0.9), "c1": (0.25, 0.75)}, {}),
+        ],
+        ids=["split-twice", "identity-then-split", "split-then-identity"],
+    )
+    def test_composite_refinement(self, first, second):
+        space = unit_space(2)
+        r1 = refine_space(space, first)
+        r2 = refine_space(r1.child, second, [("fresh0", 2.0)])
+        r = r1.then(r2)
+        assert _outcome(lambda: reference_refinement_check(space, r2.child, r.splitting)) == (
+            "accepted", None
+        )
+        assert (r.parent, r.child, r.fresh_cells) == (space, r2.child, ("fresh0",))
 
     def test_sort_cells_names_the_unknown_cell(self):
         space = unit_space(3)

@@ -62,7 +62,15 @@ from lplattice import lift_type_datum
 from lplattice.core import DEFAULT_TOL
 from lplattice.oracles import random_instance
 from lplattice.independence import canonical_base, slice_independent
-from lplattice.typespace import _CUT_TOL, _block_laws, _piecewise_pth_power, _sweep, realize_common
+from lplattice.typespace import (
+    _CUT_TOL,
+    _block_laws,
+    _merge_atoms,
+    _merge_values,
+    _piecewise_pth_power,
+    _sweep,
+    realize_common,
+)
 from lplattice.verify import masked_dependence_example, pairwise_independence_example
 
 
@@ -760,6 +768,36 @@ class TestOneFunctionBlockLaws:
         other = make_space([("c0", 1.0)], 1.0)
         with pytest.raises(SpaceMismatch):
             next(_block_laws((step_function(other, {"c0": 1.0}),), C, DEFAULT_TOL))
+
+
+class TestZeroMassRuns:
+    """A run of atoms whose masses all underflow to 0.0 is dropped before a
+    mean would divide by its total mass (reference_merge_atoms divides first,
+    so it is not the reference here)."""
+
+    UNDERFLOW = 1e-300 * 1e-300  # a mass mu * w**p past the float range's bottom
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-6])
+    def test_merge_atoms(self, tol):
+        zero = self.UNDERFLOW
+        assert zero == 0.0
+        assert _merge_atoms([((1.0,), zero)], tol) == ()
+        run = [((1.0, -2.0), zero), ((1.0, -2.0 + 1e-12), zero), ((1.0, -2.0), zero)]
+        assert _merge_atoms(run + [((3.0, 0.5), 0.25)], tol) == (((3.0, 0.5), 0.25),)
+        if tol:  # the two vectors are one run only at a tol above their gap
+            assert _merge_atoms(run, tol) == ()
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-6])
+    def test_merge_values(self, tol):
+        zero = self.UNDERFLOW
+        assert _merge_values({1.0: zero}, tol) == ()
+        acc = {-1.0: zero, -1.0 + 1e-12: zero, 2.0: 0.5}
+        assert _merge_values(acc, tol) == (((2.0,), 0.5),)
+        assert _merge_values({-1.0: zero, -1.0 + 1e-12: zero}, tol) == ()
+
+    def test_a_run_with_mass_keeps_its_mean(self):
+        assert _merge_values({1.0: 0.0, 1.0 + 1e-12: 0.5}, 1e-9) == (((1.0 + 1e-12,), 0.5),)
+        assert _merge_atoms([((1.0,), 0.0), ((1.0 + 1e-12,), 0.5)], 1e-9) == (((1.0 + 1e-12,), 0.5),)
 
 
 def _result(fn, *args):
