@@ -4,7 +4,7 @@ and canonical bases."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     DEFAULT_TOL,
@@ -15,6 +15,7 @@ from .core import (
     _norm,
     close,
     function_close,
+    left_sum,
     tolerance_groups,
 )
 from .errors import (
@@ -101,26 +102,205 @@ def star_independent(
     Aprime = lattice_join(Abar, Cbar, tol)
     Bbar = _as_sublattice(B, space, tol)
     Bprime = Aprime if Bbar is Abar else lattice_join(Bbar, Cbar, tol)
-    worst, worst_gap = None, tol
-    for k, gap in enumerate(_expectation_gaps(Aprime, Bprime, Cbar)):
-        if gap > worst_gap:
-            worst, worst_gap = k, gap
+    worst = _worst_block(Aprime, Bprime, Cbar, tol)
     if worst is None:
         return IndependenceVerdict(True, None)
-    e = Aprime.generator(worst)
-    witness = Witness("expectation", e, None, cond_exp(e, Bprime), cond_exp(e, Cbar), worst_gap)
+    k, gap = worst
+    e = Aprime.generator(k)
+    witness = Witness("expectation", e, None, cond_exp(e, Bprime), cond_exp(e, Cbar), gap)
     return IndependenceVerdict(False, witness)
 
 
-def _expectation_gaps(A: Sublattice, B: Sublattice, C: Sublattice) -> Iterator[float]:
-    """Lazily, per block of A in order, norm(cond_exp(e, B) - cond_exp(e, C))
-    for the block's generator e, bit-equal to that expression: the
-    expectations over each block's own cells onto B and onto C, each read
-    from one `_expectation` pass over A's blocks."""
-    over_b = _expectation(B, A.blocks, A.profile)
-    over_c = _expectation(C, A.blocks, A.profile)
+def _worst_block(
+    A: Sublattice, B: Sublattice, C: Sublattice, tol: float
+) -> Optional[tuple[int, float]]:
+    """(k, gap) for the block k of A whose gap from `_expectation_gaps` is the
+    largest above tol, the earliest of equal ones; None when no gap exceeds tol.
+
+    Exact gaps are computed only where `_screened_gaps` cannot decide.  With
+    |gap_k - g_k| <= b_k for every block k, a block with g_k + b_k <= tol has
+    gap_k <= tol, and a block with g_k + b_k below g_j - b_j for some other
+    block j has gap_k < gap_j, so it can neither win nor tie.  Every other
+    block is recomputed, a whole class of tied gaps included, so the verdict,
+    the block and its gap are those of the exact loop over all blocks, which
+    runs instead when the screen cannot.
+    """
+    try:
+        screened = _screened_gaps(A, B, C)
+    except (OverflowError, ZeroDivisionError):
+        screened = None
+    blocks: Sequence[int] = range(len(A.blocks))
+    if screened is not None:
+        upper = [g + b for g, b in screened]
+        candidates = [k for k in blocks if upper[k] > tol]
+        if not candidates:
+            return None
+        floor = max(screened[k][0] - screened[k][1] for k in candidates)
+        blocks = [k for k in candidates if upper[k] >= floor]
+    worst, worst_gap = None, tol
+    for k, gap in zip(blocks, _expectation_gaps(A, B, C, blocks)):
+        if gap > worst_gap:
+            worst, worst_gap = k, gap
+    return None if worst is None else (worst, worst_gap)
+
+
+def _expectation_gaps(
+    A: Sublattice, B: Sublattice, C: Sublattice, blocks: Optional[Sequence[int]] = None
+) -> Iterator[float]:
+    """Lazily, per block of A in order (of the given block indices, if any),
+    norm(cond_exp(e, B) - cond_exp(e, C)) for the block's generator e,
+    bit-equal to that expression: the expectations over each block's own
+    cells onto B and onto C, each read from one `_expectation` pass."""
+    cells = A.blocks if blocks is None else [A.blocks[k] for k in blocks]
+    over_b = _expectation(B, cells, A.profile)
+    over_c = _expectation(C, cells, A.profile)
     for b, c in zip(over_b, over_c):
         yield _gap(A.space, b, c)
+
+
+_EPS = 2.0**-53  # the unit roundoff of a float
+_ETA = 2.0**-1074  # the least subnormal: an absolute bound on a rounding below 2**-1022
+_HUGE = 2.0**1000  # a coefficient or gap past this goes to the exact loop
+
+
+def _screened_gaps(
+    A: Sublattice, B: Sublattice, C: Sublattice
+) -> Optional[list[tuple[float, float]]]:
+    """Per block of A in order, (g, b): a gap g computed from block
+    coefficients and a bound b with |g - gap| <= b for the gap
+    `_expectation_gaps` computes.  None when A and B do not both contain C
+    block by block, or when a value is not finite or past _HUGE; then, as
+    when it raises OverflowError or ZeroDivisionError, the caller runs the
+    exact loop.
+
+    The kernel.  Each B-block L lies in one C-block K (or off supp C), and
+    every cell of K lies in a B-block; each A-block S lies in one K (or off
+    supp C).  For the generator e of S let c_L and c_K be the coefficients
+    of E_B e and E_C e, summed over S's cells exactly as `_expectation` sums
+    them, so they are the same floats.  With lam_x = w_C / w_B on L, lam_L
+    the midpoint of lam_x over L and s_L half their spread,
+        gap^p = sum over the L met by S of nu_B(L) |c_L - lam_L c_K|^p
+                + |c_K|^p nu_C(K minus the met L).
+    When the met L are all of K's B-blocks (counted), the last mass is
+    exactly 0; it is never formed as nu_C(K) - sum nu_C(L), whose rounding
+    the p-th root would magnify near a gap of 0.  Otherwise it is that
+    difference, clamped at 0.  One pass over B's blocks finds K, lam_L, s_L
+    and nu_C(L); then block S costs O(|S| + blocks met).
+
+    The bound, with n the cells of the space and eps the unit roundoff:
+    - Rounding.  The exact path forms c_L w_B - c_K w_C per cell, at most n
+      terms mu |d|^p and a p-th root; the kernel forms at most n terms from
+      masses of at most n cells.  By Minkowski's inequality a per-cell error
+      of a few eps (|c_L| w_B + |c_K| w_C) moves a norm by a few eps M, where
+          M^p = sum_L nu_B(L) (|c_L| + lam_L |c_K|)^p + |c_K|^p nu_C(K)
+      bounds both norms; each sum of at most n non-negative terms errs by n
+      eps relative, and the rounded exponent 1/p by at most 1500 eps/p
+      relative over the float range.  Together under (64 n + 4096) eps M.
+    - Spread.  Replacing lam_x by lam_L moves the norm, again by
+      Minkowski, by at most T = (sum_L nu_B(L) (|c_K| s_L)^p)^(1/p); s_L
+      carries the rounding of lam_x and of the midpoint (4 eps lam + 4 eta).
+      The join allows a spread up to about tol.
+    - Uncovered mass.  nu_C(K) and sum nu_C(L) are sums of at most n
+      positive terms, so their difference errs by at most 4 (n + 2) eps
+      nu_C(K): |c_K| (4 (n + 2) eps nu_C(K))^(1/p) on the gap, by the
+      subadditivity of t -> t^(1/p).
+    - Underflow.  A rounding below 2**-1022 errs by at most eta = 2**-1074
+      absolute, and a power of w that underflows errs by mu eta once
+      multiplied by its cell's weight mu.  Over the masses, the terms and
+      the values of both paths that is at most 16 (sum mu + n) eta (1 + Y)^p
+      in the p-th powers, Y the largest of |c_K| and |c_L| + lam_L |c_K|:
+      (16 (sum mu + n) eta)^(1/p) (1 + Y) on the gap.
+    b is the sum of the four, times 1 + (64 n + 4096) eps for its own
+    rounding.  No term of it is fitted.  Every profile is at most 1 (else
+    None), so coefficients below _HUGE give finite member values, as a gap
+    bound below _HUGE gives a finite norm: no block that is not recomputed
+    could have raised NonFiniteValue in the exact loop.
+    """
+    space = A.space
+    p = space.p
+    n = len(space.cells)
+    b_prof, c_prof = B.profile, C.profile
+    if max(b_prof.values(), default=0.0) > 1.0 or max(c_prof.values(), default=0.0) > 1.0:
+        return None
+    b_of, c_of = B._block_of, C._block_of
+    b_factor, _, b_mass = B.nu_table
+    c_factor, c_nu, c_mass = C.nu_table
+    # per B-block: lam_L, s_L and nu_C(L) (all 0 off supp C)
+    lam: list[float] = []
+    spread: list[float] = []
+    nu_c: list[float] = []
+    parts = [0] * len(C.blocks)  # B-blocks per C-block
+    covered = [0] * len(C.blocks)  # their cells
+    for L in B.blocks:
+        k = c_of.get(L[0])
+        lo = hi = mass = 0.0
+        if k is None:
+            if any(cid in c_of for cid in L):
+                return None
+        else:
+            lo = hi = c_prof[L[0]] / b_prof[L[0]]
+            for cid in L:
+                if c_of.get(cid) != k:
+                    return None
+                r = c_prof[cid] / b_prof[cid]
+                if r < lo:
+                    lo = r
+                elif r > hi:
+                    hi = r
+                mass += c_nu[cid]
+            parts[k] += 1
+            covered[k] += len(L)
+        lam.append((lo + hi) / 2.0)
+        spread.append((hi - lo) / 2.0 + 4.0 * _EPS * hi + 4.0 * _ETA)
+        nu_c.append(mass)
+    if any(m != len(K) for m, K in zip(covered, C.blocks)):
+        return None  # a cell of supp C outside supp B
+    inv_p = 1.0 / p
+    slack = (64.0 * n + 4096.0) * _EPS
+    tiny = (16.0 * (left_sum(space._weights.values()) + n) * _ETA) ** inv_p
+    a_prof = A.profile
+    out = []
+    for S in A.blocks:
+        k = c_of.get(S[0])
+        num_c = 0.0
+        num_b: dict[int, float] = {}
+        for cid in S:
+            if c_of.get(cid) != k:
+                return None
+            a = a_prof[cid]
+            j = b_of.get(cid)
+            if j is not None:
+                num_b[j] = num_b.get(j, 0.0) + b_factor[cid] * a
+            if k is not None:
+                num_c += c_factor[cid] * a
+        c_k = num_c / c_mass[k] if k is not None else 0.0
+        top = size = abs(c_k)
+        total = bound = sig = met = 0.0
+        for j, num in num_b.items():
+            t, c_l = b_mass[j], num / b_mass[j]
+            if not abs(c_l) < _HUGE:
+                return None
+            total += t * abs(c_l - lam[j] * c_k) ** p
+            y = abs(c_l) + lam[j] * size
+            bound += t * y**p
+            sig += t * (size * spread[j]) ** p
+            met += nu_c[j]
+            if y > top:
+                top = y
+        uncovered = 0.0
+        if k is not None:
+            whole = c_mass[k]
+            if len(num_b) < parts[k]:
+                total += size**p * max(whole - met, 0.0)
+                uncovered = (size**p * 4.0 * (n + 2) * _EPS * whole) ** inv_p
+            bound += size**p * whole
+        g = total**inv_p
+        b = (slack * bound**inv_p + sig**inv_p + uncovered) * (1.0 + slack)
+        b += tiny * (1.0 + top)
+        if not (g + b < _HUGE and size < _HUGE):
+            return None
+        out.append((g, b))
+    return out
 
 
 def _gap(space: Space, over_b: dict[str, float], over_c: dict[str, float]) -> float:
@@ -269,6 +449,16 @@ def canonical_base(
     base) and never silently accepted.
     """
     fs = tuple(fs)
+    return _certified_base(fs, A, tol, lambda: dcl(A.space, fs, tol))
+
+
+def _certified_base(
+    fs: tuple[StepFunction, ...], A: Sublattice, tol: float, closing: Callable[[], Sublattice]
+) -> Sublattice:
+    """canonical_base, with dcl(fs) from closing(), which the certificate
+    calls (a scenario run hands over its memo's closing).  The certificate is
+    star_independent(fs, A, base) on its joined sides: B' = A v base is A
+    itself, as the base lies in A by construction, so it is not joined."""
     kept = []  # (A-block, s_k, layout of the law divided by s_k)
     for block, (atoms, nu) in zip(A.blocks, _block_laws(fs, A, tol)):
         scale = max((abs(x) for vec, _ in atoms for x in vec), default=0.0)
@@ -286,8 +476,7 @@ def canonical_base(
         profile.update((cid, kept[i][1] * A.profile[cid]) for i in group for cid in kept[i][0])
         blocks.append(A.space.sort_cells(cid for i in group for cid in kept[i][0]))
     cb = Sublattice._canonical(A.space, blocks, profile)
-    verdict = star_independent(fs, A, cb, tol)
-    if not verdict.independent:
+    if _worst_block(lattice_join(closing(), cb, tol), A, cb, tol) is not None:
         raise CertificationFailed(
             "canonical base candidate failed the independence certificate"
         )

@@ -274,8 +274,8 @@ class TestExecuteScenario:
 
     @staticmethod
     def count_closures(monkeypatch):
-        """The dcl and lattice_join calls a run makes, counted where the runner
-        and star_independent call them."""
+        """The dcl and lattice_join calls a run makes, counted where the runner,
+        star_independent and canonical_base call them."""
         import lplattice.independence as independence
         import lplattice.scenario as scenario
 
@@ -300,15 +300,17 @@ class TestExecuteScenario:
         [
             # C = dcl[u, v]: 1.  indep [x] [x] C: [x] once, and B' is A': 1 dcl,
             # 1 join.  indep [m] [x, y] [u, v]: [u, v] is C, [m] and [x, y] are
-            # new: 2 dcls, 2 joins.  cb [x, y] C certifies with star_independent
-            # over a list, which closes it itself: 1 dcl, 2 joins.
-            ("compose", {"dcl": 5, "lattice_join": 5}),
+            # new: 2 dcls, 2 joins.  cb [x, y] C certifies on the memo's [x, y],
+            # and B' is C: 1 join (it closed [x, y] again and joined C with
+            # its base too: 5 and 5).
+            ("compose", {"dcl": 4, "lattice_join": 4}),
             # G = dcl[u, v, w, t, s], H = dcl[u, w]: 2.  indep [x] [y] [u..s]:
             # the side is G, [x] and [y] are new: 2 dcls, 2 joins.  indep [x] [x]
             # [v, w, s]: [v, w, s] is new, [x] is known and B' is A': 1 dcl, 1
-            # join.  indep [x, y] H [u, w, t]: 2 dcls, 2 joins.  Each cb: 1 dcl,
-            # 2 joins.  condexp and profile: none.
-            ("dcl", {"dcl": 9, "lattice_join": 9}),
+            # join.  indep [x, y] H [u, w, t]: 2 dcls, 2 joins.  cb [x, y] G and
+            # cb [x] H: [x, y] and [x] are known: 1 join each (1 dcl and 2
+            # joins each before: 9 and 9).  condexp and profile: none.
+            ("dcl", {"dcl": 7, "lattice_join": 7}),
         ],
     )
     def test_each_generated_sublattice_is_built_once(self, monkeypatch, name, closures):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -36,7 +37,7 @@ from lplattice import (
     step_function,
     tuple_type_equal,
 )
-from lplattice.independence import _expectation_gaps
+from lplattice.independence import _expectation_gaps, _screened_gaps, _worst_block
 from lplattice.oracles import random_instance, slice_by_definition
 from lplattice.typespace import merged_midpoints, slice_profile
 from lplattice.verify import (
@@ -223,6 +224,144 @@ class TestOnePassGaps:
         assert _outcome(star_independent, [chi_y], [chi_y], C) == _outcome(
             reference_star_independent, [chi_y], [chi_y], C
         )
+
+
+def _grid(seed, rows, cols, p, weights=(0.1, 3.0)):
+    """A rows x cols grid of cells with weights a_i * b_j drawn uniform in
+    `weights`, f depending on the row and g on the column, and C one block of
+    profile 1: f and g are independent over C, so every true gap is 0."""
+    rng = random.Random(seed)
+    a = [rng.uniform(*weights) for _ in range(rows)]
+    b = [rng.uniform(*weights) for _ in range(cols)]
+    ids = [[f"r{i}c{j}" for j in range(cols)] for i in range(rows)]
+    space = make_space([(ids[i][j], a[i] * b[j]) for i in range(rows) for j in range(cols)], p)
+    fv = [rng.uniform(0.5, 3.0) for _ in range(rows)]
+    gv = [rng.uniform(0.5, 3.0) for _ in range(cols)]
+    f = step_function(space, {ids[i][j]: fv[i] for i in range(rows) for j in range(cols)})
+    g = step_function(space, {ids[i][j]: gv[j] for i in range(rows) for j in range(cols)})
+    C = Sublattice.make(space, [(space.ids(), dict.fromkeys(space.ids(), 1.0))])
+    return space, f, g, C
+
+
+def _counting_gaps(monkeypatch):
+    """The blocks the exact `_gap` runs on, counted."""
+    import lplattice.independence as independence
+
+    calls = []
+
+    def counting(*args, original=independence._gap):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(independence, "_gap", counting)
+    return calls
+
+
+class TestScreenedGaps:
+    """The screened gap kernel decides the verdict, the witness block and its
+    gap exactly as the exact loop over every block does."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_grid_cancellation_family(self, monkeypatch, p):
+        # the rows cover C's one block: the uncovered mass is 0 by the count,
+        # never nu_C(K) - sum nu_C(L), whose rounding the p-th root magnifies
+        calls = _counting_gaps(monkeypatch)
+        for seed in range(200):
+            space, f, g, C = _grid(seed, 6, 7, p)
+            assert _outcome(star_independent, [f], [g], C) == (True, None)
+            assert _outcome(reference_star_independent, [f], [g], C) == (True, None)
+        assert calls == []
+
+    def test_independent_grid_runs_no_exact_gap(self, monkeypatch):
+        space, f, g, C = _grid(1, 64, 64, 3.0)
+        assert len(space.cells) == 4096
+        calls = _counting_gaps(monkeypatch)
+        assert star_independent([f], [g], C).independent
+        assert calls == []
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_gap_at_tol_and_one_ulp_either_side(self, p):
+        # perturbing one weight by s makes a gap of about s; tol is then put
+        # at the block's exact gap and one ulp either side of it
+        for s in (1e-9, 3e-7, 0.25):
+            space, f, g, C = _grid(4, 3, 4, p, weights=(1.0, 1.0))
+            cells = [(cid, w * (1.0 + s) if cid == "r0c0" else w) for cid, w in space.cells]
+            space = make_space(cells, p)
+            f, g = step_function(space, f.values), step_function(space, g.values)
+            C = Sublattice.make(space, [(space.ids(), dict.fromkeys(space.ids(), 1.0))])
+            A, B = lattice_join(dcl(space, [f]), C), lattice_join(dcl(space, [g]), C)
+            top = max(_expectation_gaps(A, B, C))
+            assert top > 0.0
+            below, above = math.nextafter(top, 0.0), math.nextafter(top, math.inf)
+            for tol in (below, top, above):
+                want = _outcome(reference_star_independent, A, B, C, tol)
+                assert _outcome(star_independent, A, B, C, tol) == want
+                assert want[0] is (tol >= top)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_profiles_proportional_to_c_within_tol(self, seed):
+        # the profiles of B and C differ by up to tol/2 relative, so the join
+        # keeps B's columns, on B's profile (it peaks first): w_C / w_B'
+        # spreads inside a block of B'
+        rng = random.Random(seed)
+        p = rng.choice([1.0, 1.5, 2.0, 3.0])
+        space, f, g, _ = _grid(seed, 4, 5, p)
+        tol = 1e-9
+
+        def near_one(cells):
+            return {cid: 1.0 - (k > 0) * rng.uniform(0.0, tol / 2) for k, cid in enumerate(cells)}
+
+        C = Sublattice.make(space, [(space.ids(), near_one(space.ids()))])
+        columns = [[cid for cid in space.ids() if cid.endswith(f"c{j}")] for j in range(5)]
+        B = Sublattice.make(space, [(cells, near_one(cells)) for cells in columns])
+        Bp = lattice_join(B, C, tol)
+        assert Bp.blocks == B.blocks
+        ratios = [[C.profile[cid] / Bp.profile[cid] for cid in L] for L in Bp.blocks]
+        assert max(max(r) - min(r) for r in ratios) > 0.0
+        h = step_function(space, {cid: rng.choice([0.5, 1.0, 2.0]) for cid in space.ids()})
+        for A in ([f], [h], [f, g]):
+            assert _outcome(star_independent, A, B, C, tol) == _outcome(
+                reference_star_independent, A, B, C, tol
+            )
+
+    def test_many_way_tie_goes_to_earliest_block(self, monkeypatch):
+        # nine columns of one non-dyadic weight: nine gaps equal in real
+        # arithmetic, all recomputed; the witness is the first of the largest
+        # float gaps, as in the exact loop
+        space, f, g, C = _grid(2, 5, 9, 3.0, weights=(0.3, 0.3))
+        calls = _counting_gaps(monkeypatch)
+        got = _outcome(star_independent, [g], [g], C)
+        assert len(calls) == 9
+        assert got[0] is False
+        assert got == _outcome(reference_star_independent, [g], [g], C)
+
+    def test_screen_needs_both_sides_to_contain_c(self):
+        # star_independent's joins always contain C block by block; given
+        # lattices that do not, the screen declines and the exact loop runs
+        space = make_space([(cid, 1.0) for cid in "abcd"], 2.0)
+        ones = dict.fromkeys("abcd", 1.0)
+        C = Sublattice.make(space, [("ab", ones), ("cd", ones)])
+        whole = Sublattice.make(space, [("abcd", ones)])
+        part = Sublattice.make(space, [("a", ones), ("b", ones), ("c", ones)])
+        assert _screened_gaps(C, C, C) is not None
+        for A, B in ((C, whole), (whole, C), (C, part)):
+            assert _screened_gaps(A, B, C) is None
+            gaps = list(_expectation_gaps(A, B, C))
+            top = max(gaps)
+            assert _worst_block(A, B, C, 1e-9) == ((gaps.index(top), top) if top > 1e-9 else None)
+
+    def test_p3_overflow_falls_back_to_the_exact_loop(self):
+        # |c_K|**3 overflows in the kernel (c_K is about 1e110); the exact
+        # loop's norm rescales it and finds a finite witness gap
+        space = make_space([("x", 1e250), ("y", 1e-100)], 3.0)
+        C = Sublattice.make(space, [(("x", "y"), {"x": 1e-110, "y": 1.0})])
+        f = step_function(space, {"x": 1.0, "y": 2.0})
+        A = lattice_join(dcl(space, [f]), C)
+        with pytest.raises(OverflowError):
+            _screened_gaps(A, A, C)
+        got = _outcome(star_independent, [f], [f], C)
+        assert got[0] is False and math.isfinite(got[1][2])
+        assert got == _outcome(reference_star_independent, [f], [f], C)
 
 
 class TestRestrictedStarCheck:
