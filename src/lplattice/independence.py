@@ -4,7 +4,7 @@ and canonical bases."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     DEFAULT_TOL,
@@ -168,10 +168,11 @@ def _screened_gaps(
 ) -> Optional[list[tuple[float, float]]]:
     """Per block of A in order, (g, b): a gap g computed from block
     coefficients and a bound b with |g - gap| <= b for the gap
-    `_expectation_gaps` computes.  None when A and B do not both contain C
-    block by block, or when a value is not finite or past _HUGE; then, as
-    when it raises OverflowError or ZeroDivisionError, the caller runs the
-    exact loop.
+    `_expectation_gaps` computes.  None when B does not contain C block by
+    block, when an A-block lies neither in one C-block nor off supp C (A
+    itself need not contain C), or when a value is not finite or past
+    _HUGE; then, as when it raises OverflowError or ZeroDivisionError, the
+    caller runs the exact loop.
 
     The kernel.  Each B-block L lies in one C-block K (or off supp C), and
     every cell of K lies in a B-block; each A-block S lies in one K (or off
@@ -330,7 +331,7 @@ def restricted_star_check(
     _require_sublattice(C, B, "B", tol)
     if not intersects_well(A, C, tol):
         raise PreconditionFailed("A and C do not intersect well")
-    return all(gap <= tol for gap in _expectation_gaps(A, B, C))
+    return _worst_block(A, B, C, tol) is None
 
 
 def product_check(
@@ -446,19 +447,10 @@ def canonical_base(
     The layouts are read on every interval of one _sweep over them all and
     grouped within tol; a group is one block of the base, with profile
     s_k * w on block k.  The base is certified by star_independent(fs, A,
-    base) and never silently accepted.
+    base) and never silently accepted; its joined sides are dcl(fs) v base
+    and A, since A v base is A (the base lies in A by construction).
     """
     fs = tuple(fs)
-    return _certified_base(fs, A, tol, lambda: dcl(A.space, fs, tol))
-
-
-def _certified_base(
-    fs: tuple[StepFunction, ...], A: Sublattice, tol: float, closing: Callable[[], Sublattice]
-) -> Sublattice:
-    """canonical_base, with dcl(fs) from closing(), which the certificate
-    calls (a scenario run hands over its memo's closing).  The certificate is
-    star_independent(fs, A, base) on its joined sides: B' = A v base is A
-    itself, as the base lies in A by construction, so it is not joined."""
     kept = []  # (A-block, s_k, layout of the law divided by s_k)
     for block, (atoms, nu) in zip(A.blocks, _block_laws(fs, A, tol)):
         scale = max((abs(x) for vec, _ in atoms for x in vec), default=0.0)
@@ -476,7 +468,7 @@ def _certified_base(
         profile.update((cid, kept[i][1] * A.profile[cid]) for i in group for cid in kept[i][0])
         blocks.append(A.space.sort_cells(cid for i in group for cid in kept[i][0]))
     cb = Sublattice._canonical(A.space, blocks, profile)
-    if _worst_block(lattice_join(closing(), cb, tol), A, cb, tol) is not None:
+    if _worst_block(lattice_join(dcl(A.space, fs, tol), cb, tol), A, cb, tol) is not None:
         raise CertificationFailed(
             "canonical base candidate failed the independence certificate"
         )

@@ -55,7 +55,7 @@ from .core import _FLOAT, DEFAULT_TOL, Refinement, Space, StepFunction, check_to
 from .errors import LatticeError, ParseError, UnknownReference, ValidationError
 from .independence import (
     IndependenceVerdict,
-    _certified_base,
+    canonical_base,
     nonforking_extension,
     product_check,
     star_independent,
@@ -373,9 +373,6 @@ _SIDE = (
     lambda v: _FN[1](v) or _FNS[1](v),
     lambda run, v, at: _SUB[2](run, v, at) if isinstance(v, str) else run.closing(_FNS[2](run, v, at)),
 )
-# a list of names read as its functions with the closing of them through the
-# runner's memo, which `_canonical_base` hands to the certificate
-_CLOSED = _FNS[:2] + (lambda run, v, at: run.with_closing(_FNS[2](run, v, at)),)
 _NUM = (
     "a number",
     lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
@@ -401,7 +398,7 @@ _OPS = {
     "typeeq": ("tuple_type_equal", {"fs": _FNS, "gs": _FNS, "c": _SUB}, None, None),
     "indep": ("_star_independent", {"a": _SIDE, "b": _SIDE, "c": _SIDE}, "verdict_to_doc", None),
     "productcheck": ("product_check", {"a": _SUB, "b": _SUB, "c": _SUB}, None, None),
-    "cb": ("_canonical_base", {"fs": _CLOSED, "a": _SUB}, "sublattice_to_doc", _SUB),
+    "cb": ("canonical_base", {"fs": _FNS, "a": _SUB}, "sublattice_to_doc", _SUB),
     "realize": ("_realize", {"f": _FN, "c": _TYPES}, "function_to_doc", _FN),
     "extend": ("nonforking_extension", {"fs": _FNS, "c": _SUB, "b": _SUB}, "_functions_to_doc", _FNS),
     "maharam": ("maharam_select", {"cells": _CELLS, "c": _SUB, "target": _FN}, "_selection_to_doc", None),
@@ -422,14 +419,6 @@ def _star_independent(A: Any, B: Any, C: Any, tol: float) -> IndependenceVerdict
     the one named."""
     C, A, B = (side() if callable(side) else side for side in (C, A, B))
     return star_independent(A, B, C, tol)
-
-
-def _canonical_base(
-    closed: tuple[list[StepFunction], Callable[[], Sublattice]], A: Sublattice, tol: float
-) -> Sublattice:
-    """canonical_base of the functions, certified on their closing from the memo."""
-    fs, closing = closed
-    return _certified_base(tuple(fs), A, tol, closing)
 
 
 def _distance(
@@ -592,10 +581,6 @@ class _Runner:
         """What an op is given for a list side: a call that closes fs through
         the memo, or the empty list itself, which holds no space to close in."""
         return partial(self.generated_by, fs) if fs else fs
-
-    def with_closing(self, fs: list[StepFunction]) -> tuple:
-        """fs with a call that closes them through the memo."""
-        return fs, partial(self.generated_by, fs)
 
     def _apply_refinement(self, refinement: Refinement) -> None:
         self.space = refinement.child

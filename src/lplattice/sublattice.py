@@ -159,11 +159,11 @@ class Sublattice:
         """The values of the member with coefficient c on block k, for the
         (k, c) pairs given in block order, as a StepFunction keeps them:
         exact zeros dropped, NonFiniteValue on the first value not finite."""
-        profile = self.profile
+        profile, blocks = self.profile, self.blocks
         out = {}
         for k, c in coefficients:
             if c != 0.0:
-                for cid in self.blocks[k]:
+                for cid in blocks[k]:
                     v = c * profile[cid]
                     if v != 0.0:
                         out[cid] = v
@@ -400,27 +400,18 @@ def _expectation(
     """Lazily, per list of cells (in space order), the values of cond_exp(f, C)
     for the f with these values on those cells and 0 elsewhere: per block,
     mu * w**(p-1) * f summed over its given cells, over its nu-mass (a cell
-    where f is 0 would add +0.0, which changes no sum), times the profile,
-    kept as a StepFunction keeps them: exact zeros dropped, NonFiniteValue
-    on the first value not finite.  C's nu-table, block map, blocks and
-    profile are read once per call, not once per list."""
+    where f is 0 would add +0.0, which changes no sum), written by
+    `Sublattice._member_values`.  C's nu-table and block map are read once
+    per call, not once per list."""
     factor, _, mass = C.nu_table
-    block_of, blocks, profile = C._block_of, C.blocks, C.profile
+    block_of = C._block_of
     for cells in cell_lists:
         num: dict[int, float] = {}
         for cid in cells:
             k = block_of.get(cid)
             if k is not None:
                 num[k] = num.get(k, 0.0) + factor[cid] * values[cid]
-        out = {}
-        for k in sorted(num):
-            c = num[k] / mass[k]
-            if c != 0.0:
-                for cid in blocks[k]:
-                    v = c * profile[cid]
-                    if v != 0.0:
-                        out[cid] = v
-        yield _finite_values(out)
+        yield C._member_values((k, num[k] / mass[k]) for k in sorted(num))
 
 
 def lattice_intersection(

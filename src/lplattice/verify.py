@@ -45,6 +45,7 @@ from .sublattice import (
     Sublattice,
     band_decompose,
     cond_exp,
+    contains,
     dcl,
     is_sublattice_of,
     lattice_join,
@@ -390,8 +391,11 @@ def check_maharam(seed: int, tol: float = DEFAULT_TOL) -> Optional[str]:
     rng = random.Random(seed ^ 0xA11)
     cells = [cid for cid in inst.space.ids() if rng.random() < 0.7]
     frac = rng.choice((0.0, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75, 1.0))
-    bound = cond_exp(indicator(inst.space, cells), C)
-    target = frac * bound
+    # frac times each block coefficient of E_C(chi_cells), a member of C by
+    # construction: frac * E_C(chi_cells) can round off C's profile, which
+    # maharam_select rejects at tol 0
+    coeffs = contains(C, cond_exp(indicator(inst.space, cells), C), tol)
+    target = C.member([frac * coeffs[k] for k in range(len(C.blocks))])
     refinement, selected = maharam_select(cells, C, target, tol)
     got = cond_exp(indicator(refinement.child, selected), C.lift(refinement))
     if not function_close(got, lift(target, refinement), 1e-12):

@@ -37,6 +37,7 @@ from lplattice import (
     ValidationError,
     close,
     dcl,
+    intersects_well,
     is_sublattice_of,
     lattice_join,
     norm,
@@ -50,7 +51,9 @@ from lplattice.independence import (
     SideInput,
     Witness,
     _as_sublattice,
+    _expectation_gaps,
     _gap,
+    _require_sublattice,
     _space_of,
 )
 from lplattice.oracles import CLOSURE_ROUNDS, _guard, proportionality_classes
@@ -793,6 +796,24 @@ def reference_slice_independent(
         if gap > tol and (worst is None or gap > worst.gap):
             worst = Witness("slice", f, r, over_b, over_c, gap)
     return IndependenceVerdict(worst is None, worst)
+
+
+# The exact loop over every block of A that `restricted_star_check` ran
+# before it went through `_worst_block`'s screen, kept verbatim as the
+# reference its differential test compares against.
+
+def reference_restricted_star_check(
+    A: Sublattice, B: Sublattice, C: Sublattice, tol: float = DEFAULT_TOL
+) -> bool:
+    """Expectation test on the generators of A alone (no join with C).
+
+    Valid only when C <= B and A intersects C well; under those
+    preconditions the verdict agrees with star_independent.
+    """
+    _require_sublattice(C, B, "B", tol)
+    if not intersects_well(A, C, tol):
+        raise PreconditionFailed("A and C do not intersect well")
+    return all(gap <= tol for gap in _expectation_gaps(A, B, C))
 
 
 def lattice_terms(fs: list[StepFunction]) -> list[StepFunction]:

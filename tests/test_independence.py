@@ -10,6 +10,7 @@ from conftest import (
     reference_canonical_base,
     reference_expectation_gaps,
     reference_merged_midpoints,
+    reference_restricted_star_check,
     reference_slice_independent,
     reference_star_independent,
 )
@@ -23,6 +24,7 @@ from lplattice import (
     density_change,
     function_close,
     indicator,
+    intersects_well,
     is_sublattice_of,
     lattice_join,
     lift,
@@ -364,6 +366,14 @@ class TestScreenedGaps:
         assert got == _outcome(reference_star_independent, [f], [f], C)
 
 
+def _checked(check, *args):
+    """A boolean check's answer, or the class and message it raised."""
+    try:
+        return check(*args)
+    except Exception as exc:  # compared with the reference's exception
+        return ("raised", type(exc), str(exc))
+
+
 class TestRestrictedStarCheck:
     def test_masked_dependence_fails_precondition(self):
         fx = masked_dependence_example()
@@ -391,6 +401,87 @@ class TestRestrictedStarCheck:
         except PreconditionFailed:
             return
         assert got == star_independent(A, B, C).independent
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference(self, seed):
+        # A joined with C or not (dcl(f) need not contain C), B over C in the
+        # chain or C itself: the verdict, or the precondition that fails, is
+        # the exact loop's; over the 40 seeds both verdicts occur
+        inst = random_instance(seed, 6)
+        C, B, D = inst.chain
+        space, fs = inst.space, list(inst.functions)
+        sides_a = [
+            lattice_join(dcl(space, fs[:1]), C),
+            dcl(space, fs[:1]),
+            dcl(space, fs[:2]),
+            _nontrivial_sublattice(inst, seed),
+            *inst.chain,
+        ]
+        verdicts = []
+        for tol in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+            for A in sides_a:
+                for Bx in (C, B, D):
+                    got = _checked(restricted_star_check, A, Bx, C, tol)
+                    assert got == _checked(reference_restricted_star_check, A, Bx, C, tol)
+                    verdicts.append(got)
+        assert True in verdicts
+
+    def test_b_block_straddling_c_blocks_within_tol(self, monkeypatch):
+        # B's block {a, b} meets C's blocks {a} and {b, c}, which still lie in
+        # B within tol (b carries 1e-10 in both); the screen declines and the
+        # exact loop runs on every block of A
+        space = make_space([(cid, 1.0) for cid in "abc"], 2.0)
+        C = Sublattice.make(space, [("a", {"a": 1.0}), ("bc", {"b": 1e-10, "c": 1.0})])
+        B = Sublattice.make(space, [("ab", {"a": 1.0, "b": 1e-10}), ("c", {"c": 1.0})])
+        assert is_sublattice_of(C, B, 1e-9) and not is_sublattice_of(C, B, 1e-11)
+        assert _screened_gaps(C, B, C) is None
+        for tol in (1e-9, 1e-11, 1e-30):
+            assert _checked(restricted_star_check, C, B, C, tol) == _checked(
+                reference_restricted_star_check, C, B, C, tol
+            )
+        calls = _counting_gaps(monkeypatch)
+        assert restricted_star_check(C, B, C, 1e-9)
+        assert len(calls) == len(C.blocks)
+
+    def test_independent_grid_runs_no_exact_gap(self, monkeypatch):
+        # C has two blocks of rows; A, the first three rows, does not contain
+        # C, but each of its blocks lies in C's first block, and B (the
+        # columns cut by C) contains C
+        space, f, g, _ = _grid(3, 6, 7, 3.0)
+        ids = space.ids()
+        ones = dict.fromkeys(ids, 1.0)
+        C = Sublattice.make(space, [(ids[:21], ones), (ids[21:], ones)])
+        A = Sublattice.make(space, [(ids[i : i + 7], ones) for i in (0, 7, 14)])
+        B = lattice_join(dcl(space, [g]), C)
+        assert len(B.blocks) == 14 and not is_sublattice_of(C, A)
+        calls = _counting_gaps(monkeypatch)
+        assert restricted_star_check(A, B, C)
+        assert calls == []
+        assert reference_restricted_star_check(A, B, C)
+
+    def test_overflow_in_a_later_block_raises(self):
+        # A's first block {a, b} fails (E_B and E_C of its indicator differ);
+        # on its block {y}, E_B(chi_y) = inf on x, as B's profile on y is
+        # 1e-310, while C's is 1e-10, which lies in B within tol.  The exact
+        # loop stopped at the first failing block and returned False; every
+        # block is screened now, and the overflow raises NonFiniteValue.
+        # star_independent joins B with C, which splits {x, y}: its B' has
+        # no such profile, and it finds {a, b} dependent
+        space = make_space(
+            [("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 1.0), ("x", 1e-300), ("y", 1e300)], 1.0
+        )
+        ones = dict.fromkeys("abcdxy", 1.0)
+        C = Sublattice.make(space, [("abcd", ones), ("xy", {"x": 1.0, "y": 1e-10})])
+        A = Sublattice.make(space, [("ab", ones), ("cd", ones), ("x", ones), ("y", ones)])
+        B = Sublattice.make(space, [("ab", ones), ("cd", ones), ("xy", {"x": 1.0, "y": 1e-310})])
+        assert is_sublattice_of(C, B) and intersects_well(A, C)
+        assert reference_restricted_star_check(A, B, C) is False
+        message = "value on cell 'x' is not finite: inf"
+        with pytest.raises(NonFiniteValue, match=f"^{message}$"):
+            restricted_star_check(A, B, C)
+        assert lattice_join(B, C).blocks == A.blocks
+        verdict = star_independent(A, B, C)
+        assert not verdict.independent and verdict.witness.element.values == {"a": 1.0, "b": 1.0}
 
 
 class TestProductCheck:
