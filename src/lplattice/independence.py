@@ -4,7 +4,7 @@ and canonical bases."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .core import (
     DEFAULT_TOL,
@@ -105,17 +105,21 @@ def star_independent(
     worst = _worst_block(Aprime, Bprime, Cbar, tol)
     if worst is None:
         return IndependenceVerdict(True, None)
-    k, gap = worst
-    e = Aprime.generator(k)
-    witness = Witness("expectation", e, None, cond_exp(e, Bprime), cond_exp(e, Cbar), gap)
+    k, gap, over_b, over_c = worst
+    over_b, over_c = StepFunction(space, over_b), StepFunction(space, over_c)
+    witness = Witness("expectation", Aprime.generator(k), None, over_b, over_c, gap)
     return IndependenceVerdict(False, witness)
 
 
 def _worst_block(
     A: Sublattice, B: Sublattice, C: Sublattice, tol: float
-) -> Optional[tuple[int, float]]:
-    """(k, gap) for the block k of A whose gap from `_expectation_gaps` is the
-    largest above tol, the earliest of equal ones; None when no gap exceeds tol.
+) -> Optional[tuple[int, float, dict[str, float], dict[str, float]]]:
+    """(k, gap, over_b, over_c) for the block k of A whose exact gap is the
+    largest above tol, the earliest of equal ones; None when no gap exceeds
+    tol.  The exact gap of block k is norm(cond_exp(e, B) - cond_exp(e, C))
+    for its generator e, bit-equal to that expression: over_b and over_c are
+    the values of those two expectations, each from one `_expectation` over
+    the block's own cells, onto B and then onto C.
 
     Exact gaps are computed only where `_screened_gaps` cannot decide.  With
     |gap_k - g_k| <= b_k for every block k, a block with g_k + b_k <= tol has
@@ -138,24 +142,13 @@ def _worst_block(
         floor = max(screened[k][0] - screened[k][1] for k in candidates)
         blocks = [k for k in candidates if upper[k] >= floor]
     worst, worst_gap = None, tol
-    for k, gap in zip(blocks, _expectation_gaps(A, B, C, blocks)):
+    for k in blocks:
+        over_b = _expectation(B, A.blocks[k], A.profile)
+        over_c = _expectation(C, A.blocks[k], A.profile)
+        gap = _gap(A.space, over_b, over_c)
         if gap > worst_gap:
-            worst, worst_gap = k, gap
-    return None if worst is None else (worst, worst_gap)
-
-
-def _expectation_gaps(
-    A: Sublattice, B: Sublattice, C: Sublattice, blocks: Optional[Sequence[int]] = None
-) -> Iterator[float]:
-    """Lazily, per block of A in order (of the given block indices, if any),
-    norm(cond_exp(e, B) - cond_exp(e, C)) for the block's generator e,
-    bit-equal to that expression: the expectations over each block's own
-    cells onto B and onto C, each read from one `_expectation` pass."""
-    cells = A.blocks if blocks is None else [A.blocks[k] for k in blocks]
-    over_b = _expectation(B, cells, A.profile)
-    over_c = _expectation(C, cells, A.profile)
-    for b, c in zip(over_b, over_c):
-        yield _gap(A.space, b, c)
+            worst, worst_gap = (k, gap, over_b, over_c), gap
+    return worst
 
 
 _EPS = 2.0**-53  # the unit roundoff of a float
@@ -167,8 +160,8 @@ def _screened_gaps(
     A: Sublattice, B: Sublattice, C: Sublattice
 ) -> Optional[list[tuple[float, float]]]:
     """Per block of A in order, (g, b): a gap g computed from block
-    coefficients and a bound b with |g - gap| <= b for the gap
-    `_expectation_gaps` computes.  None when B does not contain C block by
+    coefficients and a bound b with |g - gap| <= b for the exact gap
+    `_worst_block` computes.  None when B does not contain C block by
     block, when an A-block lies neither in one C-block nor off supp C (A
     itself need not contain C), or when a value is not finite or past
     _HUGE; then, as when it raises OverflowError or ZeroDivisionError, the
@@ -377,17 +370,15 @@ def slice_independent(
     nb = len(B.blocks)
     worst, worst_gap = None, tol
     for start, end, values in _sweep(prof_b.per_block + prof_c.per_block):
-        gap = _gap(
-            B.space,
-            B._member_values(enumerate(values[:nb])),
-            C._member_values(enumerate(values[nb:])),
-        )
+        over_b = B._member_values(enumerate(values[:nb]))
+        over_c = C._member_values(enumerate(values[nb:]))
+        gap = _gap(B.space, over_b, over_c)
         if gap > worst_gap:
-            worst, worst_gap = ((start + end) / 2.0, values), gap
+            worst, worst_gap = ((start + end) / 2.0, over_b, over_c), gap
     if worst is None:
         return IndependenceVerdict(True, None)
-    r, values = worst
-    over_b, over_c = B.member(values[:nb]), C.member(values[nb:])
+    r, over_b, over_c = worst
+    over_b, over_c = StepFunction(B.space, over_b), StepFunction(B.space, over_c)
     return IndependenceVerdict(False, Witness("slice", f, r, over_b, over_c, worst_gap))
 
 

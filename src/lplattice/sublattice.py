@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import truediv
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     DEFAULT_TOL,
@@ -390,28 +390,24 @@ def cond_exp(f: StepFunction, C: Sublattice) -> StepFunction:
     """
     if f.space != C.space:
         raise SpaceMismatch("function lives on a different space")
-    [values] = _expectation(C, [C.space.sort_cells(f.values)], f.values)
-    return StepFunction(C.space, values)
+    return StepFunction(C.space, _expectation(C, C.space.sort_cells(f.values), f.values))
 
 
 def _expectation(
-    C: Sublattice, cell_lists: Iterable[Sequence[str]], values: Mapping[str, float]
-) -> Iterator[dict[str, float]]:
-    """Lazily, per list of cells (in space order), the values of cond_exp(f, C)
-    for the f with these values on those cells and 0 elsewhere: per block,
-    mu * w**(p-1) * f summed over its given cells, over its nu-mass (a cell
-    where f is 0 would add +0.0, which changes no sum), written by
-    `Sublattice._member_values`.  C's nu-table and block map are read once
-    per call, not once per list."""
+    C: Sublattice, cells: Sequence[str], values: Mapping[str, float]
+) -> dict[str, float]:
+    """The values of cond_exp(f, C) for the f with these values on these
+    cells (in space order) and 0 elsewhere: per block, mu * w**(p-1) * f
+    summed over its given cells, over its nu-mass (a cell where f is 0 would
+    add +0.0, which changes no sum), written by `Sublattice._member_values`."""
     factor, _, mass = C.nu_table
     block_of = C._block_of
-    for cells in cell_lists:
-        num: dict[int, float] = {}
-        for cid in cells:
-            k = block_of.get(cid)
-            if k is not None:
-                num[k] = num.get(k, 0.0) + factor[cid] * values[cid]
-        yield C._member_values((k, num[k] / mass[k]) for k in sorted(num))
+    num: dict[int, float] = {}
+    for cid in cells:
+        k = block_of.get(cid)
+        if k is not None:
+            num[k] = num.get(k, 0.0) + factor[cid] * values[cid]
+    return C._member_values((k, num[k] / mass[k]) for k in sorted(num))
 
 
 def lattice_intersection(

@@ -574,7 +574,7 @@ def maharam_select(
     expectation and are never selected.
     """
     space = C.space
-    A = set(cells)
+    A = dict.fromkeys(cells)  # in the given order: an unknown cell is named as the first
     for cid in A:
         if cid not in space:
             raise UnknownCell(f"no cell {cid!r}")

@@ -51,7 +51,6 @@ from lplattice.independence import (
     SideInput,
     Witness,
     _as_sublattice,
-    _expectation_gaps,
     _gap,
     _require_sublattice,
     _space_of,
@@ -559,6 +558,46 @@ def reference_expectation_gaps(A: Sublattice, B: Sublattice, C: Sublattice) -> I
         )
 
 
+# The streaming expectation and the all-blocks gaps from before the exact gap
+# of `independence._worst_block` took one cell list per expectation call,
+# kept verbatim (as `sublattice._expectation` and
+# `independence._expectation_gaps`) as the gap of every block of A:
+# `reference_restricted_star_check` and the screen's tests read it.
+
+def _reference_streamed_expectation(
+    C: Sublattice, cell_lists: Iterable[Sequence[str]], values: Mapping[str, float]
+) -> Iterator[dict[str, float]]:
+    """Lazily, per list of cells (in space order), the values of cond_exp(f, C)
+    for the f with these values on those cells and 0 elsewhere: per block,
+    mu * w**(p-1) * f summed over its given cells, over its nu-mass (a cell
+    where f is 0 would add +0.0, which changes no sum), written by
+    `Sublattice._member_values`.  C's nu-table and block map are read once
+    per call, not once per list."""
+    factor, _, mass = C.nu_table
+    block_of = C._block_of
+    for cells in cell_lists:
+        num: dict[int, float] = {}
+        for cid in cells:
+            k = block_of.get(cid)
+            if k is not None:
+                num[k] = num.get(k, 0.0) + factor[cid] * values[cid]
+        yield C._member_values((k, num[k] / mass[k]) for k in sorted(num))
+
+
+def reference_streamed_gaps(
+    A: Sublattice, B: Sublattice, C: Sublattice, blocks: Optional[Sequence[int]] = None
+) -> Iterator[float]:
+    """Lazily, per block of A in order (of the given block indices, if any),
+    norm(cond_exp(e, B) - cond_exp(e, C)) for the block's generator e,
+    bit-equal to that expression: the expectations over each block's own
+    cells onto B and onto C, each read from one `_expectation` pass."""
+    cells = A.blocks if blocks is None else [A.blocks[k] for k in blocks]
+    over_b = _reference_streamed_expectation(B, cells, A.profile)
+    over_c = _reference_streamed_expectation(C, cells, A.profile)
+    for b, c in zip(over_b, over_c):
+        yield _gap(A.space, b, c)
+
+
 # --- reference canonical base ---------------------------------------------------
 # The join-and-reslice fixpoint that the closed-form `canonical_base` in
 # `lplattice.independence` replaced, kept verbatim as the reference its
@@ -813,7 +852,7 @@ def reference_restricted_star_check(
     _require_sublattice(C, B, "B", tol)
     if not intersects_well(A, C, tol):
         raise PreconditionFailed("A and C do not intersect well")
-    return all(gap <= tol for gap in _expectation_gaps(A, B, C))
+    return all(gap <= tol for gap in reference_streamed_gaps(A, B, C))
 
 
 def lattice_terms(fs: list[StepFunction]) -> list[StepFunction]:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -13,12 +14,14 @@ from conftest import (
     reference_restricted_star_check,
     reference_slice_independent,
     reference_star_independent,
+    reference_streamed_gaps,
 )
 from lplattice import (
     NonFiniteValue,
     PreconditionFailed,
     Sublattice,
     canonical_base,
+    cond_distribution,
     cond_exp,
     dcl,
     density_change,
@@ -32,6 +35,7 @@ from lplattice import (
     nonforking_extension,
     norm,
     product_check,
+    realize_cond_distribution,
     restricted_star_check,
     slice_independent,
     star_independent,
@@ -39,9 +43,10 @@ from lplattice import (
     step_function,
     tuple_type_equal,
 )
-from lplattice.independence import _expectation_gaps, _screened_gaps, _worst_block
+from lplattice import independence, sublattice
+from lplattice.independence import _screened_gaps, _worst_block
 from lplattice.oracles import random_instance, slice_by_definition
-from lplattice.typespace import merged_midpoints, slice_profile
+from lplattice.typespace import _sweep, merged_midpoints, slice_profile
 from lplattice.verify import (
     _nontrivial_sublattice,
     masked_dependence_example,
@@ -125,6 +130,22 @@ def _outcome(test, *args):
     return (verdict.independent, fields)
 
 
+def _gap_triples(seed):
+    """(A', B', C) triples: the joins star_independent builds over a chain
+    member and over a dcl, and the chain members in every order."""
+    inst = random_instance(seed, 12)
+    C, B, D = inst.chain
+    space = inst.space
+    fs = list(inst.functions)
+    Cbar = dcl(space, fs[2:])
+    return [
+        (lattice_join(dcl(space, fs[:1]), C), lattice_join(B, C), C),
+        (lattice_join(dcl(space, fs[:2]), Cbar), lattice_join(D, Cbar), Cbar),
+        (lattice_join(_nontrivial_sublattice(inst, seed), C), D, C),
+        *itertools.permutations((C, B, D)),
+    ]
+
+
 def _hex_gaps(gaps, A, B, C):
     """The gaps per block of A as float.hex, or the class and message raised."""
     try:
@@ -183,24 +204,36 @@ class TestOnePassGaps:
 
     @pytest.mark.parametrize("seed", range(200))
     def test_gaps_match_reference_to_the_bit(self, seed):
-        # (A', B', C) triples: the joins star_independent builds over a
-        # chain member and over a dcl, and the chain members in every order
-        inst = random_instance(seed, 12)
-        C, B, D = inst.chain
-        space = inst.space
-        fs = list(inst.functions)
-        Cbar = dcl(space, fs[2:])
-        triples = [
-            (lattice_join(dcl(space, fs[:1]), C), lattice_join(B, C), C),
-            (lattice_join(dcl(space, fs[:2]), Cbar), lattice_join(D, Cbar), Cbar),
-            (lattice_join(_nontrivial_sublattice(inst, seed), C), D, C),
-            *itertools.permutations((C, B, D)),
-        ]
-        for A, Bp, Cp in triples:
-            got = _hex_gaps(_expectation_gaps, A, Bp, Cp)
+        for A, Bp, Cp in _gap_triples(seed):
+            got = _hex_gaps(reference_streamed_gaps, A, Bp, Cp)
             assert got == _hex_gaps(reference_expectation_gaps, A, Bp, Cp)
             if got[:1] != ["raised"]:
                 assert got == [norm(cond_exp(e, Bp) - cond_exp(e, Cp)).hex() for e in A.generators()]
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_worst_block_matches_reference_to_the_bit(self, seed):
+        # at tol 0 the screen rules out only exact zeros: the worst block and
+        # its gap are the reference's, and its two members are the cond_exps
+        # of its generator, keys in the same order
+        for A, Bp, Cp in _gap_triples(seed):
+            gaps = _hex_gaps(reference_streamed_gaps, A, Bp, Cp)
+            try:
+                worst = _worst_block(A, Bp, Cp, 0.0)
+            except Exception as exc:  # compared with the reference's exception
+                assert ["raised", type(exc), str(exc)] == gaps
+                continue
+            want, top = None, 0.0
+            for k, gap in enumerate(map(float.fromhex, gaps)):
+                if gap > top:
+                    want, top = k, gap
+            if want is None:
+                assert worst is None
+                continue
+            k, gap, over_b, over_c = worst
+            assert (k, gap.hex()) == (want, top.hex())
+            e = A.generator(k)
+            assert list(over_b.items()) == list(cond_exp(e, Bp).values.items())
+            assert list(over_c.items()) == list(cond_exp(e, Cp).values.items())
 
     def test_tie_goes_to_earliest_block(self):
         # two copies of one C-block split the same way: bit-equal gaps on {s} and {u}
@@ -245,18 +278,21 @@ def _grid(seed, rows, cols, p, weights=(0.1, 3.0)):
     return space, f, g, C
 
 
-def _counting_gaps(monkeypatch):
-    """The blocks the exact `_gap` runs on, counted."""
-    import lplattice.independence as independence
-
+def _counting(monkeypatch, owner, name):
+    """The calls of owner.name, counted: their arguments, in call order."""
     calls = []
 
-    def counting(*args, original=independence._gap):
+    def counting(*args, original=getattr(owner, name)):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(independence, "_gap", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def _counting_gaps(monkeypatch):
+    """The blocks the exact `_gap` runs on, counted."""
+    return _counting(monkeypatch, independence, "_gap")
 
 
 class TestScreenedGaps:
@@ -292,7 +328,7 @@ class TestScreenedGaps:
             f, g = step_function(space, f.values), step_function(space, g.values)
             C = Sublattice.make(space, [(space.ids(), dict.fromkeys(space.ids(), 1.0))])
             A, B = lattice_join(dcl(space, [f]), C), lattice_join(dcl(space, [g]), C)
-            top = max(_expectation_gaps(A, B, C))
+            top = max(reference_streamed_gaps(A, B, C))
             assert top > 0.0
             below, above = math.nextafter(top, 0.0), math.nextafter(top, math.inf)
             for tol in (below, top, above):
@@ -348,9 +384,10 @@ class TestScreenedGaps:
         assert _screened_gaps(C, C, C) is not None
         for A, B in ((C, whole), (whole, C), (C, part)):
             assert _screened_gaps(A, B, C) is None
-            gaps = list(_expectation_gaps(A, B, C))
+            gaps = list(reference_streamed_gaps(A, B, C))
             top = max(gaps)
-            assert _worst_block(A, B, C, 1e-9) == ((gaps.index(top), top) if top > 1e-9 else None)
+            worst = _worst_block(A, B, C, 1e-9)
+            assert (worst and worst[:2]) == ((gaps.index(top), top) if top > 1e-9 else None)
 
     def test_p3_overflow_falls_back_to_the_exact_loop(self):
         # |c_K|**3 overflows in the kernel (c_K is about 1e110); the exact
@@ -364,6 +401,47 @@ class TestScreenedGaps:
         got = _outcome(star_independent, [f], [f], C)
         assert got[0] is False and math.isfinite(got[1][2])
         assert got == _outcome(reference_star_independent, [f], [f], C)
+
+
+class TestWitnessFromTheDecidingPass:
+    """A verdict's witness holds the two members its deciding pass compared:
+    nothing is computed again once the verdict is known."""
+
+    def test_star_independent_expects_twice_per_exact_block(self, monkeypatch):
+        # the nine tied columns of test_many_way_tie_goes_to_earliest_block:
+        # every expectation, cond_exp's included, goes through `_expectation`,
+        # once onto B' and then once onto C per exact block, and no more
+        space, f, g, C = _grid(2, 5, 9, 3.0, weights=(0.3, 0.3))
+        want = _outcome(reference_star_independent, [g], [g], C)
+        gaps = _counting_gaps(monkeypatch)
+        exact = _counting(monkeypatch, independence, "_expectation")
+        elsewhere = _counting(monkeypatch, sublattice, "_expectation")
+        got = _outcome(star_independent, [g], [g], C)
+        assert got[0] is False and got == want
+        assert len(gaps) == 9
+        assert [args[0] is C for args in exact] == [False, True] * 9
+        assert elsewhere == []
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_slice_witness_is_the_winning_members(self, monkeypatch, seed):
+        # the witness's members are B.member and C.member of the values on
+        # the winning interval, whose midpoint is r; none is built again
+        inst = random_instance(seed, 6)
+        C, B, D = inst.chain
+        for f in inst.functions:
+            for b, c in ((B, C), (D, C), (D, B)):
+                members = _counting(monkeypatch, Sublattice, "member")
+                verdict = slice_independent(f, b, c)
+                monkeypatch.undo()
+                assert members == []
+                if verdict.independent:
+                    continue
+                w = verdict.witness
+                per_block = slice_profile(f, b).per_block + slice_profile(f, c).per_block
+                [values] = [v for start, end, v in _sweep(per_block) if (start + end) / 2.0 == w.r]
+                nb = len(b.blocks)
+                assert w.over_b.values == b.member(values[:nb]).values
+                assert w.over_c.values == c.member(values[nb:]).values
 
 
 def _checked(check, *args):
@@ -738,6 +816,33 @@ class TestCanonicalBase:
             for drop in range(cb.dim):
                 smaller = cb.subset([k for k in range(cb.dim) if k != drop])
                 assert not star_independent(fs, A, smaller).independent
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_base_of_an_extension_is_the_base_lifted(self, seed):
+        # the base depends only on the type: a non-forking extension and a
+        # realization of the conditional law over C keep it
+        for size in (6, 12):
+            inst = random_instance(seed, size, n_functions=3)
+            C, B, _ = inst.chain
+            for fs in (inst.functions[:1], inst.functions[:2]):
+                base = canonical_base(fs, C)
+                r, gs = nonforking_extension(fs, C, B)
+                assert canonical_base(gs, B.lift(r)).equals(base.lift(r))
+                r, gs = realize_cond_distribution(cond_distribution(fs, C))
+                assert canonical_base(gs, C.lift(r)).equals(base.lift(r))
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_term_bases_lie_in_the_tuple_base_and_join_to_it(self, seed):
+        # the six terms f1, f2, f1 + f2, f1 v f2, f1 - 2 f2 and |f1 - f2|
+        for size in (6, 12):
+            inst = random_instance(seed, size, n_functions=3)
+            A = _nontrivial_sublattice(inst, seed)
+            f1, f2, _ = inst.functions
+            base = canonical_base([f1, f2], A)
+            terms = (f1, f2, f1 + f2, f1.join(f2), f1 - 2.0 * f2, abs(f1 - f2))
+            bases = [canonical_base([t], A) for t in terms]
+            assert all(is_sublattice_of(b, base) for b in bases)
+            assert functools.reduce(lattice_join, bases).equals(base)
 
 
 def _curated_minimality_instances():

@@ -139,3 +139,69 @@ def test_no_module_imports_numpy():
         if "numpy" in imported_modules(path.read_text(encoding="utf-8"))
     }
     assert found == set()
+
+
+def unreferenced_private_functions(sources):
+    """(file, name) for each private function or method (a leading
+    underscore, not a dunder) in sources, a {file: source} map, whose name no
+    code outside its own definition reads: as a name, an attribute or a
+    string (an op table names functions by string).  An import is no read."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    defs = [
+        (name, node)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    reads = {}  # name -> the nodes that read it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.setdefault(node.value, []).append(node)
+    for name, node in defs:
+        own = {id(n) for n in ast.walk(node)}
+        if all(id(n) in own for n in reads.get(node.name, ())):
+            yield name, node.name
+
+
+def test_the_scan_finds_unreferenced_private_functions():
+    sources = {
+        "a.py": (
+            "def _called():\n"
+            "    return _by_name, OPS\n"
+            "def _by_name():\n"
+            "    return 1\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "def _imported_only():\n"
+            "    pass\n"
+            "def unused_public():\n"
+            "    pass\n"
+            "OPS = {'x': ('_in_a_table',)}\n"
+            "def _in_a_table():\n"
+            "    pass\n"
+            "class K:\n"
+            "    def _method(self):\n"
+            "        return self._other()\n"
+            "    def _other(self):\n"
+            "        return 0\n"
+            "    def __repr__(self):\n"
+            "        return ''\n"
+        ),
+        "b.py": "from a import _called, _imported_only\nprint(_called())\n",
+    }
+    assert sorted(unreferenced_private_functions(sources)) == [
+        ("a.py", "_imported_only"), ("a.py", "_method"), ("a.py", "_recursive")
+    ]
+
+
+def test_every_private_function_is_referenced():
+    # a private routine that only tests call belongs in the tests
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert set(unreferenced_private_functions(sources)) == set()

@@ -33,6 +33,7 @@ from lplattice import (
     SublatticeMismatch,
     TargetOutOfRange,
     TypeDatum,
+    UnknownCell,
     band_decompose,
     canonical_realization,
     close,
@@ -515,6 +516,16 @@ class TestMaharamSelect:
         space, C = one_block_space()
         with pytest.raises(TargetOutOfRange):
             maharam_select(["c0"], C, indicator(space, ["c0"]))
+
+    def test_unknown_cell_named_is_the_first_given(self):
+        # the cells were once checked in the order of a set of them, which
+        # varies with the string hash of the process
+        space, C = one_block_space()
+        unknown = ["q", "r", "s", "t", "u"]
+        for k in range(len(unknown)):
+            cells = ["c0"] + unknown[k:] + unknown[:k]
+            with pytest.raises(UnknownCell, match=f"^no cell {unknown[k]!r}$"):
+                maharam_select(cells, C, step_function(space, {}))
 
 
 class TestRealizeCondDistribution:
