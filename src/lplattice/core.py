@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -92,6 +91,48 @@ def left_sum(xs: Iterable[float]) -> float:
     return reduce(add, xs, 0.0)
 
 
+class _Value:
+    """Base of the package's value classes.
+
+    A subclass's fields are its own annotations, in order.  Its `__init__`
+    sets them with `object.__setattr__`, as package code sets any field
+    (writing the instance `__dict__` instead would slow every later read of
+    a field on 3.11 and 3.12), and then, if it has one, calls
+    `__post_init__`.  Values of one class are equal when their tuples of
+    field values are, hash as that tuple (a dict field makes it unhashable),
+    print as `Name(field=value, ...)` and refuse assignment and deletion.
+    """
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+        # the tuple of field values (every value class has two fields or more);
+        # an attrgetter is no descriptor, so it is called as self._field_values(self)
+        cls._field_values = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._field_values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._field_values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        what = f"a {type(self).__name__} is immutable"
+        raise AttributeError(f"cannot set {name!r} to a {type(value).__name__}: {what}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+
 def _finite(x: float, what: str) -> float:
     x = float(x)
     if not math.isfinite(x):
@@ -99,12 +140,16 @@ def _finite(x: float, what: str) -> float:
     return x
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(_Value):
     """Ordered cells with strictly positive weights plus the exponent p >= 1."""
 
     cells: tuple[tuple[str, float], ...]
     p: float
+
+    def __init__(self, cells: tuple[tuple[str, float], ...], p: float) -> None:
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "p", p)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # one pass over the cells builds the weight table and names the
@@ -156,12 +201,16 @@ def make_space(cells: Iterable[tuple[str, float]], p: float) -> Space:
     return Space(tuple((str(cid), float(w)) for cid, w in cells), float(p))
 
 
-@dataclass(frozen=True)
-class StepFunction:
+class StepFunction(_Value):
     """An element of L_p(space): one value per cell, exact zeros pruned."""
 
     space: Space
     values: dict[str, float]
+
+    def __init__(self, space: Space, values: dict[str, float]) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         values = self.values
@@ -312,8 +361,7 @@ def _norm(space: Space, values: Mapping[str, float]) -> float:
     return result
 
 
-@dataclass(frozen=True)
-class Refinement:
+class Refinement(_Value):
     """Exact replacement of parent cells by children of the same total weight.
 
     Every parent cell maps to its children's ids, at least one.  Cells of the
@@ -323,6 +371,12 @@ class Refinement:
     parent: Space
     child: Space
     splitting: dict[str, tuple[str, ...]]
+
+    def __init__(self, parent: Space, child: Space, splitting: dict[str, tuple[str, ...]]) -> None:
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "child", child)
+        object.__setattr__(self, "splitting", splitting)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # one pass in the parent's cell order; raises on the first bad cell
@@ -441,13 +495,17 @@ def fresh_ids(space: Space, count: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DensityChange:
+class DensityChange(_Value):
     """Isometric re-presentation: weights mu*d^p, functions f -> f/d."""
 
     source: Space
     target: Space
     density: StepFunction
+
+    def __init__(self, source: Space, target: Space, density: StepFunction) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "density", density)
 
     def push(self, f: StepFunction) -> StepFunction:
         if f.space != self.source:

@@ -3,7 +3,6 @@ and canonical bases."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import (
@@ -11,6 +10,7 @@ from .core import (
     Refinement,
     Space,
     StepFunction,
+    _Value,
     _finite_values,
     _norm,
     close,
@@ -45,8 +45,7 @@ from .typespace import (
 SideInput = Union[Sublattice, Iterable[StepFunction]]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Value):
     """A concrete failure of an independence test.
 
     kind is "expectation" (element with differing expectations over B' and
@@ -60,11 +59,30 @@ class Witness:
     over_c: StepFunction
     gap: float
 
+    def __init__(
+        self,
+        kind: str,
+        element: Optional[StepFunction],
+        r: Optional[float],
+        over_b: StepFunction,
+        over_c: StepFunction,
+        gap: float,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "over_b", over_b)
+        object.__setattr__(self, "over_c", over_c)
+        object.__setattr__(self, "gap", gap)
 
-@dataclass(frozen=True)
-class IndependenceVerdict:
+
+class IndependenceVerdict(_Value):
     independent: bool
     witness: Optional[Witness]
+
+    def __init__(self, independent: bool, witness: Optional[Witness]) -> None:
+        object.__setattr__(self, "independent", independent)
+        object.__setattr__(self, "witness", witness)
 
 
 def _space_of(*sides: SideInput) -> Space:
@@ -399,10 +417,13 @@ def nonforking_extension(
     return realize_cond_distribution(cond_distribution(fs, C, tol))
 
 
-@dataclass(frozen=True)
-class StationarityResult:
+class StationarityResult(_Value):
     holds: bool
     hypotheses_met: bool
+
+    def __init__(self, holds: bool, hypotheses_met: bool) -> None:
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "hypotheses_met", hypotheses_met)
 
 
 def stationarity_check(

@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .core import DEFAULT_TOL, Space, StepFunction
+from .core import DEFAULT_TOL, Space, StepFunction, _Value
 from .errors import (
     BadR,
     GuardExceeded,
@@ -268,11 +267,20 @@ def coupling_upper_bounds(
     return best
 
 
-@dataclass(frozen=True)
-class RandomInstance:
+class RandomInstance(_Value):
     space: Space
     chain: tuple[Sublattice, Sublattice, Sublattice]  # C <= B <= D
     functions: tuple[StepFunction, ...]
+
+    def __init__(
+        self,
+        space: Space,
+        chain: tuple[Sublattice, Sublattice, Sublattice],
+        functions: tuple[StepFunction, ...],
+    ) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "functions", functions)
 
 
 def _coarsen(rng: random.Random, lat: Sublattice, indicator_mode: bool) -> Sublattice:

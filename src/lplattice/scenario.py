@@ -189,7 +189,10 @@ def _encode(doc: Any, newline: str, floats: _Floats) -> str:
 
 def dumps(doc: Any) -> str:
     """Serialize a report or scenario document with stable bytes."""
-    return _encode(doc, "\n", _Floats()) + "\n"
+    try:
+        return _encode(doc, "\n", _Floats()) + "\n"
+    except RecursionError:  # each level of nesting takes a few frames
+        raise ValidationError("cannot serialize: the document nests too deeply") from None
 
 
 # --- document <-> object ------------------------------------------------------
@@ -641,7 +644,7 @@ def execute_scenario(path: str, tol: float = DEFAULT_TOL) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
 
     def reject(token: str) -> float:
@@ -653,4 +656,6 @@ def execute_scenario(path: str, tol: float = DEFAULT_TOL) -> dict:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal longer than int() accepts
         raise ParseError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: the document nests too deeply") from None
     return execute_scenario_doc(doc, tol)

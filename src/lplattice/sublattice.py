@@ -4,7 +4,6 @@ and the conditional expectation projection."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import truediv
@@ -16,6 +15,7 @@ from .core import (
     Refinement,
     Space,
     StepFunction,
+    _Value,
     _finite_values,
     close,
     tolerance_groups,
@@ -31,8 +31,7 @@ class NuTable(NamedTuple):
     mass: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(_Value):
     """A closed sublattice: disjoint blocks of cells with a positive profile.
 
     Members are exactly the combinations sum_k c_k * (profile restricted to
@@ -44,6 +43,16 @@ class Sublattice:
     space: Space
     blocks: tuple[tuple[str, ...], ...]
     profile: dict[str, float]
+
+    def __init__(
+        self,
+        space: Space,
+        blocks: tuple[tuple[str, ...], ...],
+        profile: dict[str, float],
+    ) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "profile", profile)
 
     @classmethod
     def make(

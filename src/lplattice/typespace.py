@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence
@@ -15,6 +14,7 @@ from .core import (
     Refinement,
     Space,
     StepFunction,
+    _Value,
     close,
     fresh_ids,
     left_sum,
@@ -40,8 +40,7 @@ Atom = tuple[tuple[float, ...], float]  # (value vector, mass)
 Layout = tuple[tuple[float, tuple[float, ...]], ...]  # (length, value vector) segments
 
 
-@dataclass(frozen=True)
-class SliceProfile:
+class SliceProfile(_Value):
     """Per block of C, the decreasing rearrangement of f/w over (0,1).
 
     Stored as merged (length, value) segments: lengths sum to 1 per block
@@ -51,6 +50,11 @@ class SliceProfile:
 
     sublattice: Sublattice
     per_block: tuple[tuple[Segment, ...], ...]
+
+    def __init__(self, sublattice: Sublattice, per_block: tuple[tuple[Segment, ...], ...]) -> None:
+        object.__setattr__(self, "sublattice", sublattice)
+        object.__setattr__(self, "per_block", per_block)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.per_block) != len(self.sublattice.blocks):
@@ -101,14 +105,19 @@ class SliceProfile:
         )
 
 
-@dataclass(frozen=True)
-class TypeDatum:
+class TypeDatum(_Value):
     """Complete invariant of a 1-type over C: slice profile plus the norms of
     the positive and negative parts orthogonal to C."""
 
     profile: SliceProfile
     orth_pos: float
     orth_neg: float
+
+    def __init__(self, profile: SliceProfile, orth_pos: float, orth_neg: float) -> None:
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "orth_pos", orth_pos)
+        object.__setattr__(self, "orth_neg", orth_neg)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for name, norm_ in (("orth_pos", self.orth_pos), ("orth_neg", self.orth_neg)):
@@ -132,8 +141,7 @@ class TypeDatum:
         return all(_piecewise_pth_power(a, b, 1.0) <= tol for a, b in pairs)
 
 
-@dataclass(frozen=True)
-class ConditionalDistribution:
+class ConditionalDistribution(_Value):
     """Per block of C, the nu-weighted law of the profile-normalized value
     vectors; plus the mu-weighted off-origin joint law of the orthogonal
     components."""
@@ -142,6 +150,19 @@ class ConditionalDistribution:
     arity: int
     per_block: tuple[tuple[Atom, ...], ...]
     orth: tuple[Atom, ...]
+
+    def __init__(
+        self,
+        sublattice: Sublattice,
+        arity: int,
+        per_block: tuple[tuple[Atom, ...], ...],
+        orth: tuple[Atom, ...],
+    ) -> None:
+        object.__setattr__(self, "sublattice", sublattice)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "per_block", per_block)
+        object.__setattr__(self, "orth", orth)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.per_block) != len(self.sublattice.blocks):

@@ -17,6 +17,7 @@ from .core import (
     DEFAULT_TOL,
     Space,
     StepFunction,
+    _Value,
     check_tol,
     density_change,
     function_close,
@@ -64,8 +65,7 @@ from .typespace import (
 
 # --- worked-example fixtures -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MaskedDependenceFixture:
+class MaskedDependenceFixture(_Value):
     """Three unit cells for [0,1], (1,2], (2,3]; f = 2*chi_[0,1] + chi_(2,3]."""
 
     space: Space
@@ -75,6 +75,24 @@ class MaskedDependenceFixture:
     A: Sublattice
     B: Sublattice
     C: Sublattice
+
+    def __init__(
+        self,
+        space: Space,
+        f: StepFunction,
+        chi: StepFunction,
+        chi_top: StepFunction,
+        A: Sublattice,
+        B: Sublattice,
+        C: Sublattice,
+    ) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "chi_top", chi_top)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "C", C)
 
 
 def masked_dependence_example(p: float = 2.0) -> MaskedDependenceFixture:
@@ -94,8 +112,7 @@ def masked_dependence_example(p: float = 2.0) -> MaskedDependenceFixture:
     return MaskedDependenceFixture(space, f, chi, chi_top, A, B, C)
 
 
-@dataclass(frozen=True)
-class PairwiseIndependenceFixture:
+class PairwiseIndependenceFixture(_Value):
     """Quarter cells of the unit interval with the classic pairwise-independent
     triple a1, a2, a3."""
 
@@ -104,6 +121,20 @@ class PairwiseIndependenceFixture:
     a2: StepFunction
     a3: StepFunction
     C: Sublattice
+
+    def __init__(
+        self,
+        space: Space,
+        a1: StepFunction,
+        a2: StepFunction,
+        a3: StepFunction,
+        C: Sublattice,
+    ) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a3", a3)
+        object.__setattr__(self, "C", C)
 
 
 def pairwise_independence_example(p: float = 2.0) -> PairwiseIndependenceFixture:
@@ -442,6 +473,8 @@ def check_density_invariance(seed: int, tol: float = DEFAULT_TOL) -> Optional[st
 
 # --- suite driver ---------------------------------------------------------------
 
+# a dataclass, not a core._Value: perfbench/selftest.py copies one with
+# dataclasses.replace, and `lplattice run` never imports this module
 @dataclass
 class SuiteResult:
     name: str

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -1339,3 +1340,152 @@ def reference_sublattice_from_doc(runner: Any, name: str, doc: Any) -> Sublattic
         with _naming(path):
             return Sublattice.make(runner.space, blocks)
     raise ValidationError(f"{path}: sublattice document needs 'blocks' or 'generators'")
+
+
+# --- dataclass twins of the package's value classes ------------------------------
+# Each twin declares one value class as a dataclass, the way the package did
+# before its modules stopped importing `dataclasses`: the same fields in the
+# same order, frozen except SuiteResult's.  A twin prints under its class's
+# name, so tests/test_values.py compares reprs as they are.  Twins hold the
+# package's own objects as field values and run no __post_init__.
+
+def _twin(cls: type) -> type:
+    cls.__name__ = cls.__qualname__ = cls.__name__.removesuffix("Twin")
+    return cls
+
+
+@_twin
+@dataclass(frozen=True)
+class SpaceTwin:
+    cells: tuple[tuple[str, float], ...]
+    p: float
+
+
+@_twin
+@dataclass(frozen=True)
+class StepFunctionTwin:
+    space: Space
+    values: dict[str, float]
+
+
+@_twin
+@dataclass(frozen=True)
+class RefinementTwin:
+    parent: Space
+    child: Space
+    splitting: dict[str, tuple[str, ...]]
+
+
+@_twin
+@dataclass(frozen=True)
+class DensityChangeTwin:
+    source: Space
+    target: Space
+    density: StepFunction
+
+
+@_twin
+@dataclass(frozen=True)
+class SublatticeTwin:
+    space: Space
+    blocks: tuple[tuple[str, ...], ...]
+    profile: dict[str, float]
+
+
+@_twin
+@dataclass(frozen=True)
+class SliceProfileTwin:
+    sublattice: Sublattice
+    per_block: tuple[tuple[Segment, ...], ...]
+
+
+@_twin
+@dataclass(frozen=True)
+class TypeDatumTwin:
+    profile: SliceProfile
+    orth_pos: float
+    orth_neg: float
+
+
+@_twin
+@dataclass(frozen=True)
+class ConditionalDistributionTwin:
+    sublattice: Sublattice
+    arity: int
+    per_block: tuple[tuple[Atom, ...], ...]
+    orth: tuple[Atom, ...]
+
+
+@_twin
+@dataclass(frozen=True)
+class WitnessTwin:
+    kind: str
+    element: Optional[StepFunction]
+    r: Optional[float]
+    over_b: StepFunction
+    over_c: StepFunction
+    gap: float
+
+
+@_twin
+@dataclass(frozen=True)
+class IndependenceVerdictTwin:
+    independent: bool
+    witness: Optional[Witness]
+
+
+@_twin
+@dataclass(frozen=True)
+class StationarityResultTwin:
+    holds: bool
+    hypotheses_met: bool
+
+
+@_twin
+@dataclass(frozen=True)
+class RandomInstanceTwin:
+    space: Space
+    chain: tuple[Sublattice, Sublattice, Sublattice]
+    functions: tuple[StepFunction, ...]
+
+
+@_twin
+@dataclass(frozen=True)
+class MaskedDependenceFixtureTwin:
+    space: Space
+    f: StepFunction
+    chi: StepFunction
+    chi_top: StepFunction
+    A: Sublattice
+    B: Sublattice
+    C: Sublattice
+
+
+@_twin
+@dataclass(frozen=True)
+class PairwiseIndependenceFixtureTwin:
+    space: Space
+    a1: StepFunction
+    a2: StepFunction
+    a3: StepFunction
+    C: Sublattice
+
+
+@_twin
+@dataclass
+class SuiteResultTwin:
+    name: str
+    passed: bool
+    detail: str
+    replay: Optional[str]
+
+
+TWINS = {
+    twin.__name__: twin
+    for twin in (
+        SpaceTwin, StepFunctionTwin, RefinementTwin, DensityChangeTwin, SublatticeTwin,
+        SliceProfileTwin, TypeDatumTwin, ConditionalDistributionTwin, WitnessTwin,
+        IndependenceVerdictTwin, StationarityResultTwin, RandomInstanceTwin,
+        MaskedDependenceFixtureTwin, PairwiseIndependenceFixtureTwin, SuiteResultTwin,
+    )
+}

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The golden checks of the command line, run from the source tree by the
 # interpreter named `python` on PATH (the package needs only the standard
-# library): the verify report at the default tol and at tol 0, every golden
-# scenario's report and its replay, every golden scenario at tol 0, and the
-# exact splits at tol 0.  Usage: bash tests/golden.sh
+# library): the modules `lplattice run` starts with, the verify report at
+# the default tol and at tol 0, every golden scenario's report and its
+# replay, every golden scenario at tol 0, and the exact splits at tol 0.
+# Usage: bash tests/golden.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
@@ -11,6 +12,12 @@ export PYTHONPATH=src
 lplattice() {
   python -m lplattice "$@"
 }
+
+echo "start-up imports"
+# `lplattice run` starts without dataclasses and the modules it loads
+python -c 'import sys, lplattice.cli
+heavy = sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(sys.modules))
+sys.exit(f"import lplattice.cli loads {heavy}" if heavy else None)'
 
 echo "verification suites"
 lplattice verify --seed 0 --trials 60 | cmp - tests/data/verify_report.txt

@@ -1147,6 +1147,32 @@ class TestCliMain:
         assert captured.err.startswith(message)
         assert captured.out == ""
 
+    def test_file_not_utf8_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_bytes(b'\xff\xfe{"space": 1}')
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: ParseError: cannot read {str(path)!r}: 'utf-8' codec")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "depth, message",
+        [
+            # json reads it, and the report that echoes the scenario is too deep to write
+            (600, "error: ValidationError: cannot serialize: the document nests too deeply\n"),
+            # json itself gives up
+            (100_000, "error: ParseError: {path}: the document nests too deeply\n"),
+        ],
+    )
+    def test_deeply_nested_document_exit_two(self, tmp_path, capsys, depth, message):
+        text = json.dumps(masked_dependence_scenario())
+        path = tmp_path / "s.json"
+        path.write_text('{"note": ' + "[" * depth + "]" * depth + ", " + text[1:])
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message.format(path=path)
+        assert captured.out == ""
+
     def test_parse_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -1317,6 +1343,15 @@ class TestCliMain:
         probe = (
             "import sys, lplattice.cli; "
             "print(sorted({'numpy', 'lplattice.oracles'} & set(sys.modules)))"
+        )
+        assert run_python(probe).strip() == "[]"
+
+    def test_run_path_does_not_load_dataclasses(self):
+        # the value classes derive from core._Value, so `lplattice run` starts
+        # without dataclasses and the modules it loads
+        probe = (
+            "import sys, lplattice.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
         )
         assert run_python(probe).strip() == "[]"
 

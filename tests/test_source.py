@@ -141,6 +141,19 @@ def test_no_module_imports_numpy():
     assert found == set()
 
 
+def test_no_module_imports_dataclasses():
+    # value classes derive from core._Value: dataclasses loads inspect, ast, dis
+    # and tokenize, and compiles each decorated class's methods at import.
+    # verify.SuiteResult alone stays a dataclass, because perfbench/selftest.py
+    # copies one with dataclasses.replace; `lplattice run` never imports verify.py
+    found = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if "dataclasses" in imported_modules(path.read_text(encoding="utf-8"))
+    }
+    assert found == {"verify.py"}
+
+
 def unreferenced_private_functions(sources):
     """(file, name) for each private function or method (a leading
     underscore, not a dunder) in sources, a {file: source} map, whose name no
